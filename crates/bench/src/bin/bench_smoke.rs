@@ -26,6 +26,9 @@
 //! or its CNF clause count more than [`CLAUSE_REGRESSION_FACTOR`]× against
 //! the baseline (the clause count is deterministic on identical code, so
 //! its tight gate catches encoding regressions without runner-speed noise).
+//! A mode's SAT conflict count must match the baseline *exactly*: the search
+//! is deterministic, so a different count means a search heuristic changed,
+//! and such a change has to refresh the baseline on purpose.
 //!
 //! A sixth, **parallel** arm runs a batch of identical copies of the
 //! `incremental` sweep on the work-stealing detection engine
@@ -798,6 +801,7 @@ fn main() {
         let baseline = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let mut regressed = false;
+        let mut search_changed = false;
         for m in &report.modes {
             match baseline_field(&baseline, &m.mode, "wall_ms") {
                 Some(expected) => {
@@ -833,6 +837,23 @@ fn main() {
                     );
                 }
                 _ => println!("  {:<24} no baseline cnf_clauses entry, skipping", m.mode),
+            }
+            // Storage and propagation changes keep every decision, so the
+            // conflict count is exact; only a search change may move it.
+            match baseline_field(&baseline, &m.mode, "conflicts") {
+                Some(expected) => {
+                    let verdict = if m.conflicts as f64 == expected {
+                        "ok"
+                    } else {
+                        search_changed = true;
+                        "SEARCH CHANGED"
+                    };
+                    println!(
+                        "  {:<24} {:>9} conflicts vs baseline {:>9.0} {verdict}",
+                        m.mode, m.conflicts, expected
+                    );
+                }
+                None => println!("  {:<24} no baseline conflicts entry, skipping", m.mode),
             }
         }
         // Batched arm: the shared encoding's clause count gets the tight
@@ -874,11 +895,18 @@ fn main() {
             }
             _ => println!("  {:<24} no baseline throughput entry, skipping", "batched"),
         }
+        if search_changed {
+            eprintln!(
+                "bench-smoke: SAT conflicts differ from {path}: search changed — refresh the baseline"
+            );
+        }
         if regressed {
             eprintln!(
                 "bench-smoke: wall time (>{REGRESSION_FACTOR}x) or CNF clause count \
                  (>{CLAUSE_REGRESSION_FACTOR}x) regressed against {path}"
             );
+        }
+        if regressed || search_changed {
             std::process::exit(1);
         }
     }

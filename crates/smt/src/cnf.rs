@@ -55,6 +55,17 @@ impl Lit {
     pub fn from_index(idx: usize) -> Self {
         Lit(u32::try_from(idx).expect("literal index overflow"))
     }
+
+    /// The raw `var * 2 + negated` code (the SAT core's clause arena stores
+    /// literals as these words).
+    pub(crate) fn code(self) -> u32 {
+        self.0
+    }
+
+    /// Inverse of [`code`](Self::code).
+    pub(crate) fn from_code(code: u32) -> Self {
+        Lit(code)
+    }
 }
 
 impl Not for Lit {

@@ -204,7 +204,9 @@ impl IncrementalSolver {
     }
 
     /// Caps the estimated clause-arena + watcher bytes of the underlying SAT
-    /// solver; a check whose estimate exceeds the cap returns
+    /// solver ([`SatSolver::memory_estimate`](crate::SatSolver::memory_estimate):
+    /// arena words × 4 plus two watchers per clause, which reduction's
+    /// compaction lowers); a check whose estimate exceeds the cap returns
     /// [`SatResult::Unknown`] with [`StopReason::MemoryBudget`].  The solver
     /// state stays valid — learnt-database reduction or a raised cap lets a
     /// later check continue.  `None` (default) means unlimited.

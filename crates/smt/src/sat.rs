@@ -146,12 +146,140 @@ enum Decision {
     FailedAssumption(Lit),
 }
 
-#[derive(Debug, Clone)]
-struct ClauseData {
-    lits: Vec<Lit>,
-    learnt: bool,
-    lbd: u32,
-    activity: f64,
+/// A clause reference: the offset of the clause's header in the arena.
+type CRef = u32;
+
+/// Arena words ahead of a clause's literals: the size word
+/// (`len << LEN_SHIFT | mark | learnt`), the LBD, and the `f64` activity
+/// split over two words.
+const HEADER_WORDS: usize = 4;
+const LEARNT_BIT: u32 = 1;
+/// Scratch flag of [`SatSolver::reduce_db`]: set on locked clauses while
+/// the deletion candidates are collected, then on the deleted ones.
+const MARK_BIT: u32 = 2;
+const LEN_SHIFT: u32 = 2;
+
+/// All clauses, original and learnt, in one flat `u32` buffer (MiniSat
+/// layout): each clause is its header followed by its literal codes, so a
+/// clause visit is one contiguous read instead of a pointer chase, and
+/// [`SatSolver::reduce_db`] returns memory by compacting one buffer.
+#[derive(Debug, Clone, Default)]
+struct ClauseArena {
+    words: Vec<u32>,
+}
+
+impl ClauseArena {
+    fn alloc(&mut self, lits: &[Lit], learnt: bool, lbd: u32, activity: f64) -> CRef {
+        let c = u32::try_from(self.words.len()).expect("clause arena overflow");
+        let len = u32::try_from(lits.len()).expect("clause length overflow");
+        let bits = activity.to_bits();
+        self.words.extend([
+            len << LEN_SHIFT | u32::from(learnt),
+            lbd,
+            bits as u32,
+            (bits >> 32) as u32,
+        ]);
+        self.words.extend(lits.iter().map(|l| l.code()));
+        c
+    }
+
+    fn len(&self, c: CRef) -> usize {
+        (self.words[c as usize] >> LEN_SHIFT) as usize
+    }
+
+    fn is_learnt(&self, c: CRef) -> bool {
+        self.words[c as usize] & LEARNT_BIT != 0
+    }
+
+    fn marked(&self, c: CRef) -> bool {
+        self.words[c as usize] & MARK_BIT != 0
+    }
+
+    fn set_mark(&mut self, c: CRef, on: bool) {
+        if on {
+            self.words[c as usize] |= MARK_BIT;
+        } else {
+            self.words[c as usize] &= !MARK_BIT;
+        }
+    }
+
+    fn lbd(&self, c: CRef) -> u32 {
+        self.words[c as usize + 1]
+    }
+
+    fn activity(&self, c: CRef) -> f64 {
+        let i = c as usize + 2;
+        f64::from_bits(u64::from(self.words[i]) | u64::from(self.words[i + 1]) << 32)
+    }
+
+    fn set_activity(&mut self, c: CRef, activity: f64) {
+        let i = c as usize + 2;
+        let bits = activity.to_bits();
+        self.words[i] = bits as u32;
+        self.words[i + 1] = (bits >> 32) as u32;
+    }
+
+    /// The `k`-th literal of clause `c`.
+    fn lit(&self, c: CRef, k: usize) -> Lit {
+        Lit::from_code(self.words[c as usize + HEADER_WORDS + k])
+    }
+
+    fn swap_lits(&mut self, c: CRef, a: usize, b: usize) {
+        let base = c as usize + HEADER_WORDS;
+        self.words.swap(base + a, base + b);
+    }
+
+    fn rescale_learnt_activities(&mut self, factor: f64) {
+        let mut c = 0;
+        while c < self.words.len() {
+            let cref = c as CRef;
+            if self.is_learnt(cref) {
+                self.set_activity(cref, self.activity(cref) * factor);
+            }
+            c += HEADER_WORDS + self.len(cref);
+        }
+    }
+
+    /// Where compaction moved clause `c`: a moved clause's old LBD word
+    /// holds its new reference (see [`SatSolver::reduce_db`]).
+    fn forwarding(&self, c: CRef) -> CRef {
+        self.words[c as usize + 1]
+    }
+
+    fn set_forwarding(&mut self, c: CRef, to: CRef) {
+        self.words[c as usize + 1] = to;
+    }
+
+    /// Every clause reference, in allocation order.
+    fn crefs(&self) -> impl Iterator<Item = CRef> + '_ {
+        let mut c = 0usize;
+        std::iter::from_fn(move || {
+            (c < self.words.len()).then(|| {
+                let cref = c as CRef;
+                c += HEADER_WORDS + self.len(cref);
+                cref
+            })
+        })
+    }
+}
+
+/// `Watcher::other` of a long clause.
+const NO_OTHER: u32 = u32::MAX;
+
+/// A watch-list entry: the clause, and for a binary clause the code of its
+/// other literal, so propagation decides binary clauses without reading
+/// the arena.  Binary and long clauses share one list, in registration
+/// order.
+#[derive(Debug, Clone, Copy)]
+struct Watcher {
+    cref: CRef,
+    other: u32,
+}
+
+impl Watcher {
+    fn binary_other(self) -> Option<Lit> {
+        (self.other != NO_OTHER).then(|| Lit::from_code(self.other))
+    }
 }
 
 /// Counters of the learnt-clause database reduction.
@@ -282,11 +410,13 @@ impl VarOrder {
 /// [`SolveOutcome::Sat`] read variable values with [`SatSolver::value_of`].
 #[derive(Debug, Clone)]
 pub struct SatSolver {
-    clauses: Vec<ClauseData>,
-    watches: Vec<Vec<u32>>,
+    arena: ClauseArena,
+    /// Stored clauses (original + learnt); every stored clause is live.
+    num_clauses: usize,
+    watches: Vec<Vec<Watcher>>,
     assign: Vec<i8>,
     level: Vec<u32>,
-    reason: Vec<Option<u32>>,
+    reason: Vec<Option<CRef>>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -296,6 +426,11 @@ pub struct SatSolver {
     order: VarOrder,
     phase: Vec<bool>,
     seen: Vec<bool>,
+    /// Learnt clause under construction (reused across conflicts).
+    learnt: Vec<Lit>,
+    /// Per-decision-level flags of [`compute_lbd`](Self::compute_lbd),
+    /// all `false` between calls.
+    level_seen: Vec<bool>,
     ok: bool,
     num_vars: u32,
     conflicts: u64,
@@ -336,9 +471,6 @@ pub struct SatSolver {
     /// the sampled check point yields [`SolveOutcome::Unknown`] with
     /// [`StopReason::MemoryBudget`].
     memory_limit: Option<usize>,
-    /// Live literal slots in the clause arena, maintained incrementally so
-    /// [`memory_estimate`](Self::memory_estimate) never scans the arena.
-    lit_slots: usize,
     /// High-water mark of the memory estimate (sampled alongside the
     /// deadline poll).
     mem_high_water: usize,
@@ -359,7 +491,8 @@ impl SatSolver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         SatSolver {
-            clauses: Vec::new(),
+            arena: ClauseArena::default(),
+            num_clauses: 0,
             watches: Vec::new(),
             assign: Vec::new(),
             level: Vec::new(),
@@ -373,6 +506,8 @@ impl SatSolver {
             order: VarOrder::default(),
             phase: Vec::new(),
             seen: Vec::new(),
+            learnt: Vec::new(),
+            level_seen: Vec::new(),
             ok: true,
             num_vars: 0,
             conflicts: 0,
@@ -390,7 +525,6 @@ impl SatSolver {
             deadline: None,
             cancel: Vec::new(),
             memory_limit: None,
-            lit_slots: 0,
             mem_high_water: 0,
             stop_reason: None,
             fault: FaultHooks::default(),
@@ -492,14 +626,14 @@ impl SatSolver {
         self.memory_limit = limit;
     }
 
-    /// Estimated bytes held by the clause arena and watcher lists,
-    /// maintained from O(1) counters (literal slots, clause count) so the
-    /// search loop can poll it: literal storage, per-clause metadata, and
-    /// the two watcher entries every live clause registers.
+    /// Estimated bytes held by the clause arena and watcher lists, read off
+    /// O(1) counters so the search loop can poll it: the arena's words
+    /// (clause headers and literals) plus the two watcher entries every
+    /// stored clause registers.  Reduction compacts the arena, so the
+    /// estimate falls when it deletes clauses.
     pub fn memory_estimate(&self) -> usize {
-        self.lit_slots * std::mem::size_of::<Lit>()
-            + self.clauses.len()
-                * (std::mem::size_of::<ClauseData>() + 2 * std::mem::size_of::<u32>())
+        self.arena.words.len() * std::mem::size_of::<u32>()
+            + self.num_clauses * 2 * std::mem::size_of::<Watcher>()
     }
 
     /// High-water mark of [`memory_estimate`](Self::memory_estimate),
@@ -566,10 +700,9 @@ impl SatSolver {
     }
 
     fn lit_value(&self, l: Lit) -> i8 {
+        // Negation keeps UNASSIGNED (0) fixed, so no separate case.
         let v = self.assign[l.var().index()];
-        if v == UNASSIGNED {
-            UNASSIGNED
-        } else if l.is_positive() {
+        if l.is_positive() {
             v
         } else {
             -v
@@ -595,7 +728,7 @@ impl SatSolver {
     /// are physically removed from the arena by reduction, so every stored
     /// clause is live.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     /// Number of live learnt clauses retained for future calls.
@@ -619,8 +752,8 @@ impl SatSolver {
         }
         lits.sort();
         lits.dedup();
-        // Tautology / falsified-literal simplification at level 0.
-        let mut simplified = Vec::with_capacity(lits.len());
+        // Tautology / falsified-literal simplification at level 0, in place.
+        let mut kept = 0;
         let mut i = 0;
         while i < lits.len() {
             let l = lits[i];
@@ -630,43 +763,60 @@ impl SatSolver {
             match self.lit_value(l) {
                 VALUE_TRUE => return true, // already satisfied at level 0
                 VALUE_FALSE => {}          // drop the falsified literal
-                _ => simplified.push(l),
+                _ => {
+                    lits[kept] = l;
+                    kept += 1;
+                }
             }
             i += 1;
         }
-        match simplified.len() {
+        lits.truncate(kept);
+        match lits.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(simplified[0], None);
+                self.enqueue(lits[0], None);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                let idx = u32::try_from(self.clauses.len()).expect("clause index overflow");
-                self.watches[simplified[0].index()].push(idx);
-                self.watches[simplified[1].index()].push(idx);
-                self.lit_slots += simplified.len();
-                self.clauses.push(ClauseData {
-                    lits: simplified,
-                    learnt: false,
-                    lbd: 0,
-                    activity: 0.0,
-                });
+                self.attach(&lits, false, 0, 0.0);
                 true
             }
         }
+    }
+
+    /// Stores a clause of at least two literals in the arena and watches its
+    /// first two literals.
+    fn attach(&mut self, lits: &[Lit], learnt: bool, lbd: u32, activity: f64) -> CRef {
+        let c = self.arena.alloc(lits, learnt, lbd, activity);
+        let (a, b) = (lits[0], lits[1]);
+        let (other_a, other_b) = if lits.len() == 2 {
+            (b.code(), a.code())
+        } else {
+            (NO_OTHER, NO_OTHER)
+        };
+        self.watches[a.index()].push(Watcher {
+            cref: c,
+            other: other_a,
+        });
+        self.watches[b.index()].push(Watcher {
+            cref: c,
+            other: other_b,
+        });
+        self.num_clauses += 1;
+        c
     }
 
     fn decision_level(&self) -> u32 {
         u32::try_from(self.trail_lim.len()).expect("level overflow")
     }
 
-    fn enqueue(&mut self, l: Lit, reason: Option<u32>) {
+    fn enqueue(&mut self, l: Lit, reason: Option<CRef>) {
         debug_assert_eq!(self.lit_value(l), UNASSIGNED);
         let v = l.var();
         self.assign[v.index()] = if l.is_positive() {
@@ -680,68 +830,86 @@ impl SatSolver {
         self.trail.push(l);
     }
 
-    fn propagate(&mut self) -> Option<u32> {
+    /// Propagates the trail to fixpoint; returns the conflicting clause, if
+    /// any.
+    ///
+    /// Each watch list is compacted in place (`i` reads, `j` writes) and
+    /// keeps its order.  A clause reached through the list stores its
+    /// implied or conflicting literal first and the falsified watch second,
+    /// which is the order analysis reads reasons in.  A long clause is
+    /// brought into that order on every visit; a binary clause is decided
+    /// from its watcher alone and is written only when it implies a literal
+    /// or conflicts.
+    fn propagate(&mut self) -> Option<CRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.propagations += 1;
-            let watch_idx = (!p).index();
-            let mut ws = std::mem::take(&mut self.watches[watch_idx]);
-            let mut keep = Vec::with_capacity(ws.len());
+            let false_lit = !p;
+            // Taken out for the loop and put back below: every watcher
+            // moved off this list goes to a non-false literal's list, never
+            // back to this one.
+            let mut ws = std::mem::take(&mut self.watches[false_lit.index()]);
             let mut conflict = None;
-            let mut i = 0;
+            let (mut i, mut j) = (0, 0);
             while i < ws.len() {
-                let ci = ws[i];
+                let w = ws[i];
                 i += 1;
-                // Make sure the false literal is at position 1.
-                let false_lit = !p;
-                {
-                    let lits = &mut self.clauses[ci as usize].lits;
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
+                let c = w.cref;
+                if let Some(other) = w.binary_other() {
+                    ws[j] = w;
+                    j += 1;
+                    let value = self.lit_value(other);
+                    if value == VALUE_TRUE {
+                        continue;
                     }
+                    if self.arena.lit(c, 0) == false_lit {
+                        self.arena.swap_lits(c, 0, 1);
+                    }
+                    if value == VALUE_FALSE {
+                        conflict = Some(c);
+                        break;
+                    }
+                    self.enqueue(other, Some(c));
+                    continue;
                 }
-                let first = self.clauses[ci as usize].lits[0];
+                // Make sure the false literal is at position 1.
+                if self.arena.lit(c, 0) == false_lit {
+                    self.arena.swap_lits(c, 0, 1);
+                }
+                let first = self.arena.lit(c, 0);
                 if self.lit_value(first) == VALUE_TRUE {
-                    keep.push(ci);
+                    ws[j] = w;
+                    j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut found = false;
-                let len = self.clauses[ci as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[ci as usize].lits[k];
+                let mut moved = false;
+                for k in 2..self.arena.len(c) {
+                    let lk = self.arena.lit(c, k);
                     if self.lit_value(lk) != VALUE_FALSE {
-                        self.clauses[ci as usize].lits.swap(1, k);
-                        self.watches[lk.index()].push(ci);
-                        found = true;
+                        self.arena.swap_lits(c, 1, k);
+                        self.watches[lk.index()].push(w);
+                        moved = true;
                         break;
                     }
                 }
-                if found {
+                if moved {
                     continue;
                 }
                 // Clause is unit or conflicting.
-                keep.push(ci);
+                ws[j] = w;
+                j += 1;
                 if self.lit_value(first) == VALUE_FALSE {
-                    // Conflict: keep the remaining watchers and bail out.
-                    while i < ws.len() {
-                        keep.push(ws[i]);
-                        i += 1;
-                    }
-                    conflict = Some(ci);
-                } else {
-                    self.enqueue(first, Some(ci));
+                    conflict = Some(c);
+                    break;
                 }
+                self.enqueue(first, Some(c));
             }
-            ws.clear();
-            // Put back the kept watchers (new watchers registered above are in
-            // other lists, appended after the take, so extend rather than
-            // overwrite).
-            let slot = &mut self.watches[watch_idx];
-            let appended = std::mem::take(slot);
-            *slot = keep;
-            slot.extend(appended);
+            // On a conflict, keep the watchers not yet visited.
+            ws.copy_within(i.., j);
+            ws.truncate(j + (ws.len() - i));
+            self.watches[false_lit.index()] = ws;
             if conflict.is_some() {
                 return conflict;
             }
@@ -774,28 +942,38 @@ impl SatSolver {
         self.cla_inc *= 1.0 / 0.9999;
     }
 
-    fn clause_bump(&mut self, ci: u32) {
-        let c = &mut self.clauses[ci as usize];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for c in self.clauses.iter_mut().filter(|c| c.learnt) {
-                c.activity *= 1e-20;
-            }
+    /// Bumps a learnt clause's activity.  Original clauses are never
+    /// reduction candidates, so they carry no activity: bumping them would
+    /// let one cross the rescale threshold without ever being rescaled, and
+    /// every later bump of it would divide the learnt activities again.
+    fn clause_bump(&mut self, c: CRef) {
+        if !self.arena.is_learnt(c) {
+            return;
+        }
+        let activity = self.arena.activity(c) + self.cla_inc;
+        self.arena.set_activity(c, activity);
+        if activity > 1e20 {
+            self.arena.rescale_learnt_activities(1e-20);
             self.cla_inc *= 1e-20;
         }
     }
 
-    fn analyze(&mut self, mut conflict: u32) -> (Clause, u32) {
-        let mut learnt: Clause = vec![Lit::pos(Var(0))]; // placeholder for the asserting literal
+    /// First-UIP conflict analysis.  Leaves the learnt clause in
+    /// `self.learnt` (asserting literal first, a literal of the backtrack
+    /// level second) and returns the backtrack level.
+    fn analyze(&mut self, mut conflict: CRef) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::pos(Var(0))); // placeholder for the asserting literal
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut trail_index = self.trail.len();
 
         loop {
             self.clause_bump(conflict);
-            let lits = self.clauses[conflict as usize].lits.clone();
             let start = usize::from(p.is_some());
-            for &q in &lits[start..] {
+            for k in start..self.arena.len(conflict) {
+                let q = self.arena.lit(conflict, k);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -826,54 +1004,52 @@ impl SatSolver {
             conflict = self.reason[pv.index()].expect("non-decision literal has a reason");
         }
 
-        // Conflict-clause minimisation (self-subsumption with direct reasons).
-        let keep: Vec<bool> = learnt
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| i == 0 || !self.literal_is_redundant(l, &learnt))
-            .collect();
-        let mut minimized: Clause = learnt
-            .iter()
-            .zip(keep.iter())
-            .filter_map(|(&l, &k)| if k { Some(l) } else { None })
-            .collect();
+        // Conflict-clause minimisation (self-subsumption with direct
+        // reasons).  Kept literals move to the front in order; removed ones
+        // collect behind them until their `seen` flags are cleared.
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            if !self.literal_is_redundant(learnt[i]) {
+                learnt.swap(kept, i);
+                kept += 1;
+            }
+        }
 
         // Compute the backtrack level: second highest level in the clause.
         let mut backtrack = 0;
-        if minimized.len() > 1 {
+        if kept > 1 {
             let mut max_i = 1;
-            for i in 2..minimized.len() {
-                if self.level[minimized[i].var().index()]
-                    > self.level[minimized[max_i].var().index()]
-                {
+            for i in 2..kept {
+                if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
                     max_i = i;
                 }
             }
-            minimized.swap(1, max_i);
-            backtrack = self.level[minimized[1].var().index()];
+            learnt.swap(1, max_i);
+            backtrack = self.level[learnt[1].var().index()];
         }
 
-        for l in &minimized {
-            self.seen[l.var().index()] = false;
-        }
-        // Also clear flags possibly left set for removed (redundant) literals.
         for l in &learnt {
             self.seen[l.var().index()] = false;
         }
-        (minimized, backtrack)
+        learnt.truncate(kept);
+        self.learnt = learnt;
+        backtrack
     }
 
     /// A literal is redundant in the learnt clause if every literal of its
-    /// reason clause is already in the learnt clause (one-step self-subsumption).
-    fn literal_is_redundant(&self, l: Lit, learnt: &Clause) -> bool {
+    /// reason clause is already in the learnt clause (one-step
+    /// self-subsumption).  During minimisation the `seen` flags at levels
+    /// above 0 mark exactly the variables of the learnt clause's non-UIP
+    /// literals, and a reason's literals sit below the UIP's level, so the
+    /// flags answer membership without scanning the clause.
+    fn literal_is_redundant(&self, l: Lit) -> bool {
         let Some(r) = self.reason[l.var().index()] else {
             return false;
         };
-        self.clauses[r as usize]
-            .lits
-            .iter()
-            .skip(1)
-            .all(|&q| learnt.contains(&q) || self.level[q.var().index()] == 0)
+        (1..self.arena.len(r)).all(|k| {
+            let v = self.arena.lit(r, k).var();
+            self.seen[v.index()] || self.level[v.index()] == 0
+        })
     }
 
     fn backtrack(&mut self, target: u32) {
@@ -893,43 +1069,51 @@ impl SatSolver {
         self.qhead = self.trail.len();
     }
 
-    fn learn(&mut self, clause: Clause) -> Option<u32> {
-        match clause.len() {
+    /// Stores the clause `analyze` left in `self.learnt`; returns its
+    /// reference when it has at least two literals (a unit is enqueued
+    /// directly at level 0).
+    fn learn(&mut self) -> Option<CRef> {
+        match self.learnt.len() {
             0 => {
                 self.ok = false;
                 None
             }
             1 => {
-                self.enqueue(clause[0], None);
+                self.enqueue(self.learnt[0], None);
                 None
             }
             _ => {
-                let idx = u32::try_from(self.clauses.len()).expect("clause index overflow");
-                let lbd = self.compute_lbd(&clause);
-                self.watches[clause[0].index()].push(idx);
-                self.watches[clause[1].index()].push(idx);
-                self.lit_slots += clause.len();
-                self.clauses.push(ClauseData {
-                    lits: clause,
-                    learnt: true,
-                    lbd,
-                    activity: self.cla_inc,
-                });
+                let learnt = std::mem::take(&mut self.learnt);
+                let lbd = self.compute_lbd(&learnt);
+                let c = self.attach(&learnt, true, lbd, self.cla_inc);
+                self.learnt = learnt;
                 self.num_learnt_live += 1;
                 self.reduce_stats.learnt_high_water = self
                     .reduce_stats
                     .learnt_high_water
                     .max(self.num_learnt_live as u64);
-                Some(idx)
+                Some(c)
             }
         }
     }
 
-    fn compute_lbd(&self, clause: &Clause) -> u32 {
-        let mut levels: Vec<u32> = clause.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        u32::try_from(levels.len()).expect("lbd overflow")
+    /// Number of distinct decision levels among the clause's literals.
+    fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
+        let mut lbd = 0;
+        for l in lits {
+            let level = self.level[l.var().index()] as usize;
+            if level >= self.level_seen.len() {
+                self.level_seen.resize(level + 1, false);
+            }
+            if !self.level_seen[level] {
+                self.level_seen[level] = true;
+                lbd += 1;
+            }
+        }
+        for l in lits {
+            self.level_seen[self.level[l.var().index()] as usize] = false;
+        }
+        lbd
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
@@ -1000,11 +1184,11 @@ impl SatSolver {
                         self.conflict_core.push(l);
                     }
                 }
-                Some(ci) => {
-                    let lits = self.clauses[ci as usize].lits.clone();
-                    for &q in &lits {
-                        if q.var() != v && self.level[q.var().index()] > 0 {
-                            self.seen[q.var().index()] = true;
+                Some(c) => {
+                    for k in 0..self.arena.len(c) {
+                        let q = self.arena.lit(c, k).var();
+                        if q != v && self.level[q.index()] > 0 {
+                            self.seen[q.index()] = true;
                         }
                     }
                 }
@@ -1024,67 +1208,74 @@ impl SatSolver {
     /// assumption levels the glue pool grows without bound, and an immune
     /// pool concentrates deletion on the useful mid-LBD clauses (measured:
     /// ~40% more conflicts on the Table-1 sweep).  The surviving clauses are
-    /// then moved into a fresh arena and every watcher list and reason index
-    /// is remapped, so the deleted clauses' memory is actually returned
-    /// instead of lingering as tombstones — the property that keeps
-    /// long-lived incremental solvers (BMC sweeps, CEGIS loops) at bounded
-    /// memory.
+    /// then copied, in order, into a fresh arena; each old header's LBD word
+    /// is overwritten with its clause's new reference, through which every
+    /// watcher and reason is remapped.  The deleted clauses' memory is
+    /// actually returned instead of lingering as tombstones — the property
+    /// that keeps long-lived incremental solvers (BMC sweeps, CEGIS loops)
+    /// at bounded memory.
     fn reduce_db(&mut self) {
-        let n = self.clauses.len();
-        let mut locked = vec![false; n];
         for &r in self.reason.iter().flatten() {
-            locked[r as usize] = true;
+            self.arena.set_mark(r, true);
         }
-        let mut candidates: Vec<u32> = (0..u32::try_from(n).expect("clause index overflow"))
-            .filter(|&i| {
-                let c = &self.clauses[i as usize];
-                c.learnt && c.lits.len() > 2 && !locked[i as usize]
-            })
+        let mut candidates: Vec<CRef> = self
+            .arena
+            .crefs()
+            .filter(|&c| self.arena.is_learnt(c) && self.arena.len(c) > 2 && !self.arena.marked(c))
             .collect();
+        for &r in self.reason.iter().flatten() {
+            self.arena.set_mark(r, false);
+        }
         candidates.sort_by(|&a, &b| {
-            let ca = &self.clauses[a as usize];
-            let cb = &self.clauses[b as usize];
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
+            self.arena.lbd(b).cmp(&self.arena.lbd(a)).then(
+                self.arena
+                    .activity(a)
+                    .partial_cmp(&self.arena.activity(b))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         let to_remove = candidates.len() / 2;
-        let mut delete = vec![false; n];
-        for &ci in candidates.iter().take(to_remove) {
-            delete[ci as usize] = true;
+        let mut freed_lits = 0;
+        for &c in &candidates[..to_remove] {
+            self.arena.set_mark(c, true);
+            freed_lits += self.arena.len(c);
         }
 
-        // Compact: move survivors into a fresh arena, remap watchers and
-        // reasons.  Locked clauses are never deleted, so every reason index
-        // has a remap target.
-        let mut remap: Vec<u32> = vec![u32::MAX; n];
-        let mut kept: Vec<ClauseData> = Vec::with_capacity(n - to_remove);
-        for (i, c) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
-            if delete[i] {
-                self.reduce_stats.literals_freed += c.lits.len() as u64;
-                self.lit_slots -= c.lits.len();
-                continue;
+        // Compact: survivors move to a fresh arena and leave their new
+        // reference behind.  Locked clauses are never deleted, so every
+        // reason has a forwarding target.
+        let mut old = std::mem::take(&mut self.arena);
+        self.arena.words =
+            Vec::with_capacity(old.words.len() - to_remove * HEADER_WORDS - freed_lits);
+        let mut c = 0usize;
+        while c < old.words.len() {
+            let cref = c as CRef;
+            let end = c + HEADER_WORDS + old.len(cref);
+            if !old.marked(cref) {
+                let moved = u32::try_from(self.arena.words.len()).expect("clause arena overflow");
+                self.arena.words.extend_from_slice(&old.words[c..end]);
+                old.set_forwarding(cref, moved);
             }
-            remap[i] = u32::try_from(kept.len()).expect("clause index overflow");
-            kept.push(c);
+            c = end;
         }
-        self.clauses = kept;
         for ws in &mut self.watches {
-            ws.retain_mut(|ci| {
-                let m = remap[*ci as usize];
-                *ci = m;
-                m != u32::MAX
+            ws.retain_mut(|w| {
+                if old.marked(w.cref) {
+                    return false;
+                }
+                w.cref = old.forwarding(w.cref);
+                true
             });
         }
         for r in self.reason.iter_mut().flatten() {
-            *r = remap[*r as usize];
+            *r = old.forwarding(*r);
         }
 
+        self.num_clauses -= to_remove;
         self.num_learnt_live -= to_remove;
         self.reduce_stats.reductions += 1;
         self.reduce_stats.clauses_deleted += to_remove as u64;
+        self.reduce_stats.literals_freed += freed_lits as u64;
         self.reduce_interval = self
             .reduce_interval
             .saturating_mul(REDUCE_GROWTH.0)
@@ -1185,14 +1376,13 @@ impl SatSolver {
                     self.ok = false;
                     return Some(SolveOutcome::Unsat);
                 }
-                let (learnt, backtrack_level) = self.analyze(conflict);
+                let backtrack_level = self.analyze(conflict);
                 self.backtrack(backtrack_level);
-                let asserting = learnt[0];
-                let ci = self.learn(learnt);
-                if let Some(ci) = ci {
+                let asserting = self.learnt[0];
+                if let Some(c) = self.learn() {
                     // `learn` watches but does not enqueue; do it with the reason.
                     if self.lit_value(asserting) == UNASSIGNED {
-                        self.enqueue(asserting, Some(ci));
+                        self.enqueue(asserting, Some(c));
                     }
                 }
                 self.var_decay();
@@ -1347,6 +1537,18 @@ mod tests {
             }
         }
         clauses
+    }
+
+    /// PHP(7, 6) with every clause guarded by `¬act`: hard UNSAT under the
+    /// assumption `act`, trivially SAT without it.
+    fn guarded_pigeonhole(act: i32) -> Vec<Vec<i32>> {
+        pigeonhole(7, 6)
+            .into_iter()
+            .map(|mut c| {
+                c.push(-act);
+                c
+            })
+            .collect()
     }
 
     #[test]
@@ -1569,14 +1771,7 @@ mod tests {
         // is hard-UNSAT (thousands of conflicts, forcing many reduction
         // passes), retracting it leaves a trivially satisfiable formula.
         let act = 43; // first variable beyond the pigeonhole block
-        let clauses: Vec<Vec<i32>> = pigeonhole(7, 6)
-            .into_iter()
-            .map(|mut c| {
-                c.push(-act);
-                c
-            })
-            .collect();
-        let mut s = solver_with(&clauses);
+        let mut s = solver_with(&guarded_pigeonhole(act));
         s.set_reduce_interval(25);
         assert_eq!(s.solve_under_assumptions(&[lit(act)]), SolveOutcome::Unsat);
         let stats = s.reduce_stats();
@@ -1605,13 +1800,7 @@ mod tests {
         // UNSAT instance: rescaling mid-way (between assumption calls) must
         // not change the verdict of the differential twin without it.
         let act = 43;
-        let clauses: Vec<Vec<i32>> = pigeonhole(7, 6)
-            .into_iter()
-            .map(|mut c| {
-                c.push(-act);
-                c
-            })
-            .collect();
+        let clauses = guarded_pigeonhole(act);
         let mut rescored = solver_with(&clauses);
         let mut plain = solver_with(&clauses);
         for _ in 0..3 {
@@ -1687,6 +1876,174 @@ mod tests {
                 "post-assumption state corrupted on {clauses:?}"
             );
         }
+    }
+
+    /// Search counters and reduction statistics of a solver, in one
+    /// comparable row: conflicts, decisions, propagations, reductions,
+    /// clauses deleted, literals freed, learnt high-water mark.
+    fn fingerprint(s: &SatSolver) -> [u64; 7] {
+        let r = s.reduce_stats();
+        [
+            s.num_conflicts(),
+            s.num_decisions(),
+            s.num_propagations(),
+            r.reductions,
+            r.clauses_deleted,
+            r.literals_freed,
+            r.learnt_high_water,
+        ]
+    }
+
+    /// Pins the exact search of the solver on fixed inputs.  Storage and
+    /// propagation changes (clause layout, watcher representation, analysis
+    /// buffers) must leave every decision, conflict and propagation where it
+    /// was; only a deliberate heuristic change may update these values.
+    #[test]
+    fn search_fingerprint_is_pinned() {
+        let mut php = solver_with(&pigeonhole(7, 6));
+        assert_eq!(php.solve(), SolveOutcome::Unsat);
+        assert_eq!(
+            fingerprint(&php),
+            [609, 734, 7022, 0, 0, 0, 605],
+            "PHP(7,6) default schedule"
+        );
+
+        let mut reduced = solver_with(&pigeonhole(7, 6));
+        reduced.set_reduce_interval(25);
+        assert_eq!(reduced.solve(), SolveOutcome::Unsat);
+        assert_eq!(
+            fingerprint(&reduced),
+            [993, 1210, 13268, 9, 646, 8357, 350],
+            "PHP(7,6) reduce interval 25"
+        );
+
+        let act = 43;
+        let mut guarded = solver_with(&guarded_pigeonhole(act));
+        guarded.set_reduce_interval(25);
+        assert_eq!(
+            guarded.solve_under_assumptions(&[lit(act), lit(-44)]),
+            SolveOutcome::Unsat
+        );
+        assert_eq!(guarded.unsat_assumptions(), &[lit(act)]);
+        assert_eq!(guarded.solve(), SolveOutcome::Sat);
+        assert_eq!(
+            fingerprint(&guarded),
+            [986, 1267, 12982, 9, 648, 9178, 347],
+            "guarded PHP(7,6)"
+        );
+
+        // Random 3-SAT near the threshold, each instance queried under
+        // several assumption sets on one incremental solver; odd instances
+        // reduce aggressively so compaction runs under live reasons.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed_f1a9);
+        let mut totals = [0u64; 7];
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |x: u64| digest = (digest ^ x).wrapping_mul(0x0100_0000_01b3);
+        for instance in 0..8 {
+            let num_vars = 100;
+            let clauses: Vec<Vec<i32>> = (0..426)
+                .map(|_| {
+                    (0..3)
+                        .map(|_| {
+                            let v = rng.gen_range(1..=num_vars);
+                            if rng.gen_bool(0.5) {
+                                v
+                            } else {
+                                -v
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut s = solver_with(&clauses);
+            if instance % 2 == 1 {
+                s.set_reduce_interval(10);
+            }
+            for _ in 0..6 {
+                let assumps: Vec<Lit> = (0..5)
+                    .map(|_| {
+                        let v = rng.gen_range(1..=num_vars);
+                        lit(if rng.gen_bool(0.5) { v } else { -v })
+                    })
+                    .collect();
+                let outcome = s.solve_under_assumptions(&assumps);
+                mix(outcome as u64);
+                for l in s.unsat_assumptions() {
+                    mix(l.index() as u64);
+                }
+                mix(u64::MAX);
+            }
+            for (t, x) in totals.iter_mut().zip(fingerprint(&s)) {
+                *t += x;
+            }
+        }
+        assert_eq!(
+            totals,
+            [1762, 2224, 41486, 28, 578, 4730, 1218],
+            "random 3-SAT batch counters"
+        );
+        assert_eq!(
+            digest, 0x2eba_afb8_9b4d_3ec2,
+            "random 3-SAT batch verdicts and cores"
+        );
+    }
+
+    /// A solver that starts with `cla_inc` just under the rescale threshold
+    /// (the state a long-lived solver reaches after ~460k conflicts) must
+    /// bring the increment back down once and keep it there.  Bumping
+    /// original clauses let one of them pass 1e20 unrescaled, and every later
+    /// conflict on it divided `cla_inc` by 1e20 again until it underflowed.
+    #[test]
+    fn clause_activity_rescale_survives_a_high_increment() {
+        let mut s = solver_with(&pigeonhole(7, 6));
+        s.cla_inc = 1e19;
+        assert_eq!(s.solve(), SolveOutcome::Unsat);
+        assert!(
+            s.cla_inc > 1e-3 && s.cla_inc < 1e20,
+            "cla_inc = {}",
+            s.cla_inc
+        );
+        for c in s.arena.crefs() {
+            let activity = s.arena.activity(c);
+            if s.arena.is_learnt(c) {
+                assert!(
+                    activity > 0.0 && activity <= 1e20,
+                    "learnt activity {activity}"
+                );
+            } else {
+                assert_eq!(activity, 0.0, "original clauses carry no activity");
+            }
+        }
+    }
+
+    #[test]
+    fn memory_estimate_falls_after_compaction() {
+        let mut s = solver_with(&pigeonhole(7, 6));
+        s.set_conflict_limit(Some(300));
+        assert_eq!(s.solve(), SolveOutcome::Unknown);
+        let before = s.memory_estimate();
+        let clauses = s.num_clauses();
+        assert_eq!(
+            before,
+            4 * s.arena.words.len() + clauses * 2 * std::mem::size_of::<Watcher>()
+        );
+        s.reduce_db();
+        let deleted = s.reduce_stats().clauses_deleted as usize;
+        assert!(
+            deleted > 0,
+            "300 conflicts leave long learnt clauses to delete"
+        );
+        assert_eq!(s.num_clauses(), clauses - deleted);
+        let freed_words = deleted * HEADER_WORDS + s.reduce_stats().literals_freed as usize;
+        assert_eq!(
+            before - s.memory_estimate(),
+            4 * freed_words + deleted * 2 * std::mem::size_of::<Watcher>()
+        );
+        // The compacted solver still decides the formula.
+        s.set_conflict_limit(None);
+        assert_eq!(s.solve(), SolveOutcome::Unsat);
     }
 
     /// Brute-force model counting cross-check on random small formulas.
