@@ -1,17 +1,17 @@
 //! SAT-core fuzz against brute force.
 //!
 //! Random CNFs over at most ten variables, mixing unit, binary and long
-//! clauses, are each loaded into one incremental [`SatSolver`] and queried
-//! under a sequence of random assumption sets.  Every verdict is checked by
-//! truth-table enumeration:
+//! clauses with parity constraints, are each loaded into one incremental
+//! [`SatSolver`] and queried under a sequence of random assumption sets.
+//! Every verdict is checked by truth-table enumeration:
 //!
 //! * a SAT model satisfies every clause and every assumption;
 //! * an UNSAT core is a subset of the assumptions and is unsatisfiable
 //!   together with the clauses on its own.
 //!
-//! Half of the rounds run with `set_reduce_interval(1)`, so learnt-clause
-//! deletion, arena compaction and clause-reference remapping happen while
-//! the trail still holds reasons.
+//! Half of the rounds set `set_reduce_interval(1)` before every query, so
+//! learnt-clause deletion, arena compaction and clause-reference remapping
+//! happen while the trail still holds reasons.
 //!
 //! The stream is seeded from `SEPE_FAULT_SEED` (default 42), the knob the
 //! fault-injection CI matrix sweeps, so each matrix job fuzzes a different
@@ -109,46 +109,52 @@ fn sat_core_agrees_with_truth_tables() {
             }
             let width = rng.gen_range(0..=num_vars as usize);
             let assumps: Vec<Lit> = (0..width).map(|_| random_lit(&mut rng, num_vars)).collect();
-            let context = format!(
-                "seed {seed} round {round} query {query}: {num_vars} vars, \
-                 clauses {clauses:?}, assumptions {assumps:?}"
-            );
+            let context = || {
+                format!(
+                    "seed {seed} round {round} query {query}: {num_vars} vars, \
+                     clauses {clauses:?}, assumptions {assumps:?}"
+                )
+            };
             let outcome = solver.solve_under_assumptions(&assumps);
             let expected = brute_force_sat(num_vars, &clauses, &assumps);
             match outcome {
                 SolveOutcome::Sat => {
-                    assert!(expected, "SAT, truth table says UNSAT — {context}");
+                    assert!(expected, "SAT, truth table says UNSAT — {}", context());
                     let model = (0..num_vars)
                         .filter(|&v| solver.value_of(Var(v)))
                         .fold(0u32, |m, v| m | 1 << v);
                     for c in &clauses {
                         assert!(
                             c.iter().any(|&l| holds(l, model)),
-                            "model violates {c:?} — {context}"
+                            "model violates {c:?} — {}",
+                            context()
                         );
                     }
                     for &a in &assumps {
                         assert!(
                             holds(a, model),
-                            "model violates assumption {a:?} — {context}"
+                            "model violates assumption {a:?} — {}",
+                            context()
                         );
                     }
                     sat += 1;
                 }
                 SolveOutcome::Unsat => {
-                    assert!(!expected, "UNSAT, truth table says SAT — {context}");
+                    assert!(!expected, "UNSAT, truth table says SAT — {}", context());
                     let core = solver.unsat_assumptions().to_vec();
                     assert!(
                         core.iter().all(|l| assumps.contains(l)),
-                        "core {core:?} is not a subset of the assumptions — {context}"
+                        "core {core:?} is not a subset of the assumptions — {}",
+                        context()
                     );
                     assert!(
                         !brute_force_sat(num_vars, &clauses, &core),
-                        "core {core:?} is satisfiable with the clauses — {context}"
+                        "core {core:?} is satisfiable with the clauses — {}",
+                        context()
                     );
                     unsat += 1;
                 }
-                SolveOutcome::Unknown => panic!("no budget was set, got Unknown — {context}"),
+                SolveOutcome::Unknown => panic!("no budget was set, got Unknown — {}", context()),
             }
         }
         if reduce_hard {
