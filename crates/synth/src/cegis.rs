@@ -71,6 +71,17 @@ impl Default for SynthesisConfig {
     }
 }
 
+impl SynthesisConfig {
+    /// The acceptance rule both multiset drivers share: a program counts
+    /// towards `k` (and is reported) when it has at least `min_components`
+    /// components, or when the multisets are smaller than `min_components`
+    /// so that no program could.
+    pub fn counts_towards_k(&self, program: &EquivTemplate) -> bool {
+        program.component_names.len() >= self.min_components
+            || self.multiset_size < self.min_components
+    }
+}
+
 /// Outcome of one CEGIS run on a multiset.
 #[derive(Debug, Clone)]
 pub enum CegisOutcome {

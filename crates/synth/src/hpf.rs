@@ -15,7 +15,7 @@
 //! grow on success, exclusion weights grow on failure, steering the search
 //! towards components that synthesize well for the current specification.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::time::Instant;
 
 use crate::cegis::{CegisEngine, CegisOutcome, SynthesisConfig};
@@ -38,25 +38,18 @@ pub struct Weights {
 pub struct HpfCegis {
     config: SynthesisConfig,
     library: Library,
-    weights: HashMap<String, Weights>,
+    /// Weights by component position in the library.
+    weights: Vec<Weights>,
 }
 
 impl HpfCegis {
     /// Creates a driver with all weights initialised to the configured value.
     pub fn new(config: SynthesisConfig, library: Library) -> Self {
-        let weights = library
-            .components()
-            .iter()
-            .map(|c| {
-                (
-                    c.name.clone(),
-                    Weights {
-                        choice: config.initial_weight,
-                        exclusion: config.initial_weight,
-                    },
-                )
-            })
-            .collect();
+        let initial = Weights {
+            choice: config.initial_weight,
+            exclusion: config.initial_weight,
+        };
+        let weights = vec![initial; library.len()];
         HpfCegis {
             config,
             library,
@@ -66,42 +59,31 @@ impl HpfCegis {
 
     /// The current weight of a component (for reports and tests).
     pub fn weight(&self, name: &str) -> Option<Weights> {
-        self.weights.get(name).copied()
+        let idx = self
+            .library
+            .components()
+            .iter()
+            .position(|c| c.name == name)?;
+        Some(self.weights[idx])
     }
 
     /// The priority of a multiset of component indices for a given spec.
     pub fn priority(&self, multiset: &[usize], spec: &Spec) -> f64 {
-        let mut numerator: f64 = 0.0;
-        let mut denominator: f64 = 0.0;
-        for &idx in multiset {
-            let component = &self.library.components()[idx];
-            let w = self.weights[&component.name];
-            let chi = if component_matches_spec(component, spec) {
-                1.0
-            } else {
-                0.0
-            };
-            numerator += w.choice as f64 - self.config.alpha as f64 * chi;
-            denominator += w.exclusion as f64;
-        }
-        numerator / denominator.max(1.0)
+        let components = self.library.components();
+        priority_of(multiset, &self.weights, self.config.alpha as f64, |idx| {
+            chi(&components[idx], spec)
+        })
     }
 
     fn bump_choice(&mut self, multiset: &[usize]) {
         for &idx in multiset {
-            let name = self.library.components()[idx].name.clone();
-            if let Some(w) = self.weights.get_mut(&name) {
-                w.choice += self.config.weight_increment;
-            }
+            self.weights[idx].choice += self.config.weight_increment;
         }
     }
 
     fn bump_exclusion(&mut self, multiset: &[usize]) {
         for &idx in multiset {
-            let name = self.library.components()[idx].name.clone();
-            if let Some(w) = self.weights.get_mut(&name) {
-                w.exclusion += self.config.weight_increment;
-            }
+            self.weights[idx].exclusion += self.config.weight_increment;
         }
     }
 
@@ -109,24 +91,20 @@ impl HpfCegis {
     pub fn synthesize(&mut self, spec: &Spec) -> SynthesisResult {
         let start = Instant::now();
         let engine = CegisEngine::new(self.config.clone());
-        let mut multisets = self.library.multisets(self.config.multiset_size);
+        let mut ranking = Ranking::new(&self.library, self.config.multiset_size, spec);
         let mut programs = Vec::new();
         let mut tried = 0;
         let mut successful = 0;
 
-        while !multisets.is_empty() && programs.len() < self.config.programs_wanted {
+        while programs.len() < self.config.programs_wanted {
             if let Some(limit) = self.config.time_limit {
                 if start.elapsed() > limit {
                     break;
                 }
             }
-            // Sort in descending order of priority, then take the best.
-            multisets.sort_by(|a, b| {
-                self.priority(b, spec)
-                    .partial_cmp(&self.priority(a, spec))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let multiset = multisets.remove(0);
+            let Some(multiset) = ranking.pop_best(&self.weights, self.config.alpha as f64) else {
+                break;
+            };
             let components: Vec<&Component> = multiset
                 .iter()
                 .map(|&i| &self.library.components()[i])
@@ -136,9 +114,7 @@ impl HpfCegis {
                 CegisOutcome::Program(program) => {
                     successful += 1;
                     self.bump_choice(&multiset);
-                    if program.component_names.len() >= self.config.min_components
-                        || self.config.multiset_size < self.config.min_components
-                    {
+                    if self.config.counts_towards_k(&program) {
                         programs.push(program);
                     }
                 }
@@ -156,6 +132,76 @@ impl HpfCegis {
             duration: start.elapsed(),
             solver: engine.solver_stats(),
         }
+    }
+}
+
+/// The priority formula `Σ_j (c_j − α·χ_j) / max(Σ_j e_j, 1)`, summed in
+/// multiset order.  [`HpfCegis::priority`] and [`Ranking`] both go through
+/// it, so a ranking key is bit for bit the priority of its multiset.
+fn priority_of(
+    multiset: &[usize],
+    weights: &[Weights],
+    alpha: f64,
+    chi: impl Fn(usize) -> f64,
+) -> f64 {
+    let mut numerator: f64 = 0.0;
+    let mut denominator: f64 = 0.0;
+    for &idx in multiset {
+        let w = weights[idx];
+        numerator += w.choice as f64 - alpha * chi(idx);
+        denominator += w.exclusion as f64;
+    }
+    numerator / denominator.max(1.0)
+}
+
+/// χ_j as the number the priority formula uses.
+fn chi(component: &Component, spec: &Spec) -> f64 {
+    if component_matches_spec(component, spec) {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+/// The multisets not yet tried for one spec, each with its priority key.
+///
+/// Every round rewrites each key in place from the current weights and
+/// stable-sorts on the keys, best first.  A stable sort's result depends
+/// only on its comparison outcomes, and a key equals what
+/// [`HpfCegis::priority`] returns for its multiset, so the order (ties
+/// included, which carry the history of earlier rounds' sorts) is exactly
+/// that of sorting with `priority` recomputed on every comparison.
+#[derive(Debug)]
+struct Ranking {
+    entries: Vec<(f64, Vec<usize>)>,
+    /// χ_j of every library component for the spec.
+    chi: Vec<f64>,
+}
+
+impl Ranking {
+    fn new(library: &Library, multiset_size: usize, spec: &Spec) -> Self {
+        Ranking {
+            entries: library
+                .multisets(multiset_size)
+                .into_iter()
+                .map(|multiset| (0.0, multiset))
+                .collect(),
+            chi: library.components().iter().map(|c| chi(c, spec)).collect(),
+        }
+    }
+
+    /// Removes and returns the highest-priority multiset under `weights`.
+    fn pop_best(&mut self, weights: &[Weights], alpha: f64) -> Option<Vec<usize>> {
+        if self.entries.is_empty() {
+            return None;
+        }
+        let chi = &self.chi;
+        for (key, multiset) in &mut self.entries {
+            *key = priority_of(multiset, weights, alpha, |idx| chi[idx]);
+        }
+        self.entries
+            .sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal));
+        Some(self.entries.remove(0).1)
     }
 }
 
@@ -250,5 +296,140 @@ mod tests {
             sepe_smt::solver::is_valid(&mut tm, eq, None),
             sepe_smt::SatResult::Sat
         );
+    }
+
+    /// The ranking before keys were cached: a stable sort that recomputes
+    /// `priority` on every comparison, then the head.
+    fn reference_pop(hpf: &HpfCegis, multisets: &mut Vec<Vec<usize>>, spec: &Spec) -> Vec<usize> {
+        multisets.sort_by(|a, b| {
+            hpf.priority(b, spec)
+                .partial_cmp(&hpf.priority(a, spec))
+                .unwrap_or(Ordering::Equal)
+        });
+        multisets.remove(0)
+    }
+
+    #[test]
+    fn cached_key_ranking_matches_the_recomputing_sort() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let library = Library::standard();
+        // ADD: χ = 1 for the ADD and ADDI components.
+        let spec = Spec::for_opcode(Opcode::Add, 4);
+        for (seed, (alpha, increment)) in [0, 1, 4]
+            .into_iter()
+            .flat_map(|a| [1, 4].map(|i| (a, i)))
+            .enumerate()
+        {
+            let config = SynthesisConfig {
+                alpha,
+                weight_increment: increment,
+                ..SynthesisConfig::default()
+            };
+            let mut hpf = HpfCegis::new(config, library.clone());
+            let mut reference = library.multisets(3);
+            assert_eq!(reference.len(), 4_495);
+            let mut ranking = Ranking::new(&library, 3, &spec);
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            for round in 0..60 {
+                let want = reference_pop(&hpf, &mut reference, &spec);
+                let got = ranking.pop_best(&hpf.weights, alpha as f64).unwrap();
+                assert_eq!(got, want, "α={alpha} +{increment} round {round}: pick");
+                assert!(
+                    ranking.entries.iter().map(|e| &e.1).eq(reference.iter()),
+                    "α={alpha} +{increment} round {round}: remaining order"
+                );
+                if rng.gen_bool(0.3) {
+                    hpf.bump_choice(&got);
+                } else {
+                    hpf.bump_exclusion(&got);
+                }
+            }
+        }
+    }
+
+    /// The perfbench synthesis settings (width 4, k = 3, multisets of 3).
+    fn width4_config() -> SynthesisConfig {
+        SynthesisConfig {
+            width: 4,
+            multiset_size: 3,
+            programs_wanted: 3,
+            min_components: 3,
+            max_cegis_iterations: 8,
+            synth_conflict_limit: Some(50_000),
+            verify_conflict_limit: Some(50_000),
+            time_limit: None,
+            ..SynthesisConfig::default()
+        }
+    }
+
+    /// Pins the whole HPF search on two width-4 specs: a cheap immediate
+    /// spec and one that tries more than twenty multisets.  The ranking
+    /// decides which multisets are tried and in what order, so any change
+    /// to it (including to the order of ties) moves these numbers.
+    #[test]
+    fn hpf_search_fingerprint_is_pinned() {
+        let library = Library::standard();
+        let cases = crate::SynthesisCase::all(4);
+        struct Fingerprint {
+            spec: &'static str,
+            tried: usize,
+            successful: usize,
+            checks: u64,
+            conflicts: u64,
+            programs: [[&'static str; 3]; 3],
+        }
+        let expected = [
+            Fingerprint {
+                spec: "SLTI",
+                tried: 6,
+                successful: 3,
+                checks: 19,
+                conflicts: 544,
+                programs: [
+                    ["SLT", "SLT", "SLT"],
+                    ["SLT", "SLTU", "SLT"],
+                    ["XOR", "SLT", "SLT"],
+                ],
+            },
+            Fingerprint {
+                spec: "SIGN",
+                tried: 23,
+                successful: 3,
+                checks: 30,
+                conflicts: 1557,
+                programs: [
+                    ["MULH_CONST", "MULH_CONST", "MULH_CONST"],
+                    ["MULHU_CONST", "MULH_CONST", "MULH_CONST"],
+                    ["MULH_CONST", "MULHSU_CONST", "MULH_CONST"],
+                ],
+            },
+        ];
+        for Fingerprint {
+            spec: name,
+            tried,
+            successful,
+            checks,
+            conflicts,
+            programs,
+        } in expected
+        {
+            let spec = &cases.iter().find(|c| c.spec.name == name).unwrap().spec;
+            let result = HpfCegis::new(width4_config(), library.clone()).synthesize(spec);
+            let names: Vec<Vec<&str>> = result
+                .programs
+                .iter()
+                .map(|p| p.component_names.iter().map(String::as_str).collect())
+                .collect();
+            assert_eq!(result.multisets_tried, tried, "{name}: multisets tried");
+            assert_eq!(
+                result.multisets_successful, successful,
+                "{name}: multisets successful"
+            );
+            assert_eq!(names, programs, "{name}: programs");
+            assert_eq!(result.solver.checks, checks, "{name}: solver checks");
+            assert_eq!(result.solver.conflicts, conflicts, "{name}: conflicts");
+        }
     }
 }

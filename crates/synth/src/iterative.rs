@@ -37,7 +37,6 @@ impl IterativeCegis {
         let engine = CegisEngine::new(self.config.clone());
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut programs = Vec::new();
-        let mut counted = 0usize;
         let mut tried = 0;
         let mut successful = 0;
 
@@ -50,7 +49,7 @@ impl IterativeCegis {
                         break 'sizes;
                     }
                 }
-                if counted >= self.config.programs_wanted {
+                if programs.len() >= self.config.programs_wanted {
                     break 'sizes;
                 }
                 let components: Vec<&Component> = multiset
@@ -62,10 +61,9 @@ impl IterativeCegis {
                     engine.synthesize_with_multiset(spec, &components)
                 {
                     successful += 1;
-                    if program.component_names.len() >= self.config.min_components {
-                        counted += 1;
+                    if self.config.counts_towards_k(&program) {
+                        programs.push(program);
                     }
-                    programs.push(program);
                 }
             }
         }
@@ -117,6 +115,37 @@ mod tests {
             sepe_smt::solver::is_valid(&mut tm, eq, None),
             sepe_smt::SatResult::Sat
         );
+    }
+
+    #[test]
+    fn only_programs_that_count_towards_k_are_reported() {
+        let config = SynthesisConfig {
+            width: 4,
+            multiset_size: 3,
+            programs_wanted: 1,
+            min_components: 3,
+            max_cegis_iterations: 8,
+            synth_conflict_limit: Some(20_000),
+            verify_conflict_limit: Some(20_000),
+            ..SynthesisConfig::default()
+        };
+        let spec = Spec::for_opcode(Opcode::Sub, 4);
+        let result = IterativeCegis::new(config.clone(), Library::minimal()).synthesize(&spec);
+        // SUB itself and two-component programs are found first, on the way
+        // to the size-3 multisets; none of them counts, so none is reported.
+        assert!(result.multisets_successful > 1);
+        assert_eq!(result.programs.len(), 1);
+        assert_eq!(result.best().unwrap().component_names.len(), 3);
+
+        // Multisets smaller than `min_components`: every program counts, so
+        // the driver stops at the first one.
+        let small = SynthesisConfig {
+            multiset_size: 2,
+            ..config
+        };
+        let result = IterativeCegis::new(small, Library::minimal()).synthesize(&spec);
+        assert_eq!(result.programs.len(), 1);
+        assert_eq!(result.multisets_successful, 1);
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub use spec::{Spec, SynthesisCase};
 pub struct SynthesisResult {
     /// The specification that was synthesized.
     pub spec_name: String,
-    /// Every distinct equivalent program found, in discovery order.
+    /// The equivalent programs found that count towards `k`
+    /// ([`SynthesisConfig::counts_towards_k`]), in discovery order.
     pub programs: Vec<EquivTemplate>,
     /// Number of CEGIS invocations (multisets tried).
     pub multisets_tried: usize,

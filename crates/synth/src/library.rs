@@ -120,7 +120,8 @@ impl Library {
     /// indices — the enumeration primitive of both the iterative CEGIS and
     /// HPF-CEGIS drivers.
     pub fn multisets(&self, size: usize) -> Vec<Vec<usize>> {
-        let mut out = Vec::new();
+        let count = multiset_count(self.components.len(), size);
+        let mut out = Vec::with_capacity(usize::try_from(count).unwrap_or(0));
         let mut current = Vec::with_capacity(size);
         combinations_with_replacement(self.components.len(), size, 0, &mut current, &mut out);
         out
@@ -149,6 +150,10 @@ fn combinations_with_replacement(
 /// (`C(n + k - 1, k)`), used in reports to match the paper's discussion of
 /// the iterative CEGIS search-space blow-up.
 pub fn multiset_count(n: usize, k: usize) -> u128 {
+    if n == 0 {
+        // Only the empty multiset can be drawn from no items.
+        return u128::from(k == 0);
+    }
     // C(n + k - 1, k)
     let top = (n + k - 1) as u128;
     let mut num = 1u128;
@@ -195,6 +200,15 @@ mod tests {
                 assert!(seen.insert(s.clone()));
             }
         }
+    }
+
+    #[test]
+    fn empty_library_has_only_the_empty_multiset() {
+        let lib = Library::new(Vec::new());
+        assert_eq!(multiset_count(0, 0), 1);
+        assert_eq!(multiset_count(0, 2), 0);
+        assert_eq!(lib.multisets(0), vec![Vec::<usize>::new()]);
+        assert!(lib.multisets(2).is_empty());
     }
 
     #[test]
