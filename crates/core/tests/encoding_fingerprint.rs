@@ -1,0 +1,97 @@
+//! Pins the encoding of one Table-1 detection end to end.
+//!
+//! A SEPE-SQED per-depth session over the `single-add` bug (xlen 4, the
+//! ADD/ADDI universe) runs to its first counterexample; the test records
+//! what every layer of the encoding produced on the way — rewrite pins,
+//! AIG nodes, CNF variables and clauses — together with the SAT conflicts
+//! and propagations and the counterexample length.  The word-level
+//! rewriter, the unroller's substitution and the bit-blaster may be made
+//! faster, but never different: any change to a term they emit shifts at
+//! least one of these numbers.  Refresh them only for a change meant to
+//! alter the encoding or the search, and say so.
+
+use sepe_isa::Opcode;
+use sepe_processor::{Mutation, ProcessorConfig};
+use sepe_smt::TermManager;
+use sepe_sqed::detect::{Detector, DetectorConfig, Method};
+use sepe_sqed::qed::{QedBuilder, Scheme};
+use sepe_tsys::{BmcConfig, BmcMode, BmcSession, QueryOutcome};
+
+/// What the encoding of the detection produced, layer by layer.
+#[derive(Debug, PartialEq, Eq)]
+struct Fingerprint {
+    bound: usize,
+    trace_len: usize,
+    rewrite_pins: u64,
+    aig_nodes: u64,
+    cnf_vars: u64,
+    cnf_clauses: u64,
+    conflicts: u64,
+    propagations: u64,
+}
+
+fn single_add_fingerprint() -> Fingerprint {
+    let bug = Mutation::table1()
+        .into_iter()
+        .find(|m| m.name == "single-add")
+        .expect("single-add is a Table-1 bug");
+    let config = DetectorConfig::builder()
+        .processor(ProcessorConfig::tiny().with_opcodes(&[Opcode::Add, Opcode::Addi]))
+        .bound(6)
+        .build();
+    let helper = Detector::new(config.clone());
+    let builder = QedBuilder {
+        processor: config.processor.clone(),
+        original_opcodes: helper.original_opcodes(Method::SepeSqed),
+        queue_depth: config.queue_depth,
+    };
+    let mut tm = TermManager::new();
+    let system = builder.build(&mut tm, &Scheme::Sepe(helper.equivalence_db()), Some(&bug));
+    let bmc_config = BmcConfig {
+        start_bound: 1,
+        mode: BmcMode::PerDepth,
+        simplify: config.simplify,
+        aig: config.aig,
+        ..BmcConfig::default()
+    };
+    let mut session = BmcSession::open(&mut tm, &system.ts, &bmc_config);
+    for bound in 1..=config.max_bound {
+        session.extend(&mut tm, bound);
+        let bad = session.bad_at(&mut tm, bound);
+        match session.query(&mut tm, bound, &[bad]) {
+            QueryOutcome::Counterexample(witness) => {
+                let stats = session.stats();
+                return Fingerprint {
+                    bound,
+                    trace_len: witness.len(),
+                    rewrite_pins: stats.solver.encode.rewrite.pins,
+                    aig_nodes: stats.solver.encode.aig.nodes,
+                    cnf_vars: stats.solver.cnf_vars,
+                    cnf_clauses: stats.solver.cnf_clauses,
+                    conflicts: stats.conflicts,
+                    propagations: stats.solver.propagations,
+                };
+            }
+            QueryOutcome::Unreachable => {}
+            QueryOutcome::Unknown(reason) => panic!("bound {bound}: gave up ({reason:?})"),
+        }
+    }
+    panic!("single-add not detected within bound {}", config.max_bound);
+}
+
+#[test]
+fn single_add_detection_encoding_is_pinned() {
+    assert_eq!(
+        single_add_fingerprint(),
+        Fingerprint {
+            bound: 3,
+            trace_len: 4,
+            rewrite_pins: 250,
+            aig_nodes: 4127,
+            cnf_vars: 2114,
+            cnf_clauses: 8284,
+            conflicts: 5,
+            propagations: 3590,
+        }
+    );
+}

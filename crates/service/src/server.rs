@@ -22,6 +22,10 @@
 //!   so `kill -9` loses at most the jobs in flight; the startup recovery
 //!   scan discards torn entries by checksum.
 //!
+//! The accept loop blocks in `accept`; the `shutdown` handler wakes it by
+//! connecting to the server's own endpoint, and the loop drops that (and
+//! any later) connection once draining has begun.
+//!
 //! Graceful shutdown (`shutdown` command) drains: the listener closes, the
 //! queue's sender is dropped so workers finish what was admitted and exit,
 //! a watchdog raises the drain cancel flag after the grace period for
@@ -29,12 +33,12 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -105,14 +109,6 @@ impl Listener {
         }
     }
 
-    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(on),
-            Listener::Tcp(l) => l.set_nonblocking(on),
-        }
-    }
-
     fn accept(&self) -> io::Result<Box<dyn Conn>> {
         match self {
             #[cfg(unix)]
@@ -127,6 +123,22 @@ impl Listener {
             Listener::Unix(_) => None,
             Listener::Tcp(l) => l.local_addr().ok(),
         }
+    }
+
+    /// Where a connection reaches this listener: the bound socket path, or
+    /// the bound TCP address (the OS-chosen port for port 0, loopback for
+    /// a wildcard address).
+    fn reachable_at(&self, endpoint: &Endpoint) -> Endpoint {
+        let Some(mut addr) = self.local_addr() else {
+            return endpoint.clone();
+        };
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Endpoint::Tcp(addr)
     }
 }
 
@@ -260,6 +272,8 @@ struct Ticket {
 
 struct Shared {
     config: ServerConfig,
+    /// The listener's own address, for waking the accept loop on shutdown.
+    wake: Endpoint,
     cache: ResultCache,
     recovery: RecoveryStats,
     counters: Counters,
@@ -273,6 +287,19 @@ struct Shared {
 impl Shared {
     fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
+    }
+
+    /// Starts the drain and wakes the accept loop, which blocks in `accept`
+    /// until some connection arrives: a throwaway connection to the
+    /// server's own endpoint is that connection.
+    fn start_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        // A failed connect means the listener is already gone.
+        let _ = match &self.wake {
+            #[cfg(unix)]
+            Endpoint::Unix(path) => UnixStream::connect(path).map(drop),
+            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(drop),
+        };
     }
 
     /// Counters snapshot as an ordered JSON object (the `stats` reply).
@@ -346,6 +373,9 @@ pub struct ServerReport {
     pub recovery: RecoveryStats,
     /// Entries in the cache at shutdown.
     pub cache_entries: usize,
+    /// Connections accepted and served (a shutdown's wake-up connection is
+    /// not one).
+    pub accepted: u64,
 }
 
 impl Server {
@@ -355,9 +385,11 @@ impl Server {
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let (cache, recovery) = ResultCache::open(&config.cache_dir)?;
         let listener = Listener::bind(&config.endpoint)?;
+        let wake = listener.reachable_at(&config.endpoint);
         let (tx, rx) = mpsc::sync_channel::<Ticket>(config.queue_capacity.max(1));
         let shared = Arc::new(Shared {
             config,
+            wake,
             cache,
             recovery,
             counters: Counters::default(),
@@ -400,9 +432,11 @@ impl Server {
             listener,
             workers,
         } = self;
-        listener.set_nonblocking(true)?;
-        while !shared.draining() {
+        loop {
             match listener.accept() {
+                // The wake-up connection of a `shutdown`, or a client that
+                // raced it: either way the drain has begun.
+                Ok(_) if shared.draining() => break,
                 Ok(conn) => {
                     bump!(shared, accepted);
                     let shared = Arc::clone(&shared);
@@ -411,9 +445,6 @@ impl Server {
                         handle_connection(&shared, conn);
                         shared.active_handlers.fetch_sub(1, Ordering::SeqCst);
                     });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -426,11 +457,17 @@ impl Server {
             let _ = std::fs::remove_file(path);
         }
         shared.queue.lock().unwrap().take(); // workers exit after the queue empties
+                                             // The watchdog raises the cancel flag after the grace period, unless
+                                             // the drain completes first and hangs up on it.
+        let (drained, drain_done) = mpsc::channel::<()>();
         let watchdog = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || {
-                thread::sleep(shared.config.drain_grace);
-                shared.drain_cancel.store(true, Ordering::SeqCst);
+                if let Err(RecvTimeoutError::Timeout) =
+                    drain_done.recv_timeout(shared.config.drain_grace)
+                {
+                    shared.drain_cancel.store(true, Ordering::SeqCst);
+                }
             })
         };
         for worker in workers {
@@ -444,12 +481,14 @@ impl Server {
         {
             thread::sleep(Duration::from_millis(5));
         }
+        drop(drained);
         shared.drain_cancel.store(true, Ordering::SeqCst);
         let _ = watchdog.join();
         shared.cache.flush()?;
         Ok(ServerReport {
             recovery: shared.recovery,
             cache_entries: shared.cache.len(),
+            accepted: shared.counters.accepted.load(Ordering::Relaxed),
         })
     }
 }
@@ -522,7 +561,7 @@ fn handle_connection(shared: &Shared, mut conn: Box<dyn Conn>) {
                     fault.as_ref(),
                     &mut write_count,
                 );
-                shared.draining.store(true, Ordering::SeqCst);
+                shared.start_drain();
                 false
             }
             Request::Submit(submit) => {

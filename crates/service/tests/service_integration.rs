@@ -8,6 +8,7 @@ use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -288,6 +289,40 @@ fn graceful_shutdown_drains_and_marks_the_cache_clean() {
         ..ClientConfig::new(client_endpoint(&client))
     });
     assert!(one_shot.ping().is_err());
+}
+
+/// `run` returns after a `shutdown` with no further client connecting,
+/// over TCP (port 0) and a Unix socket alike: the handler wakes the
+/// blocking `accept` itself, and that wake-up connection is never served.
+#[test]
+fn shutdown_returns_from_run_without_another_client() {
+    let dir = scratch_dir("wake");
+    let endpoints = [
+        Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
+        Endpoint::Unix(dir.join("s.sock")),
+    ];
+    for (i, endpoint) in endpoints.into_iter().enumerate() {
+        let server = Server::bind(ServerConfig::new(
+            endpoint.clone(),
+            dir.join(format!("cache{i}")),
+        ))
+        .unwrap();
+        let endpoint = server.local_addr().map_or(endpoint, Endpoint::Tcp);
+        let (tx, rx) = mpsc::channel();
+        let runner = thread::spawn(move || tx.send(server.run()).unwrap());
+        let client = Client::new(endpoint.clone());
+        let stats = client.stats().unwrap();
+        assert_eq!(Client::counter(&stats, "accepted"), 1, "{endpoint}");
+        client.shutdown().unwrap();
+        // Generous: only guards against a hang, the drain itself is instant.
+        let report = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{endpoint}: run did not return after shutdown"))
+            .unwrap();
+        runner.join().unwrap();
+        assert_eq!(report.accepted, 2, "{endpoint}: stats + shutdown only");
+        assert_eq!(report.cache_entries, 0, "{endpoint}");
+    }
 }
 
 // Client doesn't expose its endpoint; reconstruct it for the post-shutdown

@@ -155,26 +155,84 @@ enum PinKind {
     Encoded,
 }
 
+/// A pinned variable's normalised value and how it relates to the CNF.
+#[derive(Debug, Clone, Copy)]
+struct Pin {
+    value: TermId,
+    kind: PinKind,
+}
+
+/// One rewrite-cache entry.
+#[derive(Debug, Clone, Copy)]
+struct Cached {
+    /// The rewritten term.
+    result: TermId,
+    /// One past the index of the largest variable in the key's support
+    /// (0 for a ground term).  A pin can only change the entry if it pins a
+    /// variable of the support, so a pin of a variable at or above this
+    /// bound leaves it valid.
+    var_bound: u32,
+    /// [`PinLog`] length when the entry was computed or last confirmed.
+    stamp: u32,
+}
+
+/// The pins made since the rewrite cache was last cleared, reduced to what
+/// the cache-validity rule needs: the smallest variable pinned at or after
+/// any log position.  `minima` is the stack of suffix minima — positions
+/// and variables both strictly increasing — so a push is amortised O(1)
+/// and a query a binary search.
+#[derive(Debug, Clone, Default)]
+struct PinLog {
+    len: u32,
+    minima: Vec<(u32, TermId)>,
+}
+
+impl PinLog {
+    fn push(&mut self, var: TermId) {
+        while self.minima.last().is_some_and(|&(_, v)| v >= var) {
+            self.minima.pop();
+        }
+        self.minima.push((self.len, var));
+        self.len += 1;
+    }
+
+    /// The smallest variable pinned at log position `from` or later.
+    fn min_since(&self, from: u32) -> Option<TermId> {
+        let i = self.minima.partition_point(|&(pos, _)| pos < from);
+        self.minima.get(i).map(|&(_, v)| v)
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.minima.clear();
+    }
+}
+
 /// The word-level rewriter: rule catalogue + equality pins + rewrite cache.
 #[derive(Debug, Clone, Default)]
 pub struct Rewriter {
-    /// Pinned variable → fully normalised value.  Invariant: no pin value
-    /// contains a pinned variable (values are re-normalised whenever a pin
-    /// is added), which keeps leaf substitution O(1) and model completion a
-    /// single evaluation pass.
-    pins: HashMap<TermId, TermId>,
-    /// Pin insertion order plus whether the variable had already been
-    /// encoded when it was pinned.
-    pin_order: Vec<(TermId, PinKind)>,
-    /// Rewrite cache, valid for the current pin set (cleared when a pin is
-    /// added, because any cached result may mention the newly pinned
-    /// variable).
-    cache: HashMap<TermId, TermId>,
+    /// Pinned variable → fully normalised value and pin kind.  Invariant: no
+    /// pin value contains a pinned variable (values are re-normalised
+    /// whenever a pin is added), which keeps leaf substitution O(1) and
+    /// model completion a single evaluation pass.
+    pins: HashMap<TermId, Pin>,
+    /// Pinned variables in insertion order.
+    pin_order: Vec<TermId>,
+    /// Rewrite cache.  An entry is valid iff no variable pinned after it
+    /// was computed is below its `var_bound` (see [`PinLog`]); entries are
+    /// re-checked on lookup, and the whole cache is cleared only when a
+    /// stored pin value changes.
+    cache: HashMap<TermId, Cached>,
+    /// Pins since the last cache clear, for the validity rule.
+    log: PinLog,
     /// Variables occurring in at least one stored pin value.  Lets pin
     /// insertion skip the invariant-restore pass in the common case where
     /// the new variable is fresher than every stored value (every BMC frame
     /// pin), avoiding a quadratic re-rewrite over long assertion sequences.
     value_vars: HashSet<TermId>,
+    /// Subterms of stored pin values already scanned into `value_vars`
+    /// (reset with it), so each shared subterm is scanned once.
+    value_seen: HashSet<TermId>,
     stats: RewriteStats,
 }
 
@@ -265,15 +323,9 @@ impl Rewriter {
         // can never smuggle an eliminated variable into the CNF.
         let mut out = Vec::new();
         for var in batch_pins {
-            let kind = self
-                .pin_order
-                .iter()
-                .find(|(v, _)| *v == var)
-                .map(|(_, k)| *k)
-                .expect("batch pin was recorded");
-            if kind == PinKind::Encoded {
-                let value = self.pins[&var];
-                out.push(tm.eq(var, value));
+            let pin = self.pins[&var];
+            if pin.kind == PinKind::Encoded {
+                out.push(tm.eq(var, pin.value));
             } else {
                 self.stats.assertions_dropped += 1;
             }
@@ -298,55 +350,62 @@ impl Rewriter {
         }
         // Pin values never contain pinned variables, so every pin evaluates
         // directly against the base assignment — one shared-cache pass.
-        let roots: Vec<TermId> = self.pin_order.iter().map(|&(v, _)| self.pins[&v]).collect();
+        let roots: Vec<TermId> = self.pin_order.iter().map(|v| self.pins[v].value).collect();
         let vals = eval_many(tm, &roots, values);
-        for (&(var, _), val) in self.pin_order.iter().zip(vals) {
+        for (&var, val) in self.pin_order.iter().zip(vals) {
             values.entry(var).or_insert(val);
         }
     }
 
-    /// Records `var → value` if it is admissible (the variable is not
+    /// Records `var → rewrite(raw)` if it is admissible (the variable is not
     /// already pinned and does not occur in its own normalised value).
     /// Returns whether the pin was added.
-    fn add_pin(&mut self, tm: &mut TermManager, var: TermId, value: TermId, encoded: bool) -> bool {
+    fn add_pin(&mut self, tm: &mut TermManager, var: TermId, raw: TermId, encoded: bool) -> bool {
         debug_assert!(matches!(tm.term(var).op, Op::Var { .. }));
         if self.pins.contains_key(&var) {
             return false;
         }
-        let value = self.rewrite_inner(tm, value);
-        if var == value || occurs(tm, var, value) {
+        let value = self.rewrite_inner(tm, raw);
+        // The rewritten value's variables come from the raw value's support
+        // and from the stored pin values of that support, so a variable
+        // outside both provably does not occur and needs no walk.
+        let in_values = self.value_vars.contains(&var);
+        let may_occur = in_values || var.0 < self.cache[&raw].var_bound;
+        if var == value || (may_occur && occurs(tm, var, value)) {
             return false;
         }
-        self.pins.insert(var, value);
-        self.pin_order.push((
-            var,
-            if encoded {
-                PinKind::Encoded
-            } else {
-                PinKind::Eliminated
-            },
-        ));
+        let kind = if encoded {
+            PinKind::Encoded
+        } else {
+            PinKind::Eliminated
+        };
+        self.pins.insert(var, Pin { value, kind });
+        self.pin_order.push(var);
         self.stats.pins += 1;
-        self.cache.clear();
-        if !self.value_vars.contains(&var) {
+        if !in_values {
             // No stored pin value mentions the new variable — the invariant
             // already holds (the common case: BMC frame variables are
             // fresher than everything asserted before them), so only the
-            // occurrence index needs extending.
-            collect_vars_into(tm, value, &mut self.value_vars);
+            // cached rewrites over `var` go stale and only the occurrence
+            // index needs extending.
+            self.log.push(var);
+            self.collect_value_vars(tm, value);
             return true;
         }
         // Restore the pin invariant: no stored value may mention the newly
-        // pinned variable (or anything it now rewrites to).
+        // pinned variable (or anything it now rewrites to).  Stored values
+        // change here, which the validity rule does not track, so every
+        // change clears the cache.
+        self.clear_cache();
         loop {
-            let vars: Vec<TermId> = self.pin_order.iter().map(|&(v, _)| v).collect();
             let mut settled = true;
-            for v in vars {
-                let old = self.pins[&v];
+            for i in 0..self.pin_order.len() {
+                let v = self.pin_order[i];
+                let old = self.pins[&v].value;
                 let new = self.rewrite_inner(tm, old);
                 if new != old {
-                    self.pins.insert(v, new);
-                    self.cache.clear();
+                    self.pins.get_mut(&v).expect("pinned").value = new;
+                    self.clear_cache();
                     settled = false;
                 }
             }
@@ -355,9 +414,50 @@ impl Rewriter {
             }
         }
         self.value_vars.clear();
-        let values: Vec<TermId> = self.pins.values().copied().collect();
+        self.value_seen.clear();
+        let values: Vec<TermId> = self.pins.values().map(|p| p.value).collect();
         for value in values {
-            collect_vars_into(tm, value, &mut self.value_vars);
+            self.collect_value_vars(tm, value);
+        }
+        true
+    }
+
+    fn clear_cache(&mut self) {
+        self.cache.clear();
+        self.log.clear();
+    }
+
+    /// Adds every variable occurring in `t` to `value_vars`.  Subterms
+    /// scanned since the index was last rebuilt are skipped: their
+    /// variables are already in it.
+    fn collect_value_vars(&mut self, tm: &TermManager, t: TermId) {
+        let mut stack = vec![t];
+        while let Some(t) = stack.pop() {
+            if !self.value_seen.insert(t) {
+                continue;
+            }
+            let op = &tm.term(t).op;
+            if let Op::Var { .. } = op {
+                self.value_vars.insert(t);
+            } else {
+                stack.extend(op.children());
+            }
+        }
+    }
+
+    /// Whether `t` has a valid cache entry; a valid entry is re-stamped so
+    /// its next check is O(1).
+    fn is_cached(&mut self, t: TermId) -> bool {
+        let Some(entry) = self.cache.get_mut(&t) else {
+            return false;
+        };
+        if entry.stamp != self.log.len {
+            if let Some(pinned) = self.log.min_since(entry.stamp) {
+                if pinned.0 < entry.var_bound {
+                    return false;
+                }
+            }
+            entry.stamp = self.log.len;
         }
         true
     }
@@ -369,34 +469,43 @@ impl Rewriter {
     fn rewrite_inner(&mut self, tm: &mut TermManager, root: TermId) -> TermId {
         let mut stack = vec![(root, false)];
         while let Some((t, expanded)) = stack.pop() {
-            if self.cache.contains_key(&t) {
+            if self.is_cached(t) {
                 if !expanded {
                     self.stats.cache_hits += 1;
                 }
                 continue;
             }
             let op = tm.term(t).op.clone();
-            if let Op::Var { .. } = op {
-                let r = self.pins.get(&t).copied().unwrap_or(t);
-                self.cache.insert(t, r);
-                continue;
-            }
-            if op.is_leaf() {
-                self.cache.insert(t, t);
-                continue;
-            }
-            if !expanded {
-                stack.push((t, true));
-                for c in op.children() {
-                    stack.push((c, false));
+            let (result, var_bound) = match op {
+                Op::Var { .. } => (self.pins.get(&t).map_or(t, |p| p.value), t.0 + 1),
+                _ if op.is_leaf() => (t, 0),
+                _ => {
+                    let children = op.children();
+                    if !expanded {
+                        stack.push((t, true));
+                        stack.extend(children.into_iter().map(|c| (c, false)));
+                        continue;
+                    }
+                    // The children were looked up or computed after `t` was
+                    // expanded, and no pin is made during a rewrite: their
+                    // entries are valid.
+                    let var_bound = children.iter().map(|c| self.cache[c].var_bound).max();
+                    let rebuilt = rebuild_with(tm, t, &op, |id| self.cache[&id].result);
+                    let result = self.apply_rules(tm, rebuilt);
+                    (result, var_bound.unwrap_or(0))
                 }
-                continue;
-            }
-            let rebuilt = rebuild_with(tm, t, &op, |id| self.cache[&id]);
-            let simplified = self.apply_rules(tm, rebuilt);
-            self.cache.insert(t, simplified);
+            };
+            let stamp = self.log.len;
+            self.cache.insert(
+                t,
+                Cached {
+                    result,
+                    var_bound,
+                    stamp,
+                },
+            );
         }
-        self.cache[&root]
+        self.cache[&root].result
     }
 
     /// Runs the rule catalogue on one node to a local fixed point (bounded,
@@ -470,23 +579,6 @@ fn occurs(tm: &TermManager, var: TermId, t: TermId) -> bool {
         stack.extend(tm.term(t).op.children());
     }
     false
-}
-
-/// Collects every variable occurring in `t` into `out` (subgraph-bounded,
-/// unlike `TermManager::collect_vars`, which allocates per table size).
-fn collect_vars_into(tm: &TermManager, t: TermId, out: &mut HashSet<TermId>) {
-    let mut stack = vec![t];
-    let mut seen: HashSet<TermId> = HashSet::new();
-    while let Some(t) = stack.pop() {
-        if !seen.insert(t) {
-            continue;
-        }
-        if matches!(tm.term(t).op, Op::Var { .. }) {
-            out.insert(t);
-            continue;
-        }
-        stack.extend(tm.term(t).op.children());
-    }
 }
 
 /// One pass of the rule catalogue over a single (already constructor-folded)
@@ -1289,6 +1381,145 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Seed of the randomised differential below: `SEPE_FAULT_SEED` (the
+    /// CI fault-injection matrix's knob), default 42.
+    fn fault_seed() -> u64 {
+        std::env::var("SEPE_FAULT_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(42)
+    }
+
+    /// The cache-validity rule against a cold cache.  Random terms and
+    /// random pin batches interleave: fresh-variable pins like BMC frames,
+    /// out-of-order pins of older variables like cone-of-influence
+    /// refinement, and pins of variables occurring in stored values (the
+    /// restore path).  Every batch must simplify, and every query rewrite,
+    /// exactly as on a clone whose cache was emptied first.
+    #[test]
+    fn cached_rewrites_match_a_cold_cache() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let seed = fault_seed();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xcac4e);
+        let cold = |rw: &Rewriter| {
+            let mut c = rw.clone();
+            c.clear_cache();
+            c
+        };
+        let (mut restores, mut out_of_order, mut queries) = (0u32, 0u32, 0u32);
+        for round in 0..200 {
+            let mut tm = TermManager::new();
+            let w = 4;
+            let mut rw = Rewriter::new();
+            let mut bools = vec![tm.var("p0", Sort::Bool)];
+            let mut vars = vec![tm.var("v0", Sort::BitVec(w))];
+            let mut terms = vec![vars[0], tm.bv_const(rng.gen_range(0..16), w)];
+            let mut encoded: HashSet<TermId> = HashSet::new();
+            for step in 0..60 {
+                match rng.gen_range(0..10) {
+                    0 => {
+                        let v = tm.var(&format!("v{step}"), Sort::BitVec(w));
+                        if rng.gen_bool(0.3) {
+                            encoded.insert(v);
+                        }
+                        vars.push(v);
+                        terms.push(v);
+                    }
+                    1 => bools.push(tm.var(&format!("p{step}"), Sort::Bool)),
+                    2..=4 => {
+                        let a = terms[rng.gen_range(0..terms.len())];
+                        let b = terms[rng.gen_range(0..terms.len())];
+                        let c = bools[rng.gen_range(0..bools.len())];
+                        let k = tm.bv_const(rng.gen_range(0..16), w);
+                        let t = match rng.gen_range(0..9) {
+                            0 => tm.bv_add(a, b),
+                            1 => tm.bv_sub(a, k),
+                            2 => tm.bv_and(a, b),
+                            3 => tm.bv_xor(a, b),
+                            4 => tm.bv_mul(a, k),
+                            5 => tm.ite(c, a, b),
+                            6 => {
+                                let lt = tm.bv_ult(a, b);
+                                tm.ite(lt, b, a)
+                            }
+                            7 => {
+                                let lo = tm.bv_extract(a, 1, 0);
+                                let hi = tm.bv_extract(b, 3, 2);
+                                tm.bv_concat(hi, lo)
+                            }
+                            _ => tm.bv_not(a),
+                        };
+                        terms.push(t);
+                    }
+                    5..=6 => {
+                        // (variable, in a stored value, older than a pinned one)
+                        let mut candidates = Vec::new();
+                        let mut batch = Vec::new();
+                        for _ in 0..rng.gen_range(1..=3) {
+                            let t = terms[rng.gen_range(0..terms.len())];
+                            let conjunct = match rng.gen_range(0..5) {
+                                0 | 1 => {
+                                    let v = vars[rng.gen_range(0..vars.len())];
+                                    candidates.push((
+                                        v,
+                                        rw.value_vars.contains(&v),
+                                        rw.pin_order.iter().any(|&p| p > v),
+                                    ));
+                                    tm.eq(v, t)
+                                }
+                                2 => {
+                                    let k = tm.bv_const(rng.gen_range(0..16), w);
+                                    tm.eq(t, k)
+                                }
+                                3 => bools[rng.gen_range(0..bools.len())],
+                                _ => {
+                                    let u = terms[rng.gen_range(0..terms.len())];
+                                    tm.bv_ule(t, u)
+                                }
+                            };
+                            batch.push(conjunct);
+                        }
+                        let is_encoded = |v: TermId| encoded.contains(&v);
+                        let pinned_before = rw.pin_order.len();
+                        let mut reference = cold(&rw);
+                        let want = reference.assert_simplify(&mut tm, &batch, &is_encoded);
+                        let got = rw.assert_simplify(&mut tm, &batch, &is_encoded);
+                        assert_eq!(got, want, "seed {seed} round {round} step {step}");
+                        assert_eq!(rw.pin_order, reference.pin_order);
+                        for v in &rw.pin_order {
+                            assert_eq!(rw.pins[v].value, reference.pins[v].value);
+                        }
+                        for v in &rw.pin_order[pinned_before..] {
+                            for &(c, restore, older) in &candidates {
+                                if c == *v {
+                                    restores += u32::from(restore);
+                                    out_of_order += u32::from(older);
+                                }
+                            }
+                        }
+                    }
+                    _ => {
+                        let t = terms[rng.gen_range(0..terms.len())];
+                        let want = cold(&rw).rewrite(&mut tm, t);
+                        let got = rw.rewrite(&mut tm, t);
+                        assert_eq!(
+                            got,
+                            want,
+                            "seed {seed} round {round} step {step}: {}",
+                            tm.display(t)
+                        );
+                        queries += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            restores > 0 && out_of_order > 0 && queries > 0,
+            "coverage: {restores} restores, {out_of_order} out-of-order pins, {queries} queries"
+        );
     }
 
     #[test]

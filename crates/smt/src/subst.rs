@@ -45,16 +45,6 @@ pub fn substitute(
     cache[&root]
 }
 
-/// Convenience wrapper that allocates a fresh cache.
-pub fn substitute_once(
-    tm: &mut TermManager,
-    root: TermId,
-    map: &HashMap<TermId, TermId>,
-) -> TermId {
-    let mut cache = HashMap::new();
-    substitute(tm, root, map, &mut cache)
-}
-
 fn lookup(t: TermId, map: &HashMap<TermId, TermId>, cache: &HashMap<TermId, TermId>) -> TermId {
     if let Some(&r) = map.get(&t) {
         r
@@ -214,7 +204,7 @@ mod tests {
         let z = tm.var("z", Sort::BitVec(8));
         let e = tm.bv_add(x, y);
         let map = HashMap::from([(x, z)]);
-        let r = substitute_once(&mut tm, e, &map);
+        let r = substitute(&mut tm, e, &map, &mut HashMap::new());
         let expected = tm.bv_add(z, y);
         assert_eq!(r, expected);
     }
@@ -227,7 +217,7 @@ mod tests {
         let e = tm.bv_sub(x, y);
         // swap x and y
         let map = HashMap::from([(x, y), (y, x)]);
-        let r = substitute_once(&mut tm, e, &map);
+        let r = substitute(&mut tm, e, &map, &mut HashMap::new());
         let expected = tm.bv_sub(y, x);
         assert_eq!(r, expected);
     }
@@ -241,7 +231,7 @@ mod tests {
         let c3 = tm.bv_const(3, 8);
         let c4 = tm.bv_const(4, 8);
         let map = HashMap::from([(x, c3), (y, c4)]);
-        let r = substitute_once(&mut tm, e, &map);
+        let r = substitute(&mut tm, e, &map, &mut HashMap::new());
         assert_eq!(tm.const_value(r), Some(7));
     }
 
@@ -257,7 +247,7 @@ mod tests {
         let lt = tm.bv_slt(e1, y);
         let e = tm.ite(lt, e0, e1);
         let map = HashMap::from([(x, a), (y, b)]);
-        let r = substitute_once(&mut tm, e, &map);
+        let r = substitute(&mut tm, e, &map, &mut HashMap::new());
         let env_orig = HashMap::from([(x, 123u64), (y, 45u64)]);
         let env_new = HashMap::from([(a, 123u64), (b, 45u64)]);
         assert_eq!(eval(&tm, e, &env_orig), eval(&tm, r, &env_new));

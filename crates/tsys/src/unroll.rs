@@ -16,11 +16,25 @@ use crate::ts::{CoiInfo, TransitionSystem};
 ///   functions evaluated over frame `k`,
 /// * `constraint(k)` / `bad(k)`: the invariant constraints and bad-state
 ///   properties instantiated at frame `k`.
+///
+/// Every frame keeps its own substitution cache, so the decode/ALU logic
+/// shared by the next-state functions is instantiated once per frame, not
+/// once per state variable.
 #[derive(Debug)]
 pub struct Unroller<'a> {
     ts: &'a TransitionSystem,
-    /// frame -> (original var -> frame var)
-    frame_maps: Vec<HashMap<TermId, TermId>>,
+    frames: Vec<Frame>,
+}
+
+/// One unrolled frame.
+#[derive(Debug)]
+struct Frame {
+    /// Original state var / input → its frame copy.
+    map: HashMap<TermId, TermId>,
+    /// Original term → its instance at this frame.  The map never changes
+    /// once the frame exists, so entries stay valid for the unroller's
+    /// lifetime.
+    cache: HashMap<TermId, TermId>,
 }
 
 impl<'a> Unroller<'a> {
@@ -28,7 +42,7 @@ impl<'a> Unroller<'a> {
     pub fn new(ts: &'a TransitionSystem) -> Self {
         Unroller {
             ts,
-            frame_maps: Vec::new(),
+            frames: Vec::new(),
         }
     }
 
@@ -40,8 +54,8 @@ impl<'a> Unroller<'a> {
     /// [`TransitionSystem::add_input`] reject non-variable terms, so every
     /// state var and input reaching here has a name.
     pub fn frame_map(&mut self, tm: &mut TermManager, k: usize) -> &HashMap<TermId, TermId> {
-        while self.frame_maps.len() <= k {
-            let frame = self.frame_maps.len();
+        while self.frames.len() <= k {
+            let frame = self.frames.len();
             let mut map = HashMap::new();
             for sv in self.ts.state_vars() {
                 let name = tm
@@ -59,9 +73,12 @@ impl<'a> Unroller<'a> {
                 let fresh = tm.var(&format!("{name}@{frame}"), tm.sort(input));
                 map.insert(input, fresh);
             }
-            self.frame_maps.push(map);
+            self.frames.push(Frame {
+                map,
+                cache: HashMap::new(),
+            });
         }
-        &self.frame_maps[k]
+        &self.frames[k].map
     }
 
     /// The frame-`k` copy of an original state/input variable.
@@ -72,8 +89,9 @@ impl<'a> Unroller<'a> {
     /// Instantiates an arbitrary term (over current-state vars and inputs) at
     /// frame `k`.
     pub fn term_at(&mut self, tm: &mut TermManager, term: TermId, k: usize) -> TermId {
-        let map = self.frame_map(tm, k).clone();
-        subst::substitute_once(tm, term, &map)
+        self.frame_map(tm, k);
+        let Frame { map, cache } = &mut self.frames[k];
+        subst::substitute(tm, term, map, cache)
     }
 
     /// The conjunction of frame-0 initial-state equalities.
