@@ -71,8 +71,9 @@
 //! the bounded baseline's shortest trace; and neither prover may ever
 //! contradict the baseline.  Those contracts are deterministic, so they
 //! are hard gates on every run; the proof work counters (frontier depth,
-//! queries, cubes blocked, clauses pushed, uniqueness constraints) are
-//! recorded for the artifact history only.
+//! queries, the prover solver's CNF variables and propagations, cubes
+//! blocked, clauses pushed, uniqueness constraints) are recorded for the
+//! artifact history only.
 //!
 //! Usage:
 //!   bench_smoke [--bound N] [--jobs N] [--out BENCH_smoke.json] [--baseline BENCH_baseline.json]
@@ -313,6 +314,11 @@ struct ProofMethodResult {
     /// Induction depth / PDR frontier the proof closed at (0 if none).
     clean_proof_depth: u64,
     clean_queries: u64,
+    /// CNF variables of the prover's primary solver at the end of the clean
+    /// run (history only, no gate).
+    clean_cnf_vars: u64,
+    /// SAT propagations of that solver over the clean run (history only).
+    clean_propagations: u64,
     clean_cubes_blocked: u64,
     clean_clauses_pushed: u64,
     clean_uniqueness_constraints: u64,
@@ -455,6 +461,8 @@ fn run_proofs() -> ProofsResult {
             clean_wall_ms: clean.runtime.as_secs_f64() * 1e3,
             clean_proof_depth: clean.proof_depth.unwrap_or(0) as u64,
             clean_queries: work.queries,
+            clean_cnf_vars: work.solver.cnf_vars,
+            clean_propagations: work.solver.propagations,
             clean_cubes_blocked: work.cubes_blocked,
             clean_clauses_pushed: work.clauses_pushed,
             clean_uniqueness_constraints: work.uniqueness_constraints,
@@ -740,8 +748,8 @@ fn main() {
 
     for m in &report.proofs.methods {
         println!(
-            "  proofs/{:<12} clean: {} in {:>8.1} ms (depth {}, {} queries, {} cubes, \
-             {} pushed, {} uniq)  bug: {} in {:>8.1} ms (trace {})",
+            "  proofs/{:<12} clean: {} in {:>8.1} ms (depth {}, {} queries, {} cnf vars, \
+             {} props, {} cubes, {} pushed, {} uniq)  bug: {} in {:>8.1} ms (trace {})",
             m.prover,
             if m.clean_proved {
                 "PROVED"
@@ -751,6 +759,8 @@ fn main() {
             m.clean_wall_ms,
             m.clean_proof_depth,
             m.clean_queries,
+            m.clean_cnf_vars,
+            m.clean_propagations,
             m.clean_cubes_blocked,
             m.clean_clauses_pushed,
             m.clean_uniqueness_constraints,

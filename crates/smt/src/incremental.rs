@@ -9,6 +9,9 @@
 //! * [`assert_term`](IncrementalSolver::assert_term) adds a *permanent*
 //!   assertion — only the not-yet-encoded subgraph of the term is
 //!   bit-blasted, everything already seen is a cache hit;
+//! * [`assert_clause`](IncrementalSolver::assert_clause) adds a permanent
+//!   *flat* clause whose literals are lowered like assumptions — no OR gate,
+//!   and no new CNF variable when every literal is already encoded;
 //! * [`check_assuming`](IncrementalSolver::check_assuming) decides the
 //!   permanent assertions conjoined with a set of *retractable* boolean
 //!   terms, lowered to assumption literals (the MiniSat `solve(assumps)`
@@ -277,6 +280,43 @@ impl IncrementalSolver {
         }
     }
 
+    /// Permanently asserts the disjunction of boolean terms as **one flat
+    /// CNF clause**.  Each literal is rewritten and lowered exactly like an
+    /// assumption of [`check_assuming`](Self::check_assuming) — so a term
+    /// that is already encoded costs no CNF variable — and the clause is
+    /// their disjunction; no OR gate is built.  This is how IC3/PDR adds
+    /// guarded frame clauses `¬act ∨ ¬cube` over existing state bits without
+    /// growing the encoding per clause.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a literal is not a boolean term.
+    pub fn assert_clause(&mut self, tm: &mut TermManager, lits: &[TermId]) {
+        let mut clause = Vec::with_capacity(lits.len());
+        for &t in lits {
+            assert!(
+                tm.sort(t).is_bool(),
+                "clause literals must be boolean terms"
+            );
+            clause.push(self.literal(tm, t));
+        }
+        self.blaster.cnf_mut().add_clause(clause);
+    }
+
+    /// The CNF literal meaning "`t` holds", with whatever definitions that
+    /// needs emitted.  Retractable literals are rewritten under the
+    /// permanent pin set but never contribute pins of their own.  Pins stay
+    /// applied even with simplification off: an eliminated variable has no
+    /// defining equality in the CNF to fall back on.
+    fn literal(&mut self, tm: &mut TermManager, t: TermId) -> Lit {
+        let r = if self.simplify || self.rewriter.num_pins() > 0 {
+            self.rewriter.rewrite(tm, t)
+        } else {
+            t
+        };
+        self.blaster.assume_lit(tm, r)
+    }
+
     /// Decides satisfiability of the permanent assertions.
     pub fn check(&mut self, tm: &mut TermManager) -> SatResult {
         self.check_assuming(tm, &[])
@@ -298,16 +338,7 @@ impl IncrementalSolver {
         let mut assumption_lits: Vec<(Lit, TermId)> = Vec::with_capacity(assumptions.len());
         for &t in assumptions {
             assert!(tm.sort(t).is_bool(), "assumptions must be boolean terms");
-            // Assumptions are retractable, so they are rewritten under the
-            // permanent pin set but never contribute pins of their own.
-            // Pins stay applied even with simplification off: an eliminated
-            // variable has no defining equality in the CNF to fall back on.
-            let r = if self.simplify || self.rewriter.num_pins() > 0 {
-                self.rewriter.rewrite(tm, t)
-            } else {
-                t
-            };
-            let l = self.blaster.assume_lit(tm, r);
+            let l = self.literal(tm, t);
             assumption_lits.push((l, t));
         }
         let new_clauses = self.sync_clauses();
@@ -395,21 +426,6 @@ impl IncrementalSolver {
     /// conflict, when the check returned [`SatResult::Unsat`].
     pub fn unsat_core(&self) -> &[TermId] {
         &self.last_core
-    }
-
-    /// The subset of `among` that appears in the final-conflict unsat core
-    /// of the last `check_assuming`, in `among`'s order.
-    ///
-    /// This is the cube-generalisation primitive of IC3/PDR: a blocked
-    /// cube's next-state literals are passed as individual assumptions, and
-    /// every literal the core does *not* mention can be dropped from the
-    /// learned clause without re-proving anything.
-    pub fn core_subset(&self, among: &[TermId]) -> Vec<TermId> {
-        among
-            .iter()
-            .copied()
-            .filter(|t| self.last_core.contains(t))
-            .collect()
     }
 
     /// Cumulative and per-check reuse statistics.
@@ -545,6 +561,37 @@ mod tests {
         assert!(!core.contains(&y_is_1), "y is irrelevant to the conflict");
         // Core is itself unsatisfiable.
         assert_eq!(inc.check_assuming(&mut tm, &core), SatResult::Unsat);
+    }
+
+    #[test]
+    fn assert_clause_over_encoded_literals_allocates_no_variable() {
+        let mut tm = TermManager::new();
+        let x = tm.var("x", Sort::BitVec(4));
+        let y = tm.var("y", Sort::BitVec(4));
+        let b = tm.var("b", Sort::Bool);
+        let lt = tm.bv_ult(x, y);
+        let either = tm.or(lt, b);
+        let mut inc = IncrementalSolver::new();
+        inc.assert_term(&mut tm, either);
+        assert_eq!(inc.check(&mut tm), SatResult::Sat);
+        let before = inc.num_cnf_vars();
+        // State-bit literals over already-encoded variables, in both
+        // polarities, plus a literal the assertion already encoded.
+        let x0 = tm.bv_bit(x, 0);
+        let y3 = tm.bv_bit(y, 3);
+        let not_y3 = tm.not(y3);
+        let not_b = tm.not(b);
+        inc.assert_clause(&mut tm, &[x0, not_y3, not_b]);
+        inc.assert_clause(&mut tm, &[lt, y3]);
+        assert_eq!(inc.num_cnf_vars(), before, "flat clauses build no gates");
+        // The clauses bind: ¬x0 ∧ y3 ∧ b falsifies the first one.
+        let not_x0 = tm.not(x0);
+        assert_eq!(
+            inc.check_assuming(&mut tm, &[not_x0, y3, b]),
+            SatResult::Unsat
+        );
+        assert_eq!(inc.check_assuming(&mut tm, &[x0, y3, b]), SatResult::Sat);
+        assert_eq!(inc.num_cnf_vars(), before);
     }
 
     #[test]

@@ -298,3 +298,83 @@ fn incremental_depth_sweep_matches_scratch_with_growing_assertions() {
         );
     }
 }
+
+/// A random clause literal: a pool constraint, a single bit of a pool term,
+/// or the negation of either.
+fn random_clause_lit(
+    tm: &mut TermManager,
+    rng: &mut StdRng,
+    pool: &[TermId],
+    width: u32,
+) -> TermId {
+    let lit = if rng.gen_bool(0.5) {
+        random_constraint(tm, rng, pool, width)
+    } else {
+        let t = pool[rng.gen_range(0..pool.len())];
+        tm.bv_bit(t, rng.gen_range(0..width))
+    };
+    if rng.gen_bool(0.5) {
+        tm.not(lit)
+    } else {
+        lit
+    }
+}
+
+/// `assert_clause(lits)` is the flat-clause spelling of
+/// `assert_term(or_many(lits))`: two solvers fed the same random assertions,
+/// one through each, must agree on every verdict under the same
+/// assumptions, and a model of the flat-clause solver satisfies every
+/// clause it was given.
+#[test]
+fn assert_clause_agrees_with_an_asserted_disjunction() {
+    let mut rng = StdRng::seed_from_u64(0xc1a0_5eed);
+    let width = 5;
+    let mut checks = 0usize;
+    for round in 0..30 {
+        let mut tm = TermManager::new();
+        let pool = random_bv_pool(&mut tm, &mut rng, width);
+        let mut flat = IncrementalSolver::new();
+        let mut gated = IncrementalSolver::new();
+        let mut clauses: Vec<TermId> = Vec::new();
+        for _step in 0..5 {
+            if rng.gen_bool(0.3) {
+                let c = random_constraint(&mut tm, &mut rng, &pool, width);
+                flat.assert_term(&mut tm, c);
+                gated.assert_term(&mut tm, c);
+                clauses.push(c);
+            }
+            let len = rng.gen_range(1..5);
+            let lits: Vec<TermId> = (0..len)
+                .map(|_| random_clause_lit(&mut tm, &mut rng, &pool, width))
+                .collect();
+            flat.assert_clause(&mut tm, &lits);
+            let disjunction = tm.or_many(lits);
+            gated.assert_term(&mut tm, disjunction);
+            clauses.push(disjunction);
+
+            let num_assumed = rng.gen_range(0..3);
+            let assumed: Vec<TermId> = (0..num_assumed)
+                .map(|_| random_clause_lit(&mut tm, &mut rng, &pool, width))
+                .collect();
+            let got = flat.check_assuming(&mut tm, &assumed);
+            let expected = gated.check_assuming(&mut tm, &assumed);
+            checks += 1;
+            assert_eq!(
+                got, expected,
+                "round {round}: flat clause disagrees with the asserted disjunction \
+                 (assumed: {assumed:?})"
+            );
+            if got == SatResult::Sat {
+                let model = flat.model(&tm);
+                for &c in clauses.iter().chain(&assumed) {
+                    assert_eq!(
+                        model.eval(&tm, c),
+                        1,
+                        "round {round}: flat-clause model violates an assertion"
+                    );
+                }
+            }
+        }
+    }
+    assert!(checks >= 100, "need ≥100 differential checks, ran {checks}");
+}

@@ -1,4 +1,4 @@
-//! Bradley-style IC3/PDR over the incremental stack.
+//! Bradley-style IC3/PDR over the incremental stack, at the bit level.
 //!
 //! One persistent [`IncrementalSolver`] carries a **two-frame** unrolling —
 //! `T(0→1)` with the frame constraints of both copies — and every
@@ -7,24 +7,38 @@
 //! * the initial states are asserted under an `init` **activation literal**,
 //!   so `F_0 = init` queries assume it and relative-induction queries leave
 //!   it retracted;
-//! * a frame clause learned at level `l` is asserted as
-//!   `act_l → clause@0`; querying `F_j` assumes `act_l` for every `l ≥ j`,
+//! * a frame clause learned at level `l` is asserted as the flat clause
+//!   `¬act_l ∨ ¬cube@0`; querying `F_j` assumes `act_l` for every `l ≥ j`,
 //!   which makes the frame-monotonicity `F_{j+1} ⊆ F_j` a property of the
 //!   assumption set instead of a copying discipline.  *Pushing* a clause to
 //!   the next frame just re-asserts it under the next level's literal — the
 //!   old guarded copy stays valid because the clause also still holds in
 //!   every earlier frame.
 //!
-//! A satisfiable frontier query `F_N ∧ bad` yields a **cube** (the
-//! conjunction of the model's state-variable values) and a proof obligation
-//! at level `N`.  Blocking an obligation `(s, k)` asks the relative
-//! induction query `F_{k-1} ∧ ¬s ∧ T ∧ s′` with the primed cube passed as
-//! *individual* assumptions: on UNSAT, [`IncrementalSolver::core_subset`]
-//! says which literals the final conflict actually used, and the rest are
-//! dropped from the learned clause — unsat-core cube **generalisation** for
-//! the price of a filter.  A generalised cube is re-checked against the
-//! initial states (a dropped literal may have been what excluded them) and
-//! falls back to the ungeneralised cube if it now intersects.
+//! **Cubes range over state bits.**  A cube literal pins one bit of one
+//! state variable (the variable itself for a boolean), so its frame-0
+//! literal is the state bit and its frame-1 literal the next-state bit the
+//! transition relation already encodes.  Both are encoded once, when the
+//! engine opens; every clause PDR adds afterwards goes through
+//! [`IncrementalSolver::assert_clause`] as one flat CNF clause over those
+//! existing literals, so no query builds a gate.  The only variable a query
+//! allocates is the `¬cube` literal of a relative-induction query (below),
+//! which keeps the solver at the size of the two-frame encoding plus one
+//! variable per such query.
+//!
+//! A satisfiable frontier query `F_N ∧ bad` yields a **cube** (every state
+//! bit's model value) and a proof obligation at level `N`.  Blocking an
+//! obligation `(s, k)` first checks `init ∧ s` — a hit is a real
+//! counterexample — and then asks the relative-induction query
+//! `F_{k-1} ∧ ¬s ∧ T ∧ s′`: `¬s` is a flat clause guarded by a fresh
+//! literal `q` that the query assumes and that is retired by the unit `¬q`
+//! straight after it, and the primed cube is passed as *individual*
+//! assumptions.  **Generalisation is init-safe by construction**: on UNSAT
+//! the learned cube keeps the primed literals of the relative-induction
+//! core plus the frame-0 literals of the init check's core.  The latter
+//! alone already excludes every initial state, and the former keeps the
+//! cube inductive relative to `F_{k-1}`, so the union needs no further
+//! check.
 //!
 //! The frames converge when some level `i < N` holds no clause of exactly
 //! level `i` — then `F_i = F_{i+1}`, and the conjunction of the clauses at
@@ -37,10 +51,11 @@
 //! reference path, shortest-first, already wired for witness replay.
 //!
 //! Cone-of-influence reduction is disabled throughout: cubes range over
-//! *all* state variables, and a variable whose next-state update the cone
-//! pass dropped would float unconstrained inside them.  Word-level
-//! rewriting and the AIG layer stay on (equisatisfiability-preserving).
+//! *all* state bits, and a variable whose next-state update the cone pass
+//! dropped would float unconstrained inside them.  Word-level rewriting and
+//! the AIG layer stay on (equisatisfiability-preserving).
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use sepe_smt::{IncrementalSolver, SatResult, Sort, StopReason, TermId, TermManager};
@@ -50,13 +65,25 @@ use crate::prove::{ProofCertificate, ProofMethod, ProofRun, ProveStats};
 use crate::ts::TransitionSystem;
 use crate::unroll::Unroller;
 
-/// One cube literal: a state variable pinned to a model value.
+/// One cube literal: a single state bit pinned to a model value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CubeLit {
     /// The original (unprimed) state variable.
     var: TermId,
+    /// The bit of `var` (0 for a boolean variable).
+    bit: u32,
     /// Its value in the model.
-    value: u64,
+    value: bool,
+}
+
+impl CubeLit {
+    /// The literal with the opposite value.
+    fn negated(self) -> CubeLit {
+        CubeLit {
+            value: !self.value,
+            ..self
+        }
+    }
 }
 
 /// A conjunction of [`CubeLit`]s — a (possibly generalised) state cube.
@@ -152,6 +179,10 @@ struct PdrEngine<'ts> {
     /// Activation literal guarding the initial-state assertion.
     init_act: TermId,
     not_init_act: TermId,
+    /// The bad-state predicate at frame 0.
+    bad0: TermId,
+    /// Every state bit `(var, bit)` with its literal at frames 0 and 1.
+    bits: HashMap<(TermId, u32), [TermId; 2]>,
     /// Per-level clause activation literals (index 0 unused).
     level_acts: Vec<TermId>,
     clauses: Vec<FrameClause>,
@@ -160,9 +191,26 @@ struct PdrEngine<'ts> {
     converged_at: Option<usize>,
     started: Instant,
     queries: u64,
+    induction_queries: u64,
     cubes_blocked: u64,
     literals_dropped: u64,
     clauses_pushed: u64,
+}
+
+/// Width in bits of a state variable (1 for a boolean).
+fn bit_width(tm: &TermManager, var: TermId) -> u32 {
+    match tm.sort(var) {
+        Sort::Bool => 1,
+        Sort::BitVec(w) => w,
+    }
+}
+
+/// The term "bit `bit` of `var` is set" (`var` itself for a boolean).
+fn bit_term(tm: &mut TermManager, var: TermId, bit: u32) -> TermId {
+    match tm.sort(var) {
+        Sort::Bool => var,
+        Sort::BitVec(_) => tm.bv_bit(var, bit),
+    }
 }
 
 impl<'ts> PdrEngine<'ts> {
@@ -190,6 +238,28 @@ impl<'ts> PdrEngine<'ts> {
         let guarded = tm.implies(init_act, init);
         solver.assert_term(tm, guarded);
         let not_init_act = tm.not(init_act);
+        let bad0 = unroller.bad_at(tm, 0);
+        // Encode every literal a query can mention — each state bit at both
+        // frames, and the bad predicate — in both polarities now, through the
+        // tautology `l ∨ ¬l` (the SAT core drops the clause itself).  From
+        // here on the only new CNF variables are one `¬cube` literal per
+        // relative-induction query and one activation literal per level.
+        let mut bits = HashMap::new();
+        let mut encoded = vec![bad0];
+        for sv in ts.state_vars() {
+            for bit in 0..bit_width(tm, sv.current) {
+                let at = [0, 1].map(|k| {
+                    let var = unroller.var_at(tm, sv.current, k);
+                    bit_term(tm, var, bit)
+                });
+                encoded.extend(at);
+                bits.insert((sv.current, bit), at);
+            }
+        }
+        for lit in encoded {
+            let not_lit = tm.not(lit);
+            solver.assert_clause(tm, &[lit, not_lit]);
+        }
         PdrEngine {
             ts,
             config: config.clone(),
@@ -197,12 +267,15 @@ impl<'ts> PdrEngine<'ts> {
             unroller,
             init_act,
             not_init_act,
+            bad0,
+            bits,
             level_acts: Vec::new(),
             clauses: Vec::new(),
             frontier: 0,
             converged_at: None,
             started,
             queries: 0,
+            induction_queries: 0,
             cubes_blocked: 0,
             literals_dropped: 0,
             clauses_pushed: 0,
@@ -285,80 +358,129 @@ impl<'ts> PdrEngine<'ts> {
         Ok(result)
     }
 
-    /// Extracts the full state cube of the model's frame 0.
+    /// Which of `lits` the last UNSAT query's core used, position by
+    /// position.
+    fn core_mask(&self, lits: &[TermId]) -> Vec<bool> {
+        let core = self.solver.unsat_core();
+        lits.iter().map(|t| core.contains(t)).collect()
+    }
+
+    /// Extracts the full state-bit cube of the model's frame 0.
     fn model_cube(&mut self, tm: &mut TermManager) -> Cube {
-        let vars: Vec<TermId> = self.ts.state_vars().iter().map(|v| v.current).collect();
-        let mut cube = Vec::with_capacity(vars.len());
-        for var in vars {
-            let at0 = self.unroller.var_at(tm, var, 0);
+        let mut cube = Vec::with_capacity(self.bits.len());
+        for sv in self.ts.state_vars() {
+            let at0 = self.unroller.var_at(tm, sv.current, 0);
             let value = self.solver.model(tm).value(at0);
-            cube.push(CubeLit { var, value });
+            for bit in 0..bit_width(tm, sv.current) {
+                cube.push(CubeLit {
+                    var: sv.current,
+                    bit,
+                    value: (value >> bit) & 1 == 1,
+                });
+            }
         }
         cube
     }
 
-    /// The cube's literal as a term at frame `k`.
-    fn lit_at(&mut self, tm: &mut TermManager, lit: CubeLit, k: usize) -> TermId {
-        let at = self.unroller.var_at(tm, lit.var, k);
-        let value = match tm.sort(lit.var) {
-            Sort::Bool => tm.bool_const(lit.value != 0),
-            Sort::BitVec(w) => tm.bv_const(lit.value, w),
-        };
-        tm.eq(at, value)
-    }
-
-    /// `¬cube` at frame 0: at least one literal differs.
-    fn negated_cube_at0(&mut self, tm: &mut TermManager, cube: &Cube) -> TermId {
-        let lits: Vec<TermId> = cube
-            .iter()
-            .map(|&lit| {
-                let eq = self.lit_at(tm, lit, 0);
-                tm.not(eq)
-            })
-            .collect();
-        tm.or_many(lits)
+    /// The cube literal as a term at frame `k` (0 or 1).
+    fn lit_at(&self, tm: &mut TermManager, lit: CubeLit, k: usize) -> TermId {
+        let bit = self.bits[&(lit.var, lit.bit)][k];
+        if lit.value {
+            bit
+        } else {
+            tm.not(bit)
+        }
     }
 
     /// The clause `¬cube` over the *original* state variables (certificate
     /// currency).
-    fn clause_term(&mut self, tm: &mut TermManager, cube: &Cube) -> TermId {
+    fn clause_term(tm: &mut TermManager, cube: &Cube) -> TermId {
         let lits: Vec<TermId> = cube
             .iter()
             .map(|lit| {
-                let value = match tm.sort(lit.var) {
-                    Sort::Bool => tm.bool_const(lit.value != 0),
-                    Sort::BitVec(w) => tm.bv_const(lit.value, w),
-                };
-                tm.neq(lit.var, value)
+                let bit = bit_term(tm, lit.var, lit.bit);
+                if lit.value {
+                    tm.not(bit)
+                } else {
+                    bit
+                }
             })
             .collect();
         tm.or_many(lits)
     }
 
-    /// Whether the cube intersects the initial states.
-    fn intersects_init(&mut self, tm: &mut TermManager, cube: &Cube) -> Result<bool, Interrupted> {
-        let mut assumptions = vec![self.init_act];
+    /// Asserts the flat clause `¬guard ∨ ¬cube@0`: while `guard` is
+    /// assumed, no frame-0 state lies in the cube.
+    fn assert_blocked(&mut self, tm: &mut TermManager, guard: TermId, cube: &Cube) {
+        let mut lits = Vec::with_capacity(cube.len() + 1);
+        lits.push(tm.not(guard));
         for &lit in cube {
-            let t = self.lit_at(tm, lit, 0);
-            assumptions.push(t);
+            lits.push(self.lit_at(tm, lit.negated(), 0));
         }
-        Ok(self.query(tm, &assumptions)? == SatResult::Sat)
+        self.solver.assert_clause(tm, &lits);
     }
 
     /// Records `¬cube` as a frame clause at `level` and asserts its guarded
     /// frame-0 copy.
     fn add_clause(&mut self, tm: &mut TermManager, cube: Cube, level: usize) {
-        let clause = self.clause_term(tm, &cube);
-        let at0 = self.unroller.term_at(tm, clause, 0);
         let act = self.act(tm, level);
-        let guarded = tm.implies(act, at0);
-        self.solver.assert_term(tm, guarded);
+        self.assert_blocked(tm, act, &cube);
+        let clause = Self::clause_term(tm, &cube);
         self.clauses.push(FrameClause {
             cube,
             clause,
             level,
         });
         self.cubes_blocked += 1;
+    }
+
+    /// The init check `init ∧ cube@0`: `None` when the cube holds an
+    /// initial state, otherwise which of its literals the UNSAT core used —
+    /// a sub-cube that on its own excludes every initial state.
+    fn init_core(
+        &mut self,
+        tm: &mut TermManager,
+        cube: &Cube,
+    ) -> Result<Option<Vec<bool>>, Interrupted> {
+        let mut assumptions = Vec::with_capacity(cube.len() + 1);
+        assumptions.push(self.init_act);
+        for &lit in cube {
+            assumptions.push(self.lit_at(tm, lit, 0));
+        }
+        if self.query(tm, &assumptions)? == SatResult::Sat {
+            return Ok(None);
+        }
+        Ok(Some(self.core_mask(&assumptions[1..])))
+    }
+
+    /// The relative-induction query `F_{k-1} ∧ ¬cube ∧ T ∧ cube′`: `None`
+    /// when it is satisfiable (the model's frame 0 is a predecessor),
+    /// otherwise which primed literals the UNSAT core used.  `¬cube` is a
+    /// flat clause behind a fresh literal `q`, retired by the unit `¬q`
+    /// straight after the query whatever its outcome, so it never
+    /// constrains a later query.
+    fn relative_induction(
+        &mut self,
+        tm: &mut TermManager,
+        cube: &Cube,
+        k: usize,
+    ) -> Result<Option<Vec<bool>>, Interrupted> {
+        let q = tm.fresh_var("pdr_q", Sort::Bool);
+        self.assert_blocked(tm, q, cube);
+        let mut assumptions = self.frame_assumptions(tm, k - 1);
+        assumptions.push(q);
+        let primed = assumptions.len();
+        for &lit in cube {
+            assumptions.push(self.lit_at(tm, lit, 1));
+        }
+        let result = self.query(tm, &assumptions);
+        let not_q = tm.not(q);
+        self.solver.assert_clause(tm, &[not_q]);
+        self.induction_queries += 1;
+        if result? == SatResult::Sat {
+            return Ok(None);
+        }
+        Ok(Some(self.core_mask(&assumptions[primed..])))
     }
 
     /// Handles the obligation queue rooted at one frontier counterexample
@@ -388,36 +510,26 @@ impl<'ts> PdrEngine<'ts> {
             let (cube, k, dist) = obligations.swap_remove(idx);
             // An obligation cube that contains an initial state is a real
             // counterexample: the obligation chain connects it to bad.
-            if self.intersects_init(tm, &cube)? {
+            let Some(init_core) = self.init_core(tm, &cube)? else {
                 return Ok(Some(dist));
-            }
+            };
             if k == 0 {
                 // Cannot happen with the init check above (a level-0
                 // predecessor was extracted under the init assumption),
                 // but a queue entry at 0 is by definition traced to init.
                 return Ok(Some(dist));
             }
-            // Relative induction: F_{k-1} ∧ ¬cube ∧ T ∧ cube′, the primed
-            // literals passed individually for core-based generalisation.
-            let mut assumptions = self.frame_assumptions(tm, k - 1);
-            let ncube = self.negated_cube_at0(tm, &cube);
-            assumptions.push(ncube);
-            let primed: Vec<TermId> = cube.iter().map(|&lit| self.lit_at(tm, lit, 1)).collect();
-            assumptions.extend(&primed);
-            match self.query(tm, &assumptions)? {
-                SatResult::Unsat => {
-                    // Generalise: keep only the literals the final conflict
-                    // used, unless the shrunken cube drifts into init.
-                    let core = self.solver.core_subset(&primed);
-                    let mut general: Cube = cube
+            match self.relative_induction(tm, &cube, k)? {
+                Some(induction_core) => {
+                    // Generalise to the union of the two cores: the init
+                    // core excludes the initial states, the induction core
+                    // keeps the cube inductive relative to F_{k-1}.
+                    let general: Cube = cube
                         .iter()
-                        .zip(&primed)
-                        .filter(|(_, p)| core.contains(p))
+                        .zip(init_core.iter().zip(&induction_core))
+                        .filter(|(_, (&in_init, &in_induction))| in_init || in_induction)
                         .map(|(&lit, _)| lit)
                         .collect();
-                    if general.is_empty() || self.intersects_init(tm, &general)? {
-                        general = cube.clone();
-                    }
                     self.literals_dropped += (cube.len() - general.len()) as u64;
                     self.add_clause(tm, general, k);
                     // Re-enqueue one frame later: re-blocking the same cube
@@ -427,12 +539,11 @@ impl<'ts> PdrEngine<'ts> {
                         obligations.push((cube, k + 1, dist));
                     }
                 }
-                SatResult::Sat => {
+                None => {
                     let predecessor = self.model_cube(tm);
                     obligations.push((predecessor, k - 1, dist + 1));
                     obligations.push((cube, k, dist));
                 }
-                SatResult::Unknown => unreachable!("query classifies Unknown"),
             }
         }
         Ok(None)
@@ -451,14 +562,12 @@ impl<'ts> PdrEngine<'ts> {
                 // F_level ∧ T ∧ cube′ unsat ⇒ ¬cube also holds in
                 // F_{level+1}.
                 let mut assumptions = self.frame_assumptions(tm, level);
-                let primed: Vec<TermId> = cube.iter().map(|&lit| self.lit_at(tm, lit, 1)).collect();
-                assumptions.extend(&primed);
+                for &lit in &cube {
+                    assumptions.push(self.lit_at(tm, lit, 1));
+                }
                 if self.query(tm, &assumptions)? == SatResult::Unsat {
-                    let clause = self.clauses[i].clause;
-                    let at0 = self.unroller.term_at(tm, clause, 0);
                     let act = self.act(tm, level + 1);
-                    let guarded = tm.implies(act, at0);
-                    self.solver.assert_term(tm, guarded);
+                    self.assert_blocked(tm, act, &cube);
                     self.clauses[i].level = level + 1;
                     self.clauses_pushed += 1;
                 }
@@ -476,8 +585,7 @@ impl<'ts> PdrEngine<'ts> {
         // Depth-0 base: init ∧ bad (skipped when start_bound ≥ 1, exactly
         // like the bounded modes' by-construction guarantee).
         if self.config.start_bound == 0 {
-            let bad0 = self.unroller.bad_at(tm, 0);
-            let assumptions = [self.init_act, bad0];
+            let assumptions = [self.init_act, self.bad0];
             if self.query(tm, &assumptions)? == SatResult::Sat {
                 return self.confirmed_counterexample(tm, 0);
             }
@@ -489,9 +597,8 @@ impl<'ts> PdrEngine<'ts> {
             }
             // Block every bad state out of the frontier frame.
             loop {
-                let bad0 = self.unroller.bad_at(tm, 0);
                 let mut assumptions = self.frame_assumptions(tm, frontier);
-                assumptions.push(bad0);
+                assumptions.push(self.bad0);
                 if self.query(tm, &assumptions)? == SatResult::Unsat {
                     break;
                 }
@@ -568,6 +675,76 @@ mod tests {
         ts.add_state_var(tm, count, Some(zero), next);
         ts.add_bad(bad);
         ts
+    }
+
+    /// Two 3-bit registers and a boolean flag: `x` counts 0..=5 and wraps,
+    /// `y` shadows `x` one step behind, `f` is raised exactly when `x`
+    /// wraps.  Safe: `x ≠ 6`, `y ≠ 7`, and `f` implies `x = 0`.
+    fn shadowed_counter(tm: &mut TermManager) -> TransitionSystem {
+        let x = tm.var("x", Sort::BitVec(3));
+        let y = tm.var("y", Sort::BitVec(3));
+        let f = tm.var("f", Sort::Bool);
+        let zero = tm.zero(3);
+        let one = tm.one(3);
+        let five = tm.bv_const(5, 3);
+        let six = tm.bv_const(6, 3);
+        let seven = tm.bv_const(7, 3);
+        let at_five = tm.eq(x, five);
+        let inc = tm.bv_add(x, one);
+        let next_x = tm.ite(at_five, zero, inc);
+        let fls = tm.fls();
+        let x_six = tm.eq(x, six);
+        let y_seven = tm.eq(y, seven);
+        let x_nonzero = tm.neq(x, zero);
+        let f_wrong = tm.and(f, x_nonzero);
+        let bad = tm.or_many([x_six, y_seven, f_wrong]);
+        let mut ts = TransitionSystem::new();
+        ts.add_state_var(tm, x, Some(zero), next_x);
+        ts.add_state_var(tm, y, Some(zero), x);
+        ts.add_state_var(tm, f, Some(fls), at_five);
+        ts.add_bad(bad);
+        ts
+    }
+
+    /// Proves `ts` on a bare engine, re-verifies the invariant and checks
+    /// the growth bound: past `open`, the solver gains at most one CNF
+    /// variable per relative-induction query (its `¬cube` literal) and one
+    /// per frame level (its activation literal) — never a gate per query.
+    /// Returns the number of literals generalisation dropped.
+    fn prove_without_per_query_gates(tm: &mut TermManager, ts: &TransitionSystem) -> u64 {
+        let mut engine = PdrEngine::open(tm, ts, &BmcConfig::default());
+        let opened = u64::from(engine.solver.num_cnf_vars());
+        let proved = matches!(engine.run(tm, 16), Ok(BmcResult::Proved { .. }));
+        assert!(proved, "the system is safe and PDR must prove it");
+        let cert = ProofCertificate::Inductive {
+            clauses: engine.invariant_clauses(),
+        };
+        assert_eq!(verify_certificate(tm, ts, &cert), Ok(()));
+        let allowance = engine.induction_queries + engine.level_acts.len() as u64;
+        let final_vars = engine.stats().solver.cnf_vars;
+        assert!(
+            final_vars <= opened + allowance,
+            "PDR grew from {opened} to {final_vars} CNF variables over {} \
+             relative-induction queries and {} levels",
+            engine.induction_queries,
+            engine.level_acts.len()
+        );
+        engine.literals_dropped
+    }
+
+    #[test]
+    fn queries_allocate_no_gates_on_the_capped_counter() {
+        let mut tm = TermManager::new();
+        let ts = capped_counter(&mut tm);
+        prove_without_per_query_gates(&mut tm, &ts);
+    }
+
+    #[test]
+    fn queries_allocate_no_gates_on_a_multi_bit_system_with_a_flag() {
+        let mut tm = TermManager::new();
+        let ts = shadowed_counter(&mut tm);
+        let dropped = prove_without_per_query_gates(&mut tm, &ts);
+        assert!(dropped > 0, "cores generalise the bit cubes");
     }
 
     #[test]

@@ -59,9 +59,11 @@ fn seed_from_env() -> u64 {
         .unwrap_or(42)
 }
 
-/// Builds a random small transition system: 1–3 state variables of 2–4
-/// bits, next-state functions drawn from a small op pool, constrained
-/// inits, and a bad state targeting one or two variables.  Small widths
+/// Builds a random small transition system: 1–3 bit-vector state
+/// variables of 2–4 bits and 0–2 boolean ones, next-state functions drawn
+/// from small op pools (bit-vectors may be gated by a boolean, booleans
+/// read bits and comparisons of the bit-vectors), constrained inits, and a
+/// bad state targeting one or two variables of either sort.  Small widths
 /// keep every orbit tiny so all three methods stay fast.
 fn random_system(tm: &mut TermManager, rng: &mut XorShift) -> TransitionSystem {
     let num_vars = 1 + rng.below(3) as usize;
@@ -69,10 +71,14 @@ fn random_system(tm: &mut TermManager, rng: &mut XorShift) -> TransitionSystem {
     let vars: Vec<TermId> = (0..num_vars)
         .map(|i| tm.var(&format!("s{i}"), Sort::BitVec(width)))
         .collect();
+    let num_flags = rng.below(3) as usize;
+    let flags: Vec<TermId> = (0..num_flags)
+        .map(|i| tm.var(&format!("b{i}"), Sort::Bool))
+        .collect();
 
     let mut ts = TransitionSystem::new();
-    for (i, &v) in vars.iter().enumerate() {
-        let next = random_update(tm, rng, &vars, v, width);
+    for &v in &vars {
+        let next = random_update(tm, rng, &vars, &flags, v, width);
         // Mostly constrained inits; an occasional free variable makes the
         // base case do real work.
         let init = if rng.below(4) == 0 {
@@ -81,19 +87,37 @@ fn random_system(tm: &mut TermManager, rng: &mut XorShift) -> TransitionSystem {
             Some(tm.bv_const(rng.below(1 << width), width))
         };
         ts.add_state_var(tm, v, init, next);
-        let _ = i;
+    }
+    for &f in &flags {
+        let next = random_flag_update(tm, rng, &vars, &flags, f, width);
+        let init = if rng.below(4) == 0 {
+            None
+        } else {
+            Some(tm.bool_const(rng.below(2) == 1))
+        };
+        ts.add_state_var(tm, f, init, next);
     }
 
     // Bad state: one or two variables pinned to random constants.  A
     // conjunction of two pins is rarer to hit, biasing part of the
     // population toward safe (provable) systems.
-    let pin = |tm: &mut TermManager, rng: &mut XorShift, v: TermId| {
-        let c = tm.bv_const(rng.below(1 << width), width);
-        tm.eq(v, c)
+    let all: Vec<TermId> = vars.iter().chain(&flags).copied().collect();
+    let pin = |tm: &mut TermManager, rng: &mut XorShift, v: TermId| match tm.sort(v) {
+        Sort::Bool => {
+            if rng.below(2) == 0 {
+                tm.not(v)
+            } else {
+                v
+            }
+        }
+        Sort::BitVec(_) => {
+            let c = tm.bv_const(rng.below(1 << width), width);
+            tm.eq(v, c)
+        }
     };
-    let a = vars[rng.below(num_vars as u64) as usize];
-    let bad = if num_vars > 1 && rng.below(2) == 0 {
-        let b = vars[rng.below(num_vars as u64) as usize];
+    let a = all[rng.below(all.len() as u64) as usize];
+    let bad = if all.len() > 1 && rng.below(2) == 0 {
+        let b = all[rng.below(all.len() as u64) as usize];
         let pa = pin(tm, rng, a);
         let pb = pin(tm, rng, b);
         tm.and(pa, pb)
@@ -107,11 +131,14 @@ fn random_system(tm: &mut TermManager, rng: &mut XorShift) -> TransitionSystem {
 /// A random next-state function over the state variables: a shallow tree
 /// of arithmetic/boolean ops with the occasional saturating cap thrown in
 /// (caps are what make a random system *safe*, so the proved arm of the
-/// differential is actually populated).
+/// differential is actually populated), and, when there are boolean state
+/// variables, the occasional enable: the update only fires while a flag
+/// holds.
 fn random_update(
     tm: &mut TermManager,
     rng: &mut XorShift,
     vars: &[TermId],
+    flags: &[TermId],
     this: TermId,
     width: u32,
 ) -> TermId {
@@ -134,11 +161,52 @@ fn random_update(
             tm.bv_add(this, one)
         }
     };
-    if rng.below(2) == 0 {
+    let capped = if rng.below(2) == 0 {
         // Saturate: once the value reaches a random cap it sticks there.
         let cap = tm.bv_const(rng.below(1 << width), width);
         let at_cap = tm.bv_ule(cap, this);
         tm.ite(at_cap, cap, raw)
+    } else {
+        raw
+    };
+    if !flags.is_empty() && rng.below(3) == 0 {
+        let enable = flags[rng.below(flags.len() as u64) as usize];
+        tm.ite(enable, capped, this)
+    } else {
+        capped
+    }
+}
+
+/// A random next-state function for a boolean state variable: a bit or a
+/// comparison of the bit-vector variables, another flag, or a sticky
+/// (once-set-stays-set) version of one of those.
+fn random_flag_update(
+    tm: &mut TermManager,
+    rng: &mut XorShift,
+    vars: &[TermId],
+    flags: &[TermId],
+    this: TermId,
+    width: u32,
+) -> TermId {
+    let v = vars[rng.below(vars.len() as u64) as usize];
+    let raw = match rng.below(5) {
+        0 => tm.bv_bit(v, rng.below(u64::from(width)) as u32),
+        1 => {
+            let c = tm.bv_const(rng.below(1 << width), width);
+            tm.bv_ult(v, c)
+        }
+        2 => {
+            let c = tm.bv_const(rng.below(1 << width), width);
+            tm.eq(v, c)
+        }
+        3 => {
+            let other = flags[rng.below(flags.len() as u64) as usize];
+            tm.xor(this, other)
+        }
+        _ => tm.not(this),
+    };
+    if rng.below(3) == 0 {
+        tm.or(this, raw)
     } else {
         raw
     }
@@ -173,8 +241,9 @@ fn distil(result: BmcResult, label: &str) -> Outcome {
     }
 }
 
-/// Runs all three methods on one system and enforces the agreement rules.
-fn cross_check(tm: &mut TermManager, ts: &TransitionSystem, context: &str) {
+/// Runs all three methods on one system and enforces the agreement rules;
+/// returns whether PDR proved the system.
+fn cross_check(tm: &mut TermManager, ts: &TransitionSystem, context: &str) -> bool {
     const PROVER_CAP: usize = 12;
 
     let ind_run = KInduction::new(budgeted_config()).check(tm, ts, PROVER_CAP);
@@ -190,7 +259,8 @@ fn cross_check(tm: &mut TermManager, ts: &TransitionSystem, context: &str) {
         );
     }
     let pdr_run = Pdr::new(budgeted_config()).check(tm, ts, PROVER_CAP);
-    if let BmcResult::Proved { .. } = &pdr_run.result {
+    let pdr_proved = pdr_run.result.is_proved();
+    if pdr_proved {
         let cert = pdr_run
             .certificate
             .as_ref()
@@ -275,17 +345,31 @@ fn cross_check(tm: &mut TermManager, ts: &TransitionSystem, context: &str) {
             );
         }
     }
+    pdr_proved
 }
 
 #[test]
 fn randomized_systems_agree_across_methods() {
     let seed = seed_from_env();
     let mut rng = XorShift::new(seed);
+    let mut proved_with_flags = 0;
     for case in 0..24 {
         let mut tm = TermManager::new();
         let ts = random_system(&mut tm, &mut rng);
-        cross_check(&mut tm, &ts, &format!("seed {seed} case {case}"));
+        let has_flag = ts
+            .state_vars()
+            .iter()
+            .any(|sv| tm.sort(sv.current).is_bool());
+        if cross_check(&mut tm, &ts, &format!("seed {seed} case {case}")) && has_flag {
+            proved_with_flags += 1;
+        }
     }
+    // PDR's boolean cube literals must actually be cross-checked: some
+    // proof in the population has to range over a boolean state variable.
+    assert!(
+        proved_with_flags > 0,
+        "seed {seed}: no system with a boolean state variable was proved by PDR"
+    );
 }
 
 #[test]
