@@ -8,10 +8,6 @@
 //! * `incremental` — [`BmcMode::PerDepth`]: one persistent
 //!   `IncrementalSolver`, the unrolling asserted once, per-depth bad states
 //!   as retractable assumptions, learnt clauses carried across depths;
-//! * `cumulative` — [`BmcMode::CumulativeIncremental`]: the same persistent
-//!   solver, driven as growing `max_bound` calls on one `Bmc` (each call
-//!   asserts one new frame and checks only the not-yet-proven depths, with
-//!   the bad-state disjunct as a retractable assumption);
 //! * `scratch` — [`BmcMode::PerDepthScratch`]: a fresh solver per depth that
 //!   re-bit-blasts the whole prefix (O(k²) total encoding work).
 //!
@@ -34,9 +30,6 @@ fn bench_incremental_vs_scratch(c: &mut Criterion) {
         group.bench_function(&format!("incremental_bound{bound}"), |b| {
             b.iter(|| sweep::run(bound, BmcMode::PerDepth, &bug))
         });
-        group.bench_function(&format!("cumulative_bound{bound}"), |b| {
-            b.iter(|| sweep::run_cumulative(bound, &bug))
-        });
         group.bench_function(&format!("scratch_bound{bound}"), |b| {
             b.iter(|| sweep::run(bound, BmcMode::PerDepthScratch, &bug))
         });
@@ -46,29 +39,18 @@ fn bench_incremental_vs_scratch(c: &mut Criterion) {
     // Direct measurement summary with the incremental runs' reuse counters.
     println!("\n== incremental vs scratch: measured speedup");
     println!(
-        "{:>6} {:>12} {:>12} {:>12} {:>9} {:>9} {:>10} {:>10} {:>10}",
-        "bound",
-        "incr [ms]",
-        "cumul [ms]",
-        "scratch[ms]",
-        "spd-incr",
-        "spd-cum",
-        "learnt-hw",
-        "deleted",
-        "retained"
+        "{:>6} {:>12} {:>12} {:>9} {:>10} {:>10} {:>10}",
+        "bound", "incr [ms]", "scratch[ms]", "spd-incr", "learnt-hw", "deleted", "retained"
     );
     for &bound in &[2usize, 4, 6] {
-        let (incr, _) = sweep::run(bound, BmcMode::PerDepth, &bug);
-        let (cumul, reuse) = sweep::run_cumulative(bound, &bug);
+        let (incr, reuse) = sweep::run(bound, BmcMode::PerDepth, &bug);
         let (scratch, _) = sweep::run(bound, BmcMode::PerDepthScratch, &bug);
         println!(
-            "{:>6} {:>12.2} {:>12.2} {:>12.2} {:>8.2}x {:>8.2}x {:>10} {:>10} {:>10}",
+            "{:>6} {:>12.2} {:>12.2} {:>8.2}x {:>10} {:>10} {:>10}",
             bound,
             incr.as_secs_f64() * 1e3,
-            cumul.as_secs_f64() * 1e3,
             scratch.as_secs_f64() * 1e3,
             scratch.as_secs_f64() / incr.as_secs_f64(),
-            scratch.as_secs_f64() / cumul.as_secs_f64(),
             reuse.learnt_high_water,
             reuse.learnt_deleted,
             reuse.learnt_retained,

@@ -3,7 +3,7 @@
 //!
 //! Runs the shared [`sepe_bench::sweep`] protocol (one Table-1 SQED sweep,
 //! tiny processor, ADD only — the bug is invisible to SQED, so every depth
-//! is explored) in five BMC modes:
+//! is explored) in four BMC configurations:
 //!
 //! * `incremental` — [`BmcMode::PerDepth`] on the persistent solver with
 //!   word-level rewriting + cone-of-influence reduction and the gate-level
@@ -14,8 +14,6 @@
 //! * `incremental_norewrite` — the default pipeline with the word-level
 //!   preprocessing off: the rewrite-on-vs-off arm that isolates what the
 //!   simplification pipeline buys,
-//! * `cumulative_incremental` — [`BmcMode::CumulativeIncremental`], driven
-//!   as growing `max_bound` calls on one `Bmc` (the cross-call reuse path),
 //! * `scratch` — [`BmcMode::PerDepthScratch`] with all preprocessing off,
 //!   the PR-1-era re-encoding baseline.
 //!
@@ -28,9 +26,12 @@
 //! its tight gate catches encoding regressions without runner-speed noise).
 //! A mode's SAT conflict count must match the baseline *exactly*: the search
 //! is deterministic, so a different count means a search heuristic changed,
-//! and such a change has to refresh the baseline on purpose.
+//! and such a change has to refresh the baseline on purpose.  The baseline
+//! must also match the run's arms one to one: a baseline mode the run no
+//! longer measures, a measured mode without a baseline entry, or a gated
+//! field missing from an entry fails the gate as a stale baseline.
 //!
-//! A sixth, **parallel** arm runs a batch of identical copies of the
+//! A fifth, **parallel** arm runs a batch of identical copies of the
 //! `incremental` sweep on the work-stealing detection engine
 //! (`sepe_sqed::parallel`), once with one worker and once with `--jobs N`
 //! workers (default: available parallelism / `SEPE_JOBS`), and records the
@@ -45,7 +46,7 @@
 //! engine-level recovery activity visible at a glance.  Also outside the
 //! regression gate.
 //!
-//! A seventh, **batched** arm answers a twenty-entry mutation catalogue
+//! A sixth, **batched** arm answers a twenty-entry mutation catalogue
 //! over one shared unrolling (`sepe_sqed::BatchedDetector` via
 //! `BatchSpec::catalogue`): one encoding, one persistent solver, one-hot
 //! activation-literal flips per entry and depth.  Its counters are
@@ -54,7 +55,7 @@
 //! clauses / batched shared clauses) must clear a hard 5x floor on every
 //! run and hold its baseline value when `--baseline` is given.
 //!
-//! An eighth, **service_cache** arm boots the detection service
+//! A seventh, **service_cache** arm boots the detection service
 //! (`sepe_service`) on a loopback socket with a fresh crash-safe result
 //! cache and submits the same small catalogue twice.  The cold pass
 //! computes and commits every verdict; the hot pass must be answered
@@ -63,7 +64,7 @@
 //! cache hits with zero misses and zero solver encodes, or the run exits
 //! nonzero.  Wall times are recorded for the artifact history only.
 //!
-//! A ninth, **proofs** arm runs both unbounded provers (k-induction and
+//! An eighth, **proofs** arm runs both unbounded provers (k-induction and
 //! IC3/PDR) against one clean configuration and one Table-1 mutation.  The
 //! clean config must come back **Proved** by PDR — the verdict no bounded
 //! sweep can give — with its inductive invariant re-verified on an
@@ -78,7 +79,7 @@
 //! Usage:
 //!   bench_smoke [--bound N] [--jobs N] [--out BENCH_smoke.json] [--baseline BENCH_baseline.json]
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use sepe_bench::{jobs_from_args, sweep};
 use sepe_smt::SolverReuseStats;
@@ -223,8 +224,6 @@ impl RobustnessResult {
 /// a baseline: 100% hits, zero misses, zero encodes.
 #[derive(Debug, Clone, Serialize)]
 struct ServiceCacheResult {
-    /// Gate key — leads so `baseline_field` scans stay bounded.
-    mode: String,
     /// Catalogue entries per submit.
     entries: usize,
     /// Wall time of the cold submit (computes + commits everything).
@@ -285,7 +284,6 @@ fn run_service_cache() -> ServiceCacheResult {
     let _ = std::fs::remove_dir_all(&dir);
 
     ServiceCacheResult {
-        mode: "service_cache".to_string(),
         entries,
         cold_wall_ms: cold_wall.as_secs_f64() * 1e3,
         hot_wall_ms: hot_wall.as_secs_f64() * 1e3,
@@ -343,8 +341,6 @@ struct ProofMethodResult {
 ///   baseline (no proof on the buggy design; any trace found matches).
 #[derive(Debug, Clone, Serialize)]
 struct ProofsResult {
-    /// Gate key — leads so `baseline_field` scans stay bounded.
-    mode: String,
     methods: Vec<ProofMethodResult>,
 }
 
@@ -478,10 +474,7 @@ fn run_proofs() -> ProofsResult {
         "proofs arm: no prover closed the clean-config proof"
     );
 
-    ProofsResult {
-        mode: "proofs".to_string(),
-        methods,
-    }
+    ProofsResult { methods }
 }
 
 /// The batched in-solver arm: [`BATCHED_ENTRIES`] identical copies of the
@@ -493,8 +486,6 @@ fn run_proofs() -> ProofsResult {
 /// clauses) must clear [`BATCHED_THROUGHPUT_FLOOR`] and hold its baseline.
 #[derive(Debug, Clone, Serialize)]
 struct BatchedResult {
-    /// Gate key — `baseline_field` scans for this value, so it leads.
-    mode: String,
     /// Catalogue entries answered.
     entries: usize,
     /// Wall time of the whole batched run.
@@ -533,23 +524,54 @@ struct SmokeReport {
     proofs: ProofsResult,
 }
 
-/// Pulls `"<field>": <number>` for a named mode out of a baseline JSON
-/// (hand-rolled scan: the offline serde shim renders but does not parse).
-/// The scan is bounded to the named mode's entry — it stops at the next
-/// `"mode"` key — so a missing field reports as missing instead of
-/// silently reading the next mode's value.
-fn baseline_field(json: &str, mode: &str, field: &str) -> Option<f64> {
-    let marker = format!("\"{mode}\"");
-    let after_mode = &json[json.find(&marker)? + marker.len()..];
-    let entry = &after_mode[..after_mode.find("\"mode\"").unwrap_or(after_mode.len())];
-    let key = format!("\"{field}\":");
-    let after_key = &entry[entry.find(&key)? + key.len()..];
-    let number: String = after_key
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-        .collect();
-    number.parse().ok()
+/// Verdicts of the comparison against a checked-in baseline.
+#[derive(Debug, Default)]
+struct Gate {
+    /// A wall time or clause count exceeded its tolerance.
+    regressed: bool,
+    /// A SAT conflict count moved.
+    search_changed: bool,
+    /// The baseline and the run disagree on which arms or fields exist.
+    stale: bool,
+}
+
+impl Gate {
+    /// Marks the baseline stale for `name`, saying why.
+    fn mark_stale(&mut self, name: &str, why: &str) {
+        println!("  {name:<24} {why} STALE");
+        self.stale = true;
+    }
+
+    /// The baseline's number for `field` of `name`'s entry; a missing one
+    /// marks the baseline stale.
+    fn expected(&mut self, entry: &Value, name: &str, field: &str) -> Option<f64> {
+        let value = entry.get(field).and_then(Value::as_f64);
+        if value.is_none() {
+            self.mark_stale(name, &format!("has no baseline {field}"));
+        }
+        value
+    }
+
+    /// Fails the gate when `measured` exceeds `factor` times the baseline.
+    fn at_most(&mut self, name: &str, unit: &str, measured: f64, expected: f64, factor: f64) {
+        let ratio = measured / expected;
+        let verdict = if ratio > factor {
+            self.regressed = true;
+            "REGRESSED"
+        } else {
+            "ok"
+        };
+        let digits = usize::from(unit == "ms");
+        println!(
+            "  {name:<24} {measured:>9.digits$} {unit} vs baseline {expected:>9.digits$} {unit} \
+             ({ratio:.2}x) {verdict}"
+        );
+    }
+}
+
+/// The `mode` name of a baseline entry (empty when it has none).
+fn mode_of(entry: &Value) -> &str {
+    entry.get("mode").and_then(Value::as_str).unwrap_or("")
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -574,7 +596,6 @@ fn main() {
     let (incr_wall, incr_solver) = sweep::run_with(bound, BmcMode::PerDepth, &bug, true, true);
     let (noaig_wall, noaig_solver) = sweep::run_with(bound, BmcMode::PerDepth, &bug, true, false);
     let (raw_wall, raw_solver) = sweep::run_with(bound, BmcMode::PerDepth, &bug, false, true);
-    let (cumul_wall, cumul_solver) = sweep::run_cumulative(bound, &bug);
     let (scratch_wall, scratch_solver) =
         sweep::run_with(bound, BmcMode::PerDepthScratch, &bug, false, false);
 
@@ -616,7 +637,6 @@ fn main() {
         .unwrap_or(0)
         * BATCHED_ENTRIES as u64;
     let batched = BatchedResult {
-        mode: "batched".to_string(),
         entries: BATCHED_ENTRIES,
         wall_ms: bstats.wall.as_secs_f64() * 1e3,
         queries: bstats.queries,
@@ -653,7 +673,6 @@ fn main() {
             ModeResult::new("incremental", incr_wall, incr_solver),
             ModeResult::new("aig_off", noaig_wall, noaig_solver),
             ModeResult::new("incremental_norewrite", raw_wall, raw_solver),
-            ModeResult::new("cumulative_incremental", cumul_wall, cumul_solver),
             ModeResult::new("scratch", scratch_wall, scratch_solver),
         ],
         parallel,
@@ -808,115 +827,105 @@ fn main() {
     }
 
     if let Some(path) = baseline_path {
-        let baseline = std::fs::read_to_string(&path)
+        let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let mut regressed = false;
-        let mut search_changed = false;
+        let baseline = serde_json::from_str(&text)
+            .unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}"));
+        let mut gate = Gate::default();
+        let entries = baseline
+            .get("modes")
+            .and_then(Value::as_array)
+            .unwrap_or(&[]);
+        for entry in entries {
+            if !report.modes.iter().any(|m| m.mode == mode_of(entry)) {
+                gate.mark_stale(mode_of(entry), "is in the baseline but was not measured");
+            }
+        }
         for m in &report.modes {
-            match baseline_field(&baseline, &m.mode, "wall_ms") {
-                Some(expected) => {
-                    let ratio = m.wall_ms / expected;
-                    let verdict = if ratio > REGRESSION_FACTOR {
-                        regressed = true;
-                        "REGRESSED"
-                    } else {
-                        "ok"
-                    };
-                    println!(
-                        "  {:<24} {:>9.1} ms vs baseline {:>9.1} ms ({ratio:.2}x) {verdict}",
-                        m.mode, m.wall_ms, expected
-                    );
-                }
-                None => println!("  {:<24} no baseline wall_ms entry, skipping", m.mode),
+            let Some(entry) = entries.iter().find(|e| mode_of(e) == m.mode) else {
+                gate.mark_stale(&m.mode, "was measured but has no baseline entry");
+                continue;
+            };
+            if let Some(expected) = gate.expected(entry, &m.mode, "wall_ms") {
+                gate.at_most(&m.mode, "ms", m.wall_ms, expected, REGRESSION_FACTOR);
             }
             // The clause gate is the noise-free half: counts are
             // deterministic on identical code, so exceeding the tight
             // factor means the encoding itself regressed, not the runner.
-            match baseline_field(&baseline, &m.mode, "cnf_clauses") {
-                Some(expected) if expected > 0.0 => {
-                    let ratio = m.cnf_clauses as f64 / expected;
-                    let verdict = if ratio > CLAUSE_REGRESSION_FACTOR {
-                        regressed = true;
-                        "REGRESSED"
-                    } else {
-                        "ok"
-                    };
-                    println!(
-                        "  {:<24} {:>9} clauses vs baseline {:>9.0} ({ratio:.2}x) {verdict}",
-                        m.mode, m.cnf_clauses, expected
-                    );
-                }
-                _ => println!("  {:<24} no baseline cnf_clauses entry, skipping", m.mode),
+            if let Some(expected) = gate.expected(entry, &m.mode, "cnf_clauses") {
+                let clauses = m.cnf_clauses as f64;
+                gate.at_most(
+                    &m.mode,
+                    "clauses",
+                    clauses,
+                    expected,
+                    CLAUSE_REGRESSION_FACTOR,
+                );
             }
             // Storage and propagation changes keep every decision, so the
             // conflict count is exact; only a search change may move it.
-            match baseline_field(&baseline, &m.mode, "conflicts") {
-                Some(expected) => {
-                    let verdict = if m.conflicts as f64 == expected {
-                        "ok"
-                    } else {
-                        search_changed = true;
-                        "SEARCH CHANGED"
-                    };
-                    println!(
-                        "  {:<24} {:>9} conflicts vs baseline {:>9.0} {verdict}",
-                        m.mode, m.conflicts, expected
-                    );
-                }
-                None => println!("  {:<24} no baseline conflicts entry, skipping", m.mode),
+            if let Some(expected) = gate.expected(entry, &m.mode, "conflicts") {
+                let verdict = if m.conflicts as f64 == expected {
+                    "ok"
+                } else {
+                    gate.search_changed = true;
+                    "SEARCH CHANGED"
+                };
+                println!(
+                    "  {:<24} {:>9} conflicts vs baseline {:>9.0} {verdict}",
+                    m.mode, m.conflicts, expected
+                );
             }
         }
         // Batched arm: the shared encoding's clause count gets the tight
         // deterministic gate, and the throughput ratio must hold whatever
         // the baseline recorded (both sides of the ratio are deterministic,
         // so a drop means the batched path lost ground to per-job).
-        match baseline_field(&baseline, "batched", "cnf_clauses") {
-            Some(expected) if expected > 0.0 => {
-                let ratio = report.batched.cnf_clauses as f64 / expected;
-                let verdict = if ratio > CLAUSE_REGRESSION_FACTOR {
-                    regressed = true;
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "  {:<24} {:>9} clauses vs baseline {:>9.0} ({ratio:.2}x) {verdict}",
-                    "batched", report.batched.cnf_clauses, expected
-                );
+        match baseline.get("batched") {
+            None => gate.mark_stale("batched", "was measured but has no baseline entry"),
+            Some(entry) => {
+                if let Some(expected) = gate.expected(entry, "batched", "cnf_clauses") {
+                    let clauses = report.batched.cnf_clauses as f64;
+                    gate.at_most(
+                        "batched",
+                        "clauses",
+                        clauses,
+                        expected,
+                        CLAUSE_REGRESSION_FACTOR,
+                    );
+                }
+                if let Some(expected) = gate.expected(entry, "batched", "throughput") {
+                    let verdict = if report.batched.throughput < expected / CLAUSE_REGRESSION_FACTOR
+                    {
+                        gate.regressed = true;
+                        "REGRESSED"
+                    } else {
+                        "ok"
+                    };
+                    println!(
+                        "  {:<24} {:.2}x throughput vs baseline {expected:.2}x {verdict}",
+                        "batched", report.batched.throughput
+                    );
+                }
             }
-            _ => println!(
-                "  {:<24} no baseline cnf_clauses entry, skipping",
-                "batched"
-            ),
         }
-        match baseline_field(&baseline, "batched", "throughput") {
-            Some(expected) if expected > 0.0 => {
-                let floor = expected / CLAUSE_REGRESSION_FACTOR;
-                let verdict = if report.batched.throughput < floor {
-                    regressed = true;
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "  {:<24} {:.2}x throughput vs baseline {expected:.2}x {verdict}",
-                    "batched", report.batched.throughput
-                );
-            }
-            _ => println!("  {:<24} no baseline throughput entry, skipping", "batched"),
+        if gate.stale {
+            eprintln!(
+                "bench-smoke: {path} does not match the measured arms — refresh the baseline"
+            );
         }
-        if search_changed {
+        if gate.search_changed {
             eprintln!(
                 "bench-smoke: SAT conflicts differ from {path}: search changed — refresh the baseline"
             );
         }
-        if regressed {
+        if gate.regressed {
             eprintln!(
                 "bench-smoke: wall time (>{REGRESSION_FACTOR}x) or CNF clause count \
                  (>{CLAUSE_REGRESSION_FACTOR}x) regressed against {path}"
             );
         }
-        if regressed || search_changed {
+        if gate.stale || gate.search_changed || gate.regressed {
             std::process::exit(1);
         }
     }

@@ -11,7 +11,6 @@ use sepe_smt::EncodeStats;
 use sepe_sqed::batch::{BatchedStats, CatalogueEntry};
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::parallel::{BatchSpec, BatchStats, DetectionJob, Engine};
-use sepe_tsys::BmcMode;
 
 use crate::report::{SolverRow, SolverSummary};
 use crate::Profile;
@@ -172,26 +171,22 @@ pub fn run(profile: Profile) -> Vec<Fig4Row> {
 }
 
 /// The two detection jobs of one Figure-4 bug.  Both methods explore depth
-/// by depth on the persistent incremental solver: counterexamples are
-/// genuinely shortest, so the length-ratio curve compares like for like (a
-/// cumulative query would return an arbitrary-model trace and bias the
-/// comparison), and the wall-clock budget is enforced between depths.
+/// by depth on the persistent incremental solver (the default):
+/// counterexamples are genuinely shortest, so the length-ratio curve
+/// compares like for like, and the wall-clock budget is enforced between
+/// depths.
 fn jobs_for(bug: &Mutation, profile: Profile) -> [DetectionJob; 2] {
-    let detector = detector_for(bug, profile);
-    let per_depth = DetectorConfig {
-        bmc_mode: BmcMode::PerDepth,
-        ..detector.config().clone()
-    };
+    let config = detector_for(bug, profile).config().clone();
     [
         DetectionJob::new(
             format!("{}-sqed", bug.name),
-            per_depth.clone(),
+            config.clone(),
             Method::Sqed,
             Some(bug.clone()),
         ),
         DetectionJob::new(
             format!("{}-sepe", bug.name),
-            per_depth,
+            config,
             Method::SepeSqed,
             Some(bug.clone()),
         ),

@@ -13,12 +13,11 @@ use std::time::{Duration, Instant};
 
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
-use sepe_smt::{SolverReuseStats, TermManager};
+use sepe_smt::SolverReuseStats;
 use sepe_sqed::batch::CatalogueEntry;
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::parallel::DetectionJob;
-use sepe_sqed::qed::{QedBuilder, Scheme};
-use sepe_tsys::{Bmc, BmcConfig, BmcMode};
+use sepe_tsys::BmcMode;
 
 /// The injected bug of the sweep (ADD result off by one — undetectable by
 /// plain SQED).
@@ -73,7 +72,7 @@ pub fn run_with(
     let wall = start.elapsed();
     assert!(!detection.detected, "SQED must miss the Table-1 bug");
     let mut solver = detection.solver;
-    // The scratch modes build fresh solvers per query and report (almost)
+    // The scratch mode builds a fresh solver per query and reports (almost)
     // all-zero reuse stats; fold the model checker's conflict total in so
     // every mode carries its conflict count in the same place.
     solver.conflicts = detection.conflicts;
@@ -110,37 +109,4 @@ pub fn catalogue(copies: usize) -> Vec<CatalogueEntry> {
     (0..copies)
         .map(|i| CatalogueEntry::new(format!("sqed-sweep-{i}"), bug.clone()))
         .collect()
-}
-
-/// The cumulative-incremental sweep, driven as growing `max_bound` calls on
-/// one persistent [`Bmc`] — the cross-call solver-reuse path: each call
-/// asserts only the new transition frame and queries only the depths not
-/// proven by earlier calls.
-///
-/// # Panics
-///
-/// Panics if any call unexpectedly reports a counterexample.
-pub fn run_cumulative(max_bound: usize, bug: &Mutation) -> (Duration, SolverReuseStats) {
-    let d = detector(max_bound, BmcMode::CumulativeIncremental);
-    let mut tm = TermManager::new();
-    let builder = QedBuilder {
-        processor: d.config().processor.clone(),
-        original_opcodes: d.original_opcodes(Method::Sqed),
-        queue_depth: d.config().queue_depth,
-    };
-    let system = builder.build(&mut tm, &Scheme::Sqed, Some(bug));
-    let mut bmc = Bmc::new(BmcConfig {
-        start_bound: 1, // the initial state is consistent by construction
-        mode: BmcMode::CumulativeIncremental,
-        ..BmcConfig::default()
-    });
-    let start = Instant::now();
-    for bound in 1..=max_bound {
-        let result = bmc.check(&mut tm, &system.ts, bound);
-        assert!(
-            !result.is_counterexample(),
-            "SQED must miss the Table-1 bug"
-        );
-    }
-    (start.elapsed(), bmc.stats().solver)
 }

@@ -11,7 +11,6 @@ use sepe_smt::EncodeStats;
 use sepe_sqed::batch::{BatchedStats, CatalogueEntry};
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::parallel::{BatchSpec, BatchStats, DetectionJob, Engine};
-use sepe_tsys::BmcMode;
 
 use crate::report::{SolverRow, SolverSummary};
 use crate::Profile;
@@ -172,9 +171,9 @@ pub fn run(profile: Profile) -> Vec<Table1Row> {
 
 /// The two detection jobs of one Table-1 bug: the SQED run (shallower
 /// bound — the point of the row is that it finds nothing no matter how long
-/// it looks) and the SEPE-SQED run (per-depth on the persistent incremental
-/// solver: shortest counterexamples first, encodings and learnt clauses
-/// shared across depths).
+/// it looks) and the SEPE-SQED run.  Both explore per depth on the
+/// persistent incremental solver (the default): shortest counterexamples
+/// first, encodings and learnt clauses shared across depths.
 fn jobs_for(bug: &Mutation, profile: Profile) -> [DetectionJob; 2] {
     let detector = detector_for(bug, profile);
     let sqed_bound = match profile {
@@ -193,10 +192,7 @@ fn jobs_for(bug: &Mutation, profile: Profile) -> [DetectionJob; 2] {
         ),
         DetectionJob::new(
             format!("{}-sepe", bug.name),
-            DetectorConfig {
-                bmc_mode: BmcMode::PerDepth,
-                ..detector.config().clone()
-            },
+            detector.config().clone(),
             Method::SepeSqed,
             Some(bug.clone()),
         ),

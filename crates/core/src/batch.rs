@@ -307,11 +307,11 @@ impl BatchedDetector {
             mode: BmcMode::PerDepth,
             simplify: self.config.simplify,
             aig: self.config.aig,
-            frame_rescore: None,
             cancel: chained.clone(),
             memory_limit: self.config.memory_limit,
             // per-entry faults are armed around individual queries instead
             fault: BmcFaultPlan::default(),
+            ..BmcConfig::default()
         };
         let mut session = BmcSession::open(&mut tm, &system.ts, &session_config);
         stats.encodes = 1;

@@ -54,10 +54,10 @@ pub struct DetectorConfig {
     pub equivalence: Option<EquivalenceDb>,
     /// Depth-exploration strategy of the model checker.
     ///
-    /// The default is [`BmcMode::Cumulative`] (one query over all depths,
-    /// usually fastest when a counterexample exists); the per-depth modes
-    /// are exposed for shortest-counterexample-first exploration and for the
-    /// incremental-vs-scratch benchmarks.
+    /// The default is [`BmcMode::PerDepth`]: one query per depth on one
+    /// persistent session, so the first counterexample found is a shortest
+    /// one.  [`BmcMode::PerDepthScratch`] re-encodes every depth on a fresh
+    /// solver; it is the differential and benchmark reference.
     pub bmc_mode: BmcMode,
     /// Word-level preprocessing (on by default): rewriting ahead of
     /// bit-blasting plus the BMC cone-of-influence reduction.  Off is the
@@ -73,8 +73,8 @@ pub struct DetectorConfig {
     /// run with an inconclusive [`Detection`] within a short burst of SAT
     /// conflicts.  Independent cancellation sources chain by each pushing
     /// their own flag: the [`parallel`](crate::parallel) engine *adds* its
-    /// batch/portfolio flag to whatever the caller configured, so a
-    /// caller's flag keeps working inside a batch.
+    /// batch flag to whatever the caller configured, so a caller's flag
+    /// keeps working inside a batch.
     pub cancel: Vec<CancelFlag>,
     /// Caps the estimated SAT clause-arena + watcher bytes per solver
     /// (`None` = unlimited); a run that exceeds the cap comes back
@@ -117,7 +117,7 @@ impl Default for DetectorConfig {
             time_limit: None,
             queue_depth: None,
             equivalence: None,
-            bmc_mode: BmcMode::Cumulative,
+            bmc_mode: BmcMode::PerDepth,
             simplify: true,
             aig: true,
             cancel: Vec::new(),
@@ -318,14 +318,15 @@ pub struct Detection {
     pub bound_reached: usize,
     /// Total SAT conflicts spent by the model checker.
     pub conflicts: u64,
-    /// Solver-reuse counters of the model-checking run (all zero for the
-    /// scratch/cumulative modes, which build fresh solvers per query).
+    /// Solver-reuse counters of the model-checking run (only the encoding
+    /// counters for [`BmcMode::PerDepthScratch`], which builds a fresh
+    /// solver per query).
     pub solver: sepe_smt::SolverReuseStats,
-    /// Per-query solver-work deltas, one entry per SAT query in issue order
-    /// (one per depth in the per-depth BMC modes).  The cumulative counters
-    /// above hide how the work is distributed over the sweep; these deltas
-    /// are what the table1/fig4 binaries report so the effect of
-    /// learnt-database reduction is readable per depth.
+    /// Per-query solver-work deltas, one entry per SAT query (one per depth)
+    /// in issue order.  The cumulative counters above hide how the work is
+    /// distributed over the sweep; these deltas are what the table1/fig4
+    /// binaries report so the effect of learnt-database reduction is
+    /// readable per depth.
     pub depths: Vec<sepe_tsys::DepthStats>,
 }
 
@@ -412,16 +413,13 @@ impl Detector {
             time_limit: self.config.time_limit,
             // the initial state is consistent by construction, start at 1
             start_bound: 1,
-            // default: one cumulative query over all depths (fastest when a
-            // counterexample exists); per-depth modes guarantee shortest
-            // counterexamples and enable incremental solver reuse
             mode: self.config.bmc_mode,
             simplify: self.config.simplify,
             aig: self.config.aig,
-            frame_rescore: None,
             cancel: self.config.cancel.clone(),
             memory_limit: self.config.memory_limit,
             fault: self.config.fault.map(FaultPlan::to_bmc).unwrap_or_default(),
+            ..BmcConfig::default()
         };
         if let Some(prover) = self.config.prove {
             let run = match prover {

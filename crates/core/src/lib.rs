@@ -60,9 +60,7 @@ pub use edsepv::EdsepV;
 pub use equivalence::EquivalenceDb;
 pub use fault::FaultPlan;
 pub use mapping::RegisterMapping;
-#[allow(deprecated)]
-pub use parallel::ParallelEngine;
 pub use parallel::{
     BatchOutcome, BatchSpec, BatchStats, DegradationRung, DetectionJob, Engine, EngineOutcome,
-    JobOutcome, JobReport, PortfolioArm, PortfolioOutcome, RetryPolicy, StopReasonTally,
+    JobOutcome, JobReport, RetryPolicy, StopReasonTally,
 };

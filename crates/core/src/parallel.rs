@@ -1,12 +1,11 @@
 //! Parallel multi-bug detection: a work-stealing engine over independent
-//! `Detector::check` jobs, plus a portfolio mode that races solver
-//! configurations against each other.
+//! `Detector::check` jobs and batched mutation catalogues.
 //!
 //! The paper's headline experiments (Table 1, Figure 4) are sweeps of one
 //! detection run per mutation × method × bound.  [`Engine::run`] is the one
 //! entry point for all of them: it takes a [`BatchSpec`] describing *what*
 //! to schedule and returns an [`EngineOutcome`] describing what happened.
-//! The three spec modes:
+//! The two spec modes:
 //!
 //! * [`BatchSpec::Jobs`] — independent [`DetectionJob`]s: each worker gets
 //!   its own [`Detector`] (nothing is shared between jobs but the job queue
@@ -15,13 +14,6 @@
 //!   batch runs inline on the calling thread in job order — byte-for-byte
 //!   the sequential drivers, which is what the determinism tests and the
 //!   bench regression gate rely on.
-//! * [`BatchSpec::Portfolio`] — the *same* query raced under differing
-//!   configurations ([`PortfolioArm`]: AIG on/off, rewriting on/off,
-//!   per-depth vs cumulative); the first conclusive arm wins and the losers
-//!   are cancelled through the shared flag.  The PR-4 measurements showed
-//!   `aig_off` propagates better on some cones while the shared encoding
-//!   wins on others — racing both gets the minimum of the arms' runtimes
-//!   without predicting the winner.
 //! * [`BatchSpec::Catalogue`] — a mutation catalogue answered over **one
 //!   shared unrolling** by the batched detector
 //!   ([`BatchedDetector`]): the whole group
@@ -38,11 +30,6 @@
 //!
 //! Per-job [`SolverReuseStats`] are aggregated into a [`BatchStats`] so a
 //! batch reports the same counters the sequential drivers print.
-//!
-//! The pre-redesign entry points survive as deprecated shims:
-//! `ParallelEngine` is an alias of [`Engine`], and
-//! [`Engine::run_portfolio`] forwards to [`Engine::run`] with a
-//! [`BatchSpec::Portfolio`].
 //!
 //! # Example
 //!
@@ -170,9 +157,9 @@ impl JobOutcome {
 }
 
 /// One rung of the retry degradation ladder: each retry re-runs the job
-/// under a configuration one step simpler/cheaper than the last, mirroring
-/// the ablation arms of [`PortfolioArm::standard`].  A panic or budget
-/// breach tied to a specific optimisation (AIG rewriting, word-level
+/// under a configuration one step simpler/cheaper than the last: AIG off,
+/// then rewriting off, then scratch solving at half the bound.  A panic or
+/// budget breach tied to a specific optimisation (AIG rewriting, word-level
 /// simplification, solver persistence) clears at the rung that removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradationRung {
@@ -315,10 +302,10 @@ impl StopReasonTally {
     }
 }
 
-/// Aggregate statistics of one batch (or portfolio) run.
+/// Aggregate statistics of one batch run.
 #[derive(Debug, Clone, Default)]
 pub struct BatchStats {
-    /// Jobs (or portfolio arms) that were scheduled.
+    /// Jobs that were scheduled.
     pub jobs: u64,
     /// Worker threads the batch ran on.
     pub workers: usize,
@@ -330,9 +317,8 @@ pub struct BatchStats {
     /// Longest single job — the lower bound on batch wall time no worker
     /// count can beat.
     pub job_wall_max: Duration,
-    /// Jobs or portfolio arms that ended inconclusive because the shared
-    /// cancellation flag was raised (global budget expiry, or a portfolio
-    /// race being decided by another arm).
+    /// Jobs that ended inconclusive because the shared cancellation flag
+    /// was raised (global budget expiry).
     pub cancelled: u64,
     /// Total SAT conflicts across all jobs.
     pub conflicts: u64,
@@ -413,81 +399,6 @@ pub struct BatchOutcome {
     pub stats: BatchStats,
 }
 
-/// One configuration of a portfolio race: the knobs that change *how* a
-/// query is solved without changing *what* it decides.
-#[derive(Debug, Clone)]
-pub struct PortfolioArm {
-    /// Arm label (reported in [`ArmOutcome`]).
-    pub name: String,
-    /// Depth-exploration strategy.
-    pub bmc_mode: BmcMode,
-    /// Word-level rewriting + cone-of-influence reduction.
-    pub simplify: bool,
-    /// Gate-level AIG reductions.
-    pub aig: bool,
-}
-
-impl PortfolioArm {
-    /// Creates an arm.
-    pub fn new(name: impl Into<String>, bmc_mode: BmcMode, simplify: bool, aig: bool) -> Self {
-        PortfolioArm {
-            name: name.into(),
-            bmc_mode,
-            simplify,
-            aig,
-        }
-    }
-
-    /// The standard four-arm portfolio: the default pipeline, the two
-    /// single-knob ablations that PR 3/4 measured as workload-dependent
-    /// (AIG off propagates better on some cones; rewriting off occasionally
-    /// wins on tiny queries), and the cumulative single-query mode (fastest
-    /// when a counterexample exists).
-    pub fn standard() -> Vec<PortfolioArm> {
-        vec![
-            PortfolioArm::new("per_depth", BmcMode::PerDepth, true, true),
-            PortfolioArm::new("per_depth_aig_off", BmcMode::PerDepth, true, false),
-            PortfolioArm::new("per_depth_norewrite", BmcMode::PerDepth, false, true),
-            PortfolioArm::new("cumulative", BmcMode::Cumulative, true, true),
-        ]
-    }
-
-    /// The base configuration with this arm's knobs applied.
-    fn apply(&self, base: &DetectorConfig) -> DetectorConfig {
-        DetectorConfig {
-            bmc_mode: self.bmc_mode,
-            simplify: self.simplify,
-            aig: self.aig,
-            ..base.clone()
-        }
-    }
-}
-
-/// The result of one portfolio arm.
-#[derive(Debug, Clone)]
-pub struct ArmOutcome {
-    /// The arm's label.
-    pub arm: String,
-    /// What the arm reported (inconclusive for cancelled losers).
-    pub detection: Detection,
-    /// Whether the arm was cut off by the race being decided (or by the
-    /// global budget) rather than finishing on its own.
-    pub cancelled: bool,
-}
-
-/// The result of a portfolio race ([`BatchSpec::Portfolio`]).
-#[derive(Debug, Clone)]
-pub struct PortfolioOutcome {
-    /// Index (into the arm list) of the winning arm.
-    pub winner: usize,
-    /// The winning arm's detection — the portfolio's answer.
-    pub detection: Detection,
-    /// Every arm's outcome, in arm order.
-    pub arms: Vec<ArmOutcome>,
-    /// Aggregate counters over the arms (cancelled losers included).
-    pub stats: BatchStats,
-}
-
 /// What one [`Engine::run`] invocation schedules.
 ///
 /// `Vec<DetectionJob>` converts [`Into`] the independent-jobs mode, so the
@@ -496,14 +407,6 @@ pub struct PortfolioOutcome {
 pub enum BatchSpec {
     /// Independent detection jobs, scheduled by work stealing.
     Jobs(Vec<DetectionJob>),
-    /// One query raced under several solver configurations; first
-    /// conclusive arm wins.
-    Portfolio {
-        /// The query every arm decides.
-        job: Box<DetectionJob>,
-        /// The solver configurations to race.
-        arms: Vec<PortfolioArm>,
-    },
     /// A mutation catalogue answered over one shared unrolling (see
     /// [`BatchedDetector`]); the whole group
     /// is one scheduling unit.
@@ -525,14 +428,6 @@ impl From<Vec<DetectionJob>> for BatchSpec {
 }
 
 impl BatchSpec {
-    /// A portfolio spec (convenience over the enum literal).
-    pub fn portfolio(job: DetectionJob, arms: Vec<PortfolioArm>) -> Self {
-        BatchSpec::Portfolio {
-            job: Box::new(job),
-            arms,
-        }
-    }
-
     /// A batched-catalogue spec (convenience over the enum literal).
     pub fn catalogue(method: Method, config: DetectorConfig, entries: Vec<CatalogueEntry>) -> Self {
         BatchSpec::Catalogue {
@@ -549,8 +444,6 @@ impl BatchSpec {
 pub enum EngineOutcome {
     /// The result of a [`BatchSpec::Jobs`] run.
     Jobs(BatchOutcome),
-    /// The result of a [`BatchSpec::Portfolio`] race.
-    Portfolio(Box<PortfolioOutcome>),
     /// The result of a [`BatchSpec::Catalogue`] run.
     Catalogue(BatchedOutcome),
 }
@@ -565,18 +458,6 @@ impl EngineOutcome {
         match self {
             EngineOutcome::Jobs(outcome) => outcome,
             other => panic!("expected a jobs outcome, got {}", other.mode()),
-        }
-    }
-
-    /// The portfolio outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run was not a [`BatchSpec::Portfolio`] race.
-    pub fn expect_portfolio(self) -> PortfolioOutcome {
-        match self {
-            EngineOutcome::Portfolio(outcome) => *outcome,
-            other => panic!("expected a portfolio outcome, got {}", other.mode()),
         }
     }
 
@@ -596,7 +477,6 @@ impl EngineOutcome {
     pub fn mode(&self) -> &'static str {
         match self {
             EngineOutcome::Jobs(_) => "jobs",
-            EngineOutcome::Portfolio(_) => "portfolio",
             EngineOutcome::Catalogue(_) => "catalogue",
         }
     }
@@ -606,16 +486,13 @@ impl EngineOutcome {
     pub fn detections(&self) -> Vec<&Detection> {
         match self {
             EngineOutcome::Jobs(outcome) => outcome.detections.iter().collect(),
-            EngineOutcome::Portfolio(outcome) => {
-                outcome.arms.iter().map(|a| &a.detection).collect()
-            }
             EngineOutcome::Catalogue(outcome) => outcome.detections.iter().collect(),
         }
     }
 }
 
-/// The detection engine: one scheduler for independent jobs, portfolio
-/// races and batched catalogues.
+/// The detection engine: one scheduler for independent jobs and batched
+/// catalogues.
 ///
 /// See the [module docs](self) for the scheduling and cancellation model.
 #[derive(Debug, Clone)]
@@ -624,10 +501,6 @@ pub struct Engine {
     time_limit: Option<Duration>,
     retry: RetryPolicy,
 }
-
-/// The engine's pre-redesign name.
-#[deprecated(note = "renamed to `Engine`; drive it through `Engine::run(BatchSpec)`")]
-pub type ParallelEngine = Engine;
 
 impl Engine {
     /// Creates an engine with the given worker count (clamped to ≥ 1).
@@ -661,16 +534,13 @@ impl Engine {
         self.workers
     }
 
-    /// Runs a [`BatchSpec`] — independent jobs, a portfolio race, or a
-    /// batched catalogue — and returns the matching [`EngineOutcome`]
+    /// Runs a [`BatchSpec`] — independent jobs or a batched catalogue — and
+    /// returns the matching [`EngineOutcome`]
     /// variant.  `Vec<DetectionJob>` converts into the jobs mode, so the
     /// common case is `engine.run(jobs).expect_jobs()`.
     pub fn run(&self, spec: impl Into<BatchSpec>) -> EngineOutcome {
         match spec.into() {
             BatchSpec::Jobs(jobs) => EngineOutcome::Jobs(self.run_jobs(jobs)),
-            BatchSpec::Portfolio { job, arms } => {
-                EngineOutcome::Portfolio(Box::new(self.race_portfolio(&job, &arms)))
-            }
             BatchSpec::Catalogue {
                 method,
                 config,
@@ -735,125 +605,6 @@ impl Engine {
                 .into_iter()
                 .map(|r| r.expect("every job sends exactly one report"))
                 .collect(),
-            stats,
-        }
-    }
-
-    /// Races the same query under each arm's configuration; the first arm
-    /// to return a *conclusive* verdict wins and the others are cancelled
-    /// through the shared flag (they report as inconclusive, cancelled
-    /// [`ArmOutcome`]s).  If every arm is inconclusive — budget expiry, or
-    /// conflict limits all round — the earliest finisher is the "winner" so
-    /// the outcome always carries a detection.
-    ///
-    /// Soundness makes first-finisher-wins safe: every arm decides the same
-    /// bounded reachability question, so conclusive arms can only agree on
-    /// `detected`.  Only trace *lengths* may differ (the cumulative arm
-    /// returns an arbitrary-model trace, not a shortest one).
-    ///
-    /// The arm count is capped by neither `workers` nor the job queue —
-    /// a portfolio is one query's race, and arms only pay off when they
-    /// actually run concurrently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arms` is empty.
-    #[deprecated(note = "use `Engine::run(BatchSpec::portfolio(job, arms))`")]
-    pub fn run_portfolio(&self, job: &DetectionJob, arms: &[PortfolioArm]) -> PortfolioOutcome {
-        self.race_portfolio(job, arms)
-    }
-
-    /// The portfolio race behind [`BatchSpec::Portfolio`]; see
-    /// [`Engine::run`].
-    fn race_portfolio(&self, job: &DetectionJob, arms: &[PortfolioArm]) -> PortfolioOutcome {
-        assert!(!arms.is_empty(), "a portfolio needs at least one arm");
-        let start = Instant::now();
-        let cancel: CancelFlag = Arc::new(AtomicBool::new(false));
-        let deadline = self.time_limit.map(|budget| start + budget);
-        let watchdog = self.spawn_watchdog(&cancel);
-        let (tx, rx) = mpsc::channel::<(usize, Detection, JobReport, bool)>();
-
-        let mut outcomes: Vec<Option<(ArmOutcome, JobReport)>> = vec![None; arms.len()];
-        let mut winner: Option<usize> = None;
-        thread::scope(|scope| {
-            for (i, arm) in arms.iter().enumerate() {
-                let tx = tx.clone();
-                let cancel = cancel.clone();
-                let mut config = arm.apply(&job.config);
-                // Chain, don't replace: the caller's own flags stay armed
-                // alongside the race's flag.
-                config.cancel.push(cancel.clone());
-                clamp_time_limit(&mut config, deadline);
-                let method = job.method;
-                let mutation = job.mutation.clone();
-                let label = format!("{}:{}", job.label, arm.name);
-                scope.spawn(move || {
-                    let (detection, outcome, panicked) =
-                        run_isolated(config, method, mutation.as_ref());
-                    let report = JobReport {
-                        label,
-                        outcome,
-                        attempts: 1,
-                        panicked_attempts: u32::from(panicked),
-                        rung: DegradationRung::Full,
-                    };
-                    // Sample the flag here, not at receive time: an arm
-                    // that gave up on its own budget before the race was
-                    // decided must not be mislabeled as cancelled just
-                    // because the winner's flag landed while its result
-                    // sat in the channel.
-                    let cancelled = detection.inconclusive && cancel.load(Ordering::Relaxed);
-                    let _ = tx.send((i, detection, report, cancelled));
-                });
-            }
-            drop(tx);
-            // Collect in arrival order so the first conclusive verdict can
-            // cut the still-running arms loose immediately.
-            for (i, detection, report, cancelled) in rx {
-                if winner.is_none() && !detection.inconclusive {
-                    winner = Some(i);
-                    cancel.store(true, Ordering::Relaxed);
-                }
-                outcomes[i] = Some((
-                    ArmOutcome {
-                        arm: arms[i].name.clone(),
-                        detection,
-                        cancelled,
-                    },
-                    report,
-                ));
-            }
-        });
-        if let Some((done, handle)) = watchdog {
-            let _ = done.send(());
-            let _ = handle.join();
-        }
-
-        let (arms_out, arm_reports): (Vec<ArmOutcome>, Vec<JobReport>) = outcomes
-            .into_iter()
-            .map(|o| o.expect("every arm sends exactly one result"))
-            .unzip();
-        // All-inconclusive fallback: the arm that gave up first.
-        let winner = winner.unwrap_or_else(|| {
-            arms_out
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, o)| o.detection.runtime)
-                .map(|(i, _)| i)
-                .expect("arms is non-empty")
-        });
-        let mut stats = BatchStats {
-            workers: arms_out.len(),
-            ..BatchStats::default()
-        };
-        for (o, report) in arms_out.iter().zip(&arm_reports) {
-            stats.absorb_job(&o.detection, report, o.cancelled);
-        }
-        stats.wall = start.elapsed();
-        PortfolioOutcome {
-            winner,
-            detection: arms_out[winner].detection.clone(),
-            arms: arms_out,
             stats,
         }
     }

@@ -1,13 +1,12 @@
 //! Integration tests of the parallel detection engine: determinism across
-//! worker counts, prompt global cancellation, and portfolio
-//! first-finisher-wins agreement.
+//! worker counts and prompt global cancellation.
 
 use std::time::{Duration, Instant};
 
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
-use sepe_sqed::detect::{Detector, DetectorConfig, Method};
-use sepe_sqed::parallel::{BatchSpec, DetectionJob, Engine, PortfolioArm};
+use sepe_sqed::detect::{DetectorConfig, Method};
+use sepe_sqed::parallel::{DetectionJob, Engine};
 
 /// A fast per-bug configuration: tiny processor, the bug's target opcode
 /// plus ADDI, shallow bound.  Small enough that the whole Table-1 mutation
@@ -117,82 +116,4 @@ fn global_deadline_stops_all_workers_promptly() {
         outcome.stats.cancelled >= 1,
         "at least the in-flight jobs must report as cancelled"
     );
-}
-
-#[test]
-fn portfolio_first_finisher_matches_every_arm_run_alone() {
-    // The clean design is consistent, so every arm must conclude UNSAT up
-    // to the bound; whichever arm finishes first, the portfolio's verdict
-    // has to agree with each arm run by itself.
-    let job = DetectionJob::new(
-        "clean",
-        DetectorConfig {
-            processor: ProcessorConfig::tiny().with_opcodes(&[Opcode::Add, Opcode::Xori]),
-            max_bound: 2,
-            ..DetectorConfig::default()
-        },
-        Method::Sqed,
-        None,
-    );
-    let arms = PortfolioArm::standard();
-    let outcome = Engine::new(arms.len())
-        .run(BatchSpec::portfolio(job.clone(), arms.clone()))
-        .expect_portfolio();
-    assert!(outcome.winner < arms.len());
-    assert!(!outcome.detection.detected);
-    assert!(!outcome.detection.inconclusive);
-    assert_eq!(outcome.arms.len(), arms.len());
-    for (i, arm) in arms.iter().enumerate() {
-        assert_eq!(outcome.arms[i].arm, arm.name, "arm results out of order");
-        // Each arm alone, sequentially, with the same knobs.
-        let mut config = job.config.clone();
-        config.bmc_mode = arm.bmc_mode;
-        config.simplify = arm.simplify;
-        config.aig = arm.aig;
-        let alone = Detector::new(config).check(job.method, None);
-        assert!(
-            !alone.detected && !alone.inconclusive,
-            "arm {} diverges from its solo run",
-            arm.name
-        );
-        assert_eq!(alone.detected, outcome.detection.detected);
-    }
-}
-
-#[test]
-#[ignore = "long formal check on a single-CPU host; run with cargo test -- --ignored"]
-fn portfolio_detects_a_real_bug_and_agrees_with_the_arms() {
-    // A detected (SAT) verdict through the portfolio: the ADD off-by-one
-    // bug is visible to SEPE-SQED within bound 4.
-    let bug = Mutation::table1()[0].clone();
-    let job = DetectionJob::new(
-        "add-bug",
-        DetectorConfig {
-            processor: ProcessorConfig::tiny().with_opcodes(&[Opcode::Add, Opcode::Addi]),
-            max_bound: 4,
-            ..DetectorConfig::default()
-        },
-        Method::SepeSqed,
-        Some(bug),
-    );
-    let arms = PortfolioArm::standard();
-    let outcome = Engine::new(arms.len())
-        .run(BatchSpec::portfolio(job.clone(), arms.clone()))
-        .expect_portfolio();
-    assert!(
-        outcome.detection.detected,
-        "the portfolio must find the bug"
-    );
-    for (i, arm) in arms.iter().enumerate() {
-        let mut config = job.config.clone();
-        config.bmc_mode = arm.bmc_mode;
-        config.simplify = arm.simplify;
-        config.aig = arm.aig;
-        let alone = Detector::new(config).check(job.method, job.mutation.as_ref());
-        assert!(
-            alone.detected,
-            "arm {} misses the bug its portfolio found",
-            arms[i].name
-        );
-    }
 }

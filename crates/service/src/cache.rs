@@ -76,7 +76,7 @@ pub fn job_descriptor(
     ops.sort_unstable();
     ops.dedup();
     format!(
-        "sepe-job-v2|xlen={}|mem={}|hist={}|ops={}|method={}|mut={}|bound={}|simplify={}|aig={}|prove={}",
+        "sepe-job-v3|xlen={}|mem={}|hist={}|ops={}|method={}|mut={}|bound={}|simplify={}|aig={}|prove={}",
         processor.xlen,
         processor.mem_words,
         processor.history_depth,

@@ -203,6 +203,43 @@ fn batched_catalogue_runs_and_caches_per_entry() {
 }
 
 #[test]
+fn batched_and_unbatched_paths_agree_on_a_detected_bug() {
+    // The cache key carries no `batched` bit, so either path may fill an
+    // entry the other one later serves: both must report the same verdict,
+    // shortest trace and bound.  Each path runs cold on its own server.
+    let request = SubmitRequest {
+        mutations: vec!["single-add".to_string()],
+        ..SubmitRequest::new(
+            Method::SepeSqed,
+            3,
+            ProcessorConfig {
+                history_depth: 1,
+                ..tiny_universe()
+            },
+        )
+    };
+    let verdict = |batched: bool| {
+        let server = start_server(if batched { "batched-on" } else { "batched-off" }, |_| {});
+        let reply = server
+            .client()
+            .submit(&SubmitRequest {
+                batched,
+                ..request.clone()
+            })
+            .unwrap();
+        assert_eq!(reply.done.computed, 1, "a fresh cache computes the job");
+        server.stop();
+        reply.verdicts[0].clone()
+    };
+    let batched = verdict(true);
+    let unbatched = verdict(false);
+    assert!(batched.detected, "SEPE-SQED finds the ADD bug");
+    assert_eq!(batched.detected, unbatched.detected);
+    assert_eq!(batched.trace_len, unbatched.trace_len);
+    assert_eq!(batched.bound_reached, unbatched.bound_reached);
+}
+
+#[test]
 fn overload_is_shed_with_busy_and_a_retrying_client_gets_through() {
     let server = start_server("overload", |c| {
         c.job_workers = 1;

@@ -167,21 +167,9 @@ impl IncrementalSolver {
         self.simplify = on;
     }
 
-    /// CNF variables allocated by the underlying bit-blaster so far (a
-    /// watermark for
-    /// [`rescale_activities_before`](Self::rescale_activities_before)).
+    /// CNF variables allocated by the underlying bit-blaster so far.
     pub fn num_cnf_vars(&self) -> u32 {
         self.blaster.cnf().num_vars()
-    }
-
-    /// Decays the SAT branching (VSIDS) activity of every CNF variable
-    /// allocated before `watermark` by `factor` — the BMC drivers call this
-    /// when a new unrolling frame is asserted, so branching re-centres on
-    /// the newest frame's variables instead of letting stale depths dominate
-    /// (see `SatSolver::rescale_activities_before`).
-    pub fn rescale_activities_before(&mut self, watermark: u32, factor: f64) {
-        self.sat
-            .rescale_activities_before(crate::cnf::Var(watermark), factor);
     }
 
     /// Limits the SAT conflict budget of each subsequent check; `None` means

@@ -393,14 +393,6 @@ impl VarOrder {
         self.positions[self.heap[i].index()] = Some(i);
         self.positions[self.heap[j].index()] = Some(j);
     }
-
-    /// Restores the heap property after an out-of-band activity change
-    /// (bottom-up heapify, O(n)).
-    fn rebuild(&mut self, activity: &[f64]) {
-        for i in (0..self.heap.len() / 2).rev() {
-            self.sift_down(i, activity);
-        }
-    }
 }
 
 /// The CDCL solver.
@@ -667,36 +659,6 @@ impl SatSolver {
     /// Counters of the learnt-clause database reduction.
     pub fn reduce_stats(&self) -> ReduceStats {
         self.reduce_stats
-    }
-
-    /// Multiplies the VSIDS activity of every variable allocated before
-    /// `watermark` by `factor` (0 < `factor` ≤ 1) and re-heapifies the
-    /// branching order.
-    ///
-    /// Between calls, a long-lived incremental solver keeps the activity it
-    /// accumulated on *earlier* queries; on a BMC bound extension that state
-    /// makes branching dwell on stale depths.  Decaying every pre-extension
-    /// variable uniformly re-centres branching toward the newest frame's
-    /// variables (which start cold but now catch up after a handful of
-    /// bumps) without forgetting the old ordering entirely.  A no-op when
-    /// `factor` is 1 or no variables precede the watermark.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not in `(0, 1]`.
-    pub fn rescale_activities_before(&mut self, watermark: Var, factor: f64) {
-        assert!(
-            factor > 0.0 && factor <= 1.0,
-            "activity rescale factor must be in (0, 1], got {factor}"
-        );
-        if factor == 1.0 {
-            return;
-        }
-        let end = watermark.index().min(self.activity.len());
-        for a in &mut self.activity[..end] {
-            *a *= factor;
-        }
-        self.order.rebuild(&self.activity);
     }
 
     fn lit_value(&self, l: Lit) -> i8 {
@@ -1783,47 +1745,6 @@ mod tests {
         assert_eq!(s.solve(), SolveOutcome::Sat);
         assert_eq!(s.solve_under_assumptions(&[lit(act)]), SolveOutcome::Unsat);
         assert_eq!(s.unsat_assumptions(), &[lit(act)]);
-    }
-
-    #[test]
-    fn activity_rescaling_preserves_verdicts_and_reusability() {
-        // SAT instance solved repeatedly with rescaling between calls: the
-        // verdicts must be stable and models must stay valid.
-        let mut s = solver_with(&pigeonhole(4, 4));
-        assert_eq!(s.solve_under_assumptions(&[lit(1)]), SolveOutcome::Sat);
-        s.rescale_activities_before(Var(8), 0.25);
-        assert_eq!(s.solve_under_assumptions(&[lit(-1)]), SolveOutcome::Sat);
-        assert!(!s.value_of(Var(0)));
-        s.rescale_activities_before(Var(16), 0.5);
-        assert_eq!(s.solve(), SolveOutcome::Sat);
-
-        // UNSAT instance: rescaling mid-way (between assumption calls) must
-        // not change the verdict of the differential twin without it.
-        let act = 43;
-        let clauses = guarded_pigeonhole(act);
-        let mut rescored = solver_with(&clauses);
-        let mut plain = solver_with(&clauses);
-        for _ in 0..3 {
-            rescored.rescale_activities_before(Var(20), 0.1);
-            assert_eq!(
-                rescored.solve_under_assumptions(&[lit(act)]),
-                plain.solve_under_assumptions(&[lit(act)]),
-            );
-            assert_eq!(rescored.solve(), plain.solve());
-        }
-        // a watermark beyond the allocated variables is clamped, not a panic
-        rescored.rescale_activities_before(Var(10_000), 0.5);
-        assert_eq!(
-            rescored.solve_under_assumptions(&[lit(act)]),
-            SolveOutcome::Unsat
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "rescale factor")]
-    fn activity_rescaling_rejects_bad_factors() {
-        let mut s = solver_with(&[vec![1, 2]]);
-        s.rescale_activities_before(Var(1), 1.5);
     }
 
     /// Randomized differential check of assumption solving against adding the

@@ -4,11 +4,11 @@ use std::time::{Duration, Instant};
 
 use sepe_smt::concrete::{self, Assignment};
 use sepe_smt::{
-    CancelFlag, FaultHooks, IncrementalSolver, Model, SatResult, Solver, SolverReuseStats,
-    StopReason, TermId, TermManager,
+    CancelFlag, FaultHooks, Model, SatResult, Solver, SolverReuseStats, StopReason, TermManager,
 };
 
 use crate::prove::ProofMethod;
+use crate::session::{BmcSession, QueryOutcome};
 use crate::ts::{CoiInfo, TransitionSystem};
 use crate::unroll::Unroller;
 use crate::witness::{Frame, Witness};
@@ -16,40 +16,18 @@ use crate::witness::{Frame, Witness};
 /// How the checker explores depths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BmcMode {
-    /// One SAT query per depth on a single persistent [`IncrementalSolver`]:
-    /// the unrolling is asserted once and grows monotonically, each depth's
-    /// bad state rides along as a retractable assumption, and learnt clauses
+    /// One SAT query per depth on a single persistent [`BmcSession`]: the
+    /// unrolling is asserted once and grows monotonically, each depth's bad
+    /// state rides along as a retractable assumption, and learnt clauses
     /// carry over between depths.  The first counterexample found is a
     /// shortest one.
     #[default]
     PerDepth,
     /// One SAT query per depth, each on a fresh scratch solver that
     /// re-encodes the whole unrolling prefix (the pre-incremental behavior,
-    /// kept for differential testing and benchmarking against
-    /// [`BmcMode::PerDepth`]).
+    /// kept as the reference of the differential tests and the bottom rung
+    /// of the parallel engine's retry ladder).
     PerDepthScratch,
-    /// A single SAT query at the maximum bound with the bad states of every
-    /// depth disjoined.  Usually much faster when a counterexample exists;
-    /// the returned witness is truncated to the earliest violating frame of
-    /// the model that was found.  Note this does not guarantee a *globally*
-    /// shortest counterexample — the solver returns an arbitrary model, and
-    /// a different model may violate earlier; use [`BmcMode::PerDepth`] when
-    /// minimal trace lengths matter.
-    Cumulative,
-    /// [`BmcMode::Cumulative`] on one persistent [`IncrementalSolver`] owned
-    /// by the [`Bmc`] instance: each [`check`](Bmc::check) call asserts only
-    /// the transition frames not yet asserted by earlier calls and issues a
-    /// single query with the bad-state disjunct of the not-yet-proven depths
-    /// as a *retractable* assumption.  Calling `check` repeatedly with a
-    /// growing `max_bound` therefore extends one solver across the whole
-    /// sweep — depths proven unreachable are never re-checked, learnt
-    /// clauses carry over, and the periodic learnt-database reduction keeps
-    /// the long-lived solver's memory bounded.  Like `Cumulative`, the
-    /// witness is truncated to the earliest violating frame of the model but
-    /// is not guaranteed globally shortest.  Every `check` call must receive
-    /// the same `TermManager` and `TransitionSystem`; call
-    /// [`Bmc::reset`] to start over on a different system.
-    CumulativeIncremental,
 }
 
 /// Configuration of a BMC run.
@@ -83,12 +61,9 @@ pub struct BmcConfig {
     /// [`simplify`](BmcConfig::simplify), which governs the word-level pass
     /// and the cone-of-influence reduction.
     pub aig: bool,
-    /// When set, decays the persistent SAT branching activity of every
-    /// pre-existing CNF variable by this factor (in `(0, 1]`) each time
-    /// [`BmcMode::CumulativeIncremental`] extends the unrolling by new
-    /// frames, re-centring VSIDS on the newest frame's variables.  `None`
-    /// (default) leaves activities untouched.
-    pub frame_rescore: Option<f64>,
+    /// Retired knob: always `None`.  Its type admits no other value; the
+    /// field stays only so existing `frame_rescore: None` literals compile.
+    pub frame_rescore: Option<std::convert::Infallible>,
     /// Shared cancellation flags (default empty).  *Any* raised flag makes
     /// an in-flight SAT search abort within a short burst of conflicts and
     /// the check return [`BmcResult::Unknown`] with
@@ -119,8 +94,7 @@ pub struct BmcFaultPlan {
     /// [`FaultHooks`]).
     pub sat: FaultHooks,
     /// Acts as a raised cancellation flag at the between-depths poll of the
-    /// given depth: the per-depth modes trip when about to query exactly
-    /// this depth, the cumulative modes when their single query covers it.
+    /// given depth: the run trips when about to query exactly this depth.
     pub cancel_at_depth: Option<usize>,
 }
 
@@ -212,13 +186,6 @@ impl BmcConfigBuilder {
         self
     }
 
-    /// VSIDS re-centring factor applied when the cumulative-incremental
-    /// unrolling grows.
-    pub fn frame_rescore(mut self, factor: f64) -> Self {
-        self.config.frame_rescore = Some(factor);
-        self
-    }
-
     /// Chains one more cancellation flag (never replaces existing ones).
     pub fn cancel(mut self, flag: CancelFlag) -> Self {
         self.config.cancel.push(flag);
@@ -279,12 +246,11 @@ pub struct BmcStats {
     /// Solver-reuse counters (term encodings cached/reused, word-level
     /// rewriting and cone-of-influence work, learnt clauses retained across
     /// depths, learnt-database reduction work).  In
-    /// [`BmcMode::PerDepthScratch`] and [`BmcMode::Cumulative`], which build
-    /// fresh solvers, only the rewrite/cone counters are populated.
+    /// [`BmcMode::PerDepthScratch`], which builds a fresh solver per depth,
+    /// only the encoding counters are populated, summed over the depths.
     pub solver: SolverReuseStats,
-    /// Per-query deltas, one entry per SAT query in issue order (one per
-    /// depth in the per-depth modes, a single entry in the cumulative
-    /// modes).
+    /// Per-query deltas, one entry per SAT query (one per depth) in issue
+    /// order.
     pub depths: Vec<DepthStats>,
 }
 
@@ -341,29 +307,11 @@ impl BmcResult {
     }
 }
 
-/// Persistent solver state of [`BmcMode::CumulativeIncremental`], carried
-/// across [`Bmc::check`] calls.
-#[derive(Debug, Clone)]
-struct CumulativeState {
-    solver: IncrementalSolver,
-    /// Per asserted frame, the remaining depth its next-state updates are
-    /// topped up to (`levels.len()` frames asserted so far).
-    levels: Vec<usize>,
-    /// Shallowest depth whose bad state has not been proven unreachable yet.
-    next_unproven: usize,
-    /// Next-state updates dropped by the cone-of-influence pass at the
-    /// current frame levels.
-    coi_dropped: u64,
-}
-
 /// The bounded model checker.
 #[derive(Debug, Clone, Default)]
 pub struct Bmc {
     config: BmcConfig,
     stats: BmcStats,
-    /// Solver state persisted across `check` calls in
-    /// [`BmcMode::CumulativeIncremental`]; `None` in every other mode.
-    cumulative: Option<CumulativeState>,
 }
 
 impl Bmc {
@@ -372,7 +320,6 @@ impl Bmc {
         Bmc {
             config,
             stats: BmcStats::default(),
-            cumulative: None,
         }
     }
 
@@ -381,20 +328,26 @@ impl Bmc {
         self.stats.clone()
     }
 
-    /// Whether any configured shared cancellation flag has been raised.
-    fn cancelled(&self) -> bool {
-        self.config
-            .cancel
-            .iter()
-            .any(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-    }
-
-    /// Drops the persistent solver state of
-    /// [`BmcMode::CumulativeIncremental`], so the next
-    /// [`check`](Self::check) starts from scratch (required before reusing
-    /// the checker on a different transition system or term manager).
-    pub fn reset(&mut self) {
-        self.cumulative = None;
+    /// The pre-query poll: why the run must stop before querying `bound`
+    /// (wall budget gone, a raised cancellation flag, or an injected
+    /// cancellation at this depth), if it must.
+    fn stop_before(&self, start: Instant, bound: usize) -> Option<StopReason> {
+        let config = &self.config;
+        if config
+            .time_limit
+            .is_some_and(|limit| start.elapsed() > limit)
+        {
+            Some(StopReason::Deadline)
+        } else if config.fault.cancel_at_depth == Some(bound)
+            || config
+                .cancel
+                .iter()
+                .any(|c| c.load(std::sync::atomic::Ordering::Relaxed))
+        {
+            Some(StopReason::Cancelled)
+        } else {
+            None
+        }
     }
 
     /// Checks whether any bad state of `ts` is reachable within `max_bound`
@@ -409,15 +362,13 @@ impl Bmc {
         match self.config.mode {
             BmcMode::PerDepth => self.check_per_depth(tm, ts, max_bound),
             BmcMode::PerDepthScratch => self.check_per_depth_scratch(tm, ts, max_bound),
-            BmcMode::Cumulative => self.check_cumulative(tm, ts, max_bound),
-            BmcMode::CumulativeIncremental => self.check_cumulative_incremental(tm, ts, max_bound),
         }
     }
 
-    /// Per-depth exploration on one persistent incremental solver: the
-    /// unrolling prefix is asserted exactly once (each depth adds only the
-    /// new frame's transition and constraints), the depth's bad state is a
-    /// retractable assumption, and all SAT-level learning carries over.
+    /// Per-depth exploration on one [`BmcSession`]: the unrolling prefix is
+    /// asserted exactly once (each depth adds only the new frame's
+    /// transition and constraints), the depth's bad state is a retractable
+    /// assumption, and all SAT-level learning carries over.
     fn check_per_depth(
         &mut self,
         tm: &mut TermManager,
@@ -425,79 +376,34 @@ impl Bmc {
         max_bound: usize,
     ) -> BmcResult {
         let start = Instant::now();
-        self.stats = BmcStats::default();
-        let mut unroller = Unroller::new(ts);
-        let coi = self.config.simplify.then(|| ts.cone_of_influence(tm));
-
-        let mut solver = IncrementalSolver::new();
-        solver.set_aig(self.config.aig);
-        solver.set_simplify(self.config.simplify);
-        solver.set_conflict_limit(self.config.conflict_limit);
-        solver.set_deadline(self.config.time_limit.map(|limit| start + limit));
-        solver.set_cancel_flags(self.config.cancel.clone());
-        solver.set_memory_limit(self.config.memory_limit);
-        solver.set_fault_hooks(self.config.fault.sat);
-        let init = unroller.init(tm);
-        solver.assert_term(tm, init);
-        let c0 = unroller.constraints_at(tm, 0);
-        solver.assert_term(tm, c0);
-        // Per asserted frame, the remaining depth it is topped up to.
-        let mut levels: Vec<usize> = Vec::new();
-
+        let mut session = BmcSession::open(tm, ts, &self.config);
+        session.solver().set_fault_hooks(self.config.fault.sat);
+        let mut result = BmcResult::NoCounterexample { bound: max_bound };
         for bound in self.config.start_bound..=max_bound {
-            for t in extend_unrolling(tm, &mut unroller, coi.as_ref(), &mut levels, bound) {
-                solver.assert_term(tm, t);
+            session.extend(tm, bound);
+            if let Some(reason) = self.stop_before(start, bound) {
+                result = BmcResult::Unknown { bound, reason };
+                break;
             }
-            let coi_dropped = coi_dropped_total(coi.as_ref(), &levels);
-            let budget_gone = self
-                .config
-                .time_limit
-                .is_some_and(|limit| start.elapsed() > limit);
-            let fault_cancel = self.config.fault.cancel_at_depth == Some(bound);
-            if budget_gone || fault_cancel || self.cancelled() {
-                self.stats.solver = solver.stats();
-                self.stats.solver.encode.rewrite.coi_dropped_updates = coi_dropped;
-                self.stats.duration = start.elapsed();
-                let reason = if budget_gone {
-                    StopReason::Deadline
-                } else {
-                    StopReason::Cancelled
-                };
-                return BmcResult::Unknown { bound, reason };
-            }
-            let bad = unroller.bad_at(tm, bound);
-            let result = solver.check_assuming(tm, &[bad]);
-            self.stats.queries += 1;
-            let mut sstats = solver.stats();
-            sstats.encode.rewrite.coi_dropped_updates = coi_dropped;
-            self.stats.conflicts = sstats.conflicts;
-            self.stats.solver = sstats;
-            self.stats.deepest_bound = bound;
-            self.stats.depths.push(DepthStats {
-                bound,
-                conflicts: sstats.conflicts_last_check,
-                clauses_added: sstats.clauses_last_check,
-                learnt_retained: sstats.learnt_retained,
-                duration: sstats.duration_last_check,
-            });
-            match result {
-                SatResult::Sat => {
-                    let model = solver.model(tm).clone();
-                    let witness =
-                        extract_witness(tm, ts, &mut unroller, &model, bound, coi.as_ref());
-                    self.stats.duration = start.elapsed();
-                    return BmcResult::Counterexample(witness);
+            let bad = session.bad_at(tm, bound);
+            match session.query(tm, bound, &[bad]) {
+                QueryOutcome::Counterexample(witness) => {
+                    result = BmcResult::Counterexample(witness);
+                    break;
                 }
-                SatResult::Unsat => {}
-                SatResult::Unknown => {
-                    self.stats.duration = start.elapsed();
-                    let reason = solver.stop_reason().unwrap_or(StopReason::ConflictBudget);
-                    return BmcResult::Unknown { bound, reason };
+                QueryOutcome::Unreachable => {}
+                QueryOutcome::Unknown(reason) => {
+                    result = BmcResult::Unknown { bound, reason };
+                    break;
                 }
             }
         }
+        self.stats = session.stats();
+        // The session reports how far it is extended; the run reports the
+        // deepest bound it actually queried.
+        self.stats.deepest_bound = self.stats.depths.last().map_or(0, |d| d.bound);
         self.stats.duration = start.elapsed();
-        BmcResult::NoCounterexample { bound: max_bound }
+        result
     }
 
     /// Per-depth exploration with a fresh scratch solver per depth — the
@@ -527,18 +433,8 @@ impl Bmc {
                 let both = tm.and(tr, cs);
                 path.push(both);
             }
-            let budget_gone = self
-                .config
-                .time_limit
-                .is_some_and(|limit| start.elapsed() > limit);
-            let fault_cancel = self.config.fault.cancel_at_depth == Some(bound);
-            if budget_gone || fault_cancel || self.cancelled() {
+            if let Some(reason) = self.stop_before(start, bound) {
                 self.stats.duration = start.elapsed();
-                let reason = if budget_gone {
-                    StopReason::Deadline
-                } else {
-                    StopReason::Cancelled
-                };
                 return BmcResult::Unknown { bound, reason };
             }
             let bad = unroller.bad_at(tm, bound);
@@ -594,282 +490,6 @@ impl Bmc {
         self.stats.duration = start.elapsed();
         BmcResult::NoCounterexample { bound: max_bound }
     }
-
-    fn check_cumulative(
-        &mut self,
-        tm: &mut TermManager,
-        ts: &TransitionSystem,
-        max_bound: usize,
-    ) -> BmcResult {
-        let start = Instant::now();
-        self.stats = BmcStats::default();
-        let mut unroller = Unroller::new(ts);
-        let coi = self.config.simplify.then(|| ts.cone_of_influence(tm));
-
-        let mut solver = Solver::new();
-        solver.set_aig(self.config.aig);
-        solver.set_simplify(self.config.simplify);
-        solver.set_conflict_limit(self.config.conflict_limit);
-        solver.set_deadline(self.config.time_limit.map(|limit| start + limit));
-        solver.set_cancel_flags(self.config.cancel.clone());
-        solver.set_memory_limit(self.config.memory_limit);
-        solver.set_fault_hooks(self.config.fault.sat);
-        let init = unroller.init(tm);
-        solver.assert_term(tm, init);
-        let c0 = unroller.constraints_at(tm, 0);
-        solver.assert_term(tm, c0);
-        let mut bads = Vec::new();
-        let mut levels: Vec<usize> = Vec::new();
-        for t in extend_unrolling(tm, &mut unroller, coi.as_ref(), &mut levels, max_bound) {
-            solver.assert_term(tm, t);
-        }
-        let coi_dropped = coi_dropped_total(coi.as_ref(), &levels);
-        let mut any_bad = tm.fls();
-        for k in self.config.start_bound..=max_bound {
-            let bad = unroller.bad_at(tm, k);
-            bads.push((k, bad));
-            any_bad = tm.or(any_bad, bad);
-        }
-        solver.assert_term(tm, any_bad);
-        if self
-            .config
-            .fault
-            .cancel_at_depth
-            .is_some_and(|d| d <= max_bound)
-        {
-            // The single query covers this depth: act as a raised flag at
-            // the pre-query poll, like the per-depth modes do.
-            self.stats.duration = start.elapsed();
-            return BmcResult::Unknown {
-                bound: max_bound,
-                reason: StopReason::Cancelled,
-            };
-        }
-        let outcome = solver.check(tm);
-        self.stats.queries = 1;
-        self.stats.conflicts = solver.stats().conflicts;
-        self.stats.deepest_bound = max_bound;
-        self.stats.solver.encode.rewrite = solver.stats().rewrite;
-        self.stats.solver.encode.rewrite.coi_dropped_updates = coi_dropped;
-        self.stats.solver.encode.aig = solver.stats().aig;
-        self.stats.solver.cnf_vars = solver.stats().cnf_vars;
-        self.stats.solver.cnf_clauses = solver.stats().cnf_clauses;
-        self.stats.depths.push(DepthStats {
-            bound: max_bound,
-            conflicts: solver.stats().conflicts,
-            clauses_added: 0,
-            learnt_retained: 0,
-            duration: start.elapsed(),
-        });
-        let result = match outcome {
-            SatResult::Sat => {
-                let model = solver.model(tm).clone();
-                // the earliest violated depth gives the counterexample length
-                let violated = bads
-                    .iter()
-                    .find(|(_, bad)| model.eval(tm, *bad) == 1)
-                    .map(|(k, _)| *k)
-                    .unwrap_or(max_bound);
-                self.stats.deepest_bound = violated;
-                let witness =
-                    extract_witness(tm, ts, &mut unroller, &model, violated, coi.as_ref());
-                BmcResult::Counterexample(witness)
-            }
-            SatResult::Unsat => BmcResult::NoCounterexample { bound: max_bound },
-            SatResult::Unknown => BmcResult::Unknown {
-                bound: max_bound,
-                reason: solver.stop_reason().unwrap_or(StopReason::ConflictBudget),
-            },
-        };
-        self.stats.duration = start.elapsed();
-        result
-    }
-
-    /// Cumulative exploration on the persistent solver owned by this `Bmc`:
-    /// only the transition frames beyond what earlier calls asserted are
-    /// encoded, the bad-state disjunct over the not-yet-proven depths rides
-    /// along as a retractable assumption, and a proven `max_bound` is
-    /// remembered so a later, deeper call checks only the new depths.
-    fn check_cumulative_incremental(
-        &mut self,
-        tm: &mut TermManager,
-        ts: &TransitionSystem,
-        max_bound: usize,
-    ) -> BmcResult {
-        let start = Instant::now();
-        self.stats = BmcStats::default();
-        let mut unroller = Unroller::new(ts);
-        let coi = self.config.simplify.then(|| ts.cone_of_influence(tm));
-
-        if self.cumulative.is_none() {
-            let mut solver = IncrementalSolver::new();
-            solver.set_aig(self.config.aig);
-            solver.set_simplify(self.config.simplify);
-            let init = unroller.init(tm);
-            solver.assert_term(tm, init);
-            let c0 = unroller.constraints_at(tm, 0);
-            solver.assert_term(tm, c0);
-            self.cumulative = Some(CumulativeState {
-                solver,
-                levels: Vec::new(),
-                next_unproven: self.config.start_bound,
-                coi_dropped: 0,
-            });
-        }
-        let state = self.cumulative.as_mut().expect("state initialized above");
-        let solver = &mut state.solver;
-        solver.set_conflict_limit(self.config.conflict_limit);
-        solver.set_deadline(self.config.time_limit.map(|limit| start + limit));
-        solver.set_cancel_flags(self.config.cancel.clone());
-        solver.set_memory_limit(self.config.memory_limit);
-        solver.set_fault_hooks(self.config.fault.sat);
-
-        let var_watermark = solver.num_cnf_vars();
-        let frames_before = state.levels.len();
-        for t in extend_unrolling(
-            tm,
-            &mut unroller,
-            coi.as_ref(),
-            &mut state.levels,
-            max_bound,
-        ) {
-            solver.assert_term(tm, t);
-        }
-        state.coi_dropped = coi_dropped_total(coi.as_ref(), &state.levels);
-        if let Some(factor) = self.config.frame_rescore {
-            // The unrolling grew: decay the branching activity accumulated
-            // on the old frames so VSIDS re-centres on the new ones.
-            if state.levels.len() > frames_before && var_watermark > 0 {
-                solver.rescale_activities_before(var_watermark, factor);
-            }
-        }
-        self.stats.deepest_bound = max_bound;
-        if state.next_unproven > max_bound {
-            // Every depth up to max_bound was proven unreachable by an
-            // earlier call on this solver.
-            self.stats.solver = solver.stats();
-            self.stats.solver.encode.rewrite.coi_dropped_updates = state.coi_dropped;
-            self.stats.duration = start.elapsed();
-            return BmcResult::NoCounterexample { bound: max_bound };
-        }
-
-        // One query: the disjunction of the unproven depths' bad states as a
-        // retractable assumption (a deeper follow-up call assumes a fresh
-        // disjunct, so nothing about the bads is asserted permanently).
-        let mut bads = Vec::new();
-        let mut any_bad = tm.fls();
-        for k in state.next_unproven..=max_bound {
-            let bad = unroller.bad_at(tm, k);
-            bads.push((k, bad));
-            any_bad = tm.or(any_bad, bad);
-        }
-        if self
-            .config
-            .fault
-            .cancel_at_depth
-            .is_some_and(|d| d <= max_bound)
-        {
-            // The single query covers this depth: act as a raised flag at
-            // the pre-query poll, like the per-depth modes do.
-            self.stats.duration = start.elapsed();
-            return BmcResult::Unknown {
-                bound: max_bound,
-                reason: StopReason::Cancelled,
-            };
-        }
-        let outcome = solver.check_assuming(tm, &[any_bad]);
-        let mut sstats = solver.stats();
-        sstats.encode.rewrite.coi_dropped_updates = state.coi_dropped;
-        self.stats.queries = 1;
-        self.stats.conflicts = sstats.conflicts;
-        self.stats.solver = sstats;
-        self.stats.depths.push(DepthStats {
-            bound: max_bound,
-            conflicts: sstats.conflicts_last_check,
-            clauses_added: sstats.clauses_last_check,
-            learnt_retained: sstats.learnt_retained,
-            duration: sstats.duration_last_check,
-        });
-        let result = match outcome {
-            SatResult::Sat => {
-                let model = solver.model(tm).clone();
-                let violated = bads
-                    .iter()
-                    .find(|(_, bad)| model.eval(tm, *bad) == 1)
-                    .map(|(k, _)| *k)
-                    .unwrap_or(max_bound);
-                self.stats.deepest_bound = violated;
-                let witness =
-                    extract_witness(tm, ts, &mut unroller, &model, violated, coi.as_ref());
-                BmcResult::Counterexample(witness)
-            }
-            SatResult::Unsat => {
-                state.next_unproven = max_bound + 1;
-                BmcResult::NoCounterexample { bound: max_bound }
-            }
-            SatResult::Unknown => BmcResult::Unknown {
-                bound: max_bound,
-                reason: solver.stop_reason().unwrap_or(StopReason::ConflictBudget),
-            },
-        };
-        self.stats.duration = start.elapsed();
-        result
-    }
-}
-
-/// Extends the asserted unrolling so that frames `0..bound` cover the
-/// per-depth cone of influence at that bound: the update into frame `k + 1`
-/// is needed only for variables within `bound - k - 1` remaining transition
-/// steps of a bad state or constraint ([`CoiInfo::keeps_within`]).  New
-/// frames contribute their depth-restricted transition plus the next
-/// frame's constraints; frames asserted by an earlier, shallower bound
-/// contribute only the refinement delta for the levels they gained
-/// ([`Unroller::transition_refinement`]), so an incremental solver never
-/// re-asserts what it already has.  `levels[k]` tracks the remaining depth
-/// frame `k` is topped up to.  Without a cone (`coi == None`, preprocessing
-/// off) frames are asserted whole, once.  Returns the terms to assert, in
-/// order — one definition of the frame dispatch for all BMC modes.
-pub(crate) fn extend_unrolling(
-    tm: &mut TermManager,
-    unroller: &mut Unroller<'_>,
-    coi: Option<&CoiInfo>,
-    levels: &mut Vec<usize>,
-    bound: usize,
-) -> Vec<TermId> {
-    let mut out = Vec::new();
-    for k in 0..bound {
-        // The per-frame cone saturates at the largest finite distance:
-        // capping here makes old frames' levels converge, so deep sweeps
-        // skip them instead of re-filtering every variable per bound.
-        let required = match coi {
-            Some(coi) => (bound - k - 1).min(coi.max_dist()),
-            None => 0, // whole frames are asserted once, never refined
-        };
-        if k >= levels.len() {
-            let tr = match coi {
-                Some(coi) => unroller.transition_within(tm, k, coi, required),
-                None => unroller.transition(tm, k),
-            };
-            out.push(tr);
-            out.push(unroller.constraints_at(tm, k + 1));
-            levels.push(required);
-        } else if levels[k] < required {
-            if let Some(coi) = coi {
-                out.push(unroller.transition_refinement(tm, k, coi, levels[k], required));
-            }
-            levels[k] = required;
-        }
-    }
-    out
-}
-
-/// Total next-state updates dropped across the asserted frames at their
-/// current refinement levels.
-pub(crate) fn coi_dropped_total(coi: Option<&CoiInfo>, levels: &[usize]) -> u64 {
-    match coi {
-        Some(coi) => levels.iter().map(|&r| coi.dropped_within(r) as u64).sum(),
-        None => 0,
-    }
 }
 
 /// Reads the counterexample trace out of a model.
@@ -880,10 +500,10 @@ pub(crate) fn coi_dropped_total(coi: Option<&CoiInfo>, levels: &[usize]) -> u64 
 /// their cone distance.  Their values are reconstructed by evaluating their
 /// next-state functions forward over the (progressively extended)
 /// assignment, so the witness is complete and consistent with a concrete
-/// replay either way.  Variables the solver did encode (e.g. because the
-/// persistent cumulative solver was topped up past this counterexample's
-/// bound) re-evaluate to their model values — the asserted frame equality
-/// forces agreement — so the overwrite is harmless.
+/// replay either way.  Variables the solver did encode (e.g. because a
+/// session was extended past this counterexample's bound) re-evaluate to
+/// their model values — the asserted frame equality forces agreement — so
+/// the overwrite is harmless.
 pub(crate) fn extract_witness(
     tm: &mut TermManager,
     ts: &TransitionSystem,
@@ -1093,92 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_incremental_matches_per_depth_across_growing_bounds() {
-        // One checker driven through growing max_bound calls; every verdict
-        // must match a fresh per-depth run over the same system.
-        let mut tm = TermManager::new();
-        let ts = counter_system(&mut tm, 8, 5, true);
-        let mut cumulative = Bmc::new(BmcConfig {
-            mode: BmcMode::CumulativeIncremental,
-            ..BmcConfig::default()
-        });
-        for bound in 0..8 {
-            let got = cumulative.check(&mut tm, &ts, bound);
-            let mut tm2 = TermManager::new();
-            let ts2 = counter_system(&mut tm2, 8, 5, true);
-            let mut per_depth = Bmc::new(BmcConfig::default());
-            let want = per_depth.check(&mut tm2, &ts2, bound);
-            match (&got, &want) {
-                (BmcResult::Counterexample(a), BmcResult::Counterexample(b)) => {
-                    // the counter is deterministic, so the earliest violating
-                    // frame of any model is the genuinely shortest trace
-                    assert_eq!(a.num_steps(), b.num_steps(), "bound {bound}");
-                }
-                (
-                    BmcResult::NoCounterexample { bound: a },
-                    BmcResult::NoCounterexample { bound: b },
-                ) => assert_eq!(a, b),
-                other => panic!("verdicts diverge at bound {bound}: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn cumulative_incremental_skips_proven_depths_and_reuses_the_solver() {
-        let mut tm = TermManager::new();
-        let ts = counter_system(&mut tm, 8, 50, true); // unreachable in 8 steps
-        let mut bmc = Bmc::new(BmcConfig {
-            mode: BmcMode::CumulativeIncremental,
-            ..BmcConfig::default()
-        });
-        match bmc.check(&mut tm, &ts, 6) {
-            BmcResult::NoCounterexample { bound } => assert_eq!(bound, 6),
-            other => panic!("expected no counterexample, got {other:?}"),
-        }
-        assert_eq!(bmc.stats().queries, 1);
-        let first_conflicts = bmc.stats().solver.conflicts;
-        // Re-checking an already-proven bound issues no SAT query at all.
-        match bmc.check(&mut tm, &ts, 6) {
-            BmcResult::NoCounterexample { bound } => assert_eq!(bound, 6),
-            other => panic!("expected no counterexample, got {other:?}"),
-        }
-        assert_eq!(bmc.stats().queries, 0);
-        assert_eq!(bmc.stats().solver.conflicts, first_conflicts);
-        // A deeper call extends the same solver: one query over the two new
-        // depths only, with the earlier encodings served from the cache.
-        match bmc.check(&mut tm, &ts, 8) {
-            BmcResult::NoCounterexample { bound } => assert_eq!(bound, 8),
-            other => panic!("expected no counterexample, got {other:?}"),
-        }
-        assert_eq!(bmc.stats().queries, 1);
-        assert!(bmc.stats().solver.encode.total_reuse() > 0);
-        // reset drops the persistent solver; the next call starts cold but
-        // still answers correctly.
-        bmc.reset();
-        match bmc.check(&mut tm, &ts, 4) {
-            BmcResult::NoCounterexample { bound } => assert_eq!(bound, 4),
-            other => panic!("expected no counterexample, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cumulative_incremental_finds_counterexamples_with_free_inputs() {
-        let mut tm = TermManager::new();
-        let ts = counter_system(&mut tm, 8, 200, false);
-        let mut bmc = Bmc::new(BmcConfig {
-            mode: BmcMode::CumulativeIncremental,
-            ..BmcConfig::default()
-        });
-        match bmc.check(&mut tm, &ts, 10) {
-            BmcResult::Counterexample(w) => {
-                assert_eq!(w.last().state("count"), 200);
-                assert!(w.num_steps() <= 10);
-            }
-            other => panic!("expected a counterexample, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn per_depth_stats_report_per_query_deltas() {
         let mut tm = TermManager::new();
         let ts = counter_system(&mut tm, 8, 50, true);
@@ -1196,6 +730,33 @@ mod tests {
             total, stats.conflicts,
             "per-depth conflict deltas must sum to the cumulative count"
         );
+    }
+
+    #[test]
+    fn early_stop_reports_the_queries_before_it() {
+        // Depths 1 and 2 are queried (both UNSAT); the injected cancellation
+        // trips at the poll before depth 3.
+        let mut tm = TermManager::new();
+        let ts = counter_system(&mut tm, 8, 50, true);
+        let mut bmc = Bmc::new(BmcConfig {
+            start_bound: 1,
+            fault: BmcFaultPlan {
+                cancel_at_depth: Some(3),
+                ..BmcFaultPlan::default()
+            },
+            ..BmcConfig::default()
+        });
+        match bmc.check(&mut tm, &ts, 10) {
+            BmcResult::Unknown { bound, reason } => {
+                assert_eq!(bound, 3);
+                assert_eq!(reason, StopReason::Cancelled);
+            }
+            other => panic!("expected a cancelled run, got {other:?}"),
+        }
+        let stats = bmc.stats();
+        assert_eq!(stats.queries, 2);
+        assert_eq!(stats.deepest_bound, 2);
+        assert_eq!(stats.depths.len(), 2);
     }
 
     /// Counter system plus a "shadow" accumulator state variable that the
@@ -1348,37 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_incremental_tops_refined_frames_up_across_bounds() {
-        // Growing max_bound calls on one persistent solver: every extension
-        // must top the old frames' cones up, so verdicts match a fresh
-        // per-depth run at every bound (both polarities appear: target 4 is
-        // reached at depth 4, so bounds 0..=3 are UNSAT, 4.. SAT).
-        let mut tm = TermManager::new();
-        let ts = chain_system(&mut tm, 4);
-        let mut cumulative = Bmc::new(BmcConfig {
-            mode: BmcMode::CumulativeIncremental,
-            ..BmcConfig::default()
-        });
-        for bound in 0..7 {
-            let got = cumulative.check(&mut tm, &ts, bound);
-            let mut tm2 = TermManager::new();
-            let ts2 = chain_system(&mut tm2, 4);
-            let mut per_depth = Bmc::new(BmcConfig::default());
-            let want = per_depth.check(&mut tm2, &ts2, bound);
-            match (&got, &want) {
-                (BmcResult::Counterexample(a), BmcResult::Counterexample(b)) => {
-                    assert_eq!(a.num_steps(), b.num_steps(), "bound {bound}");
-                }
-                (
-                    BmcResult::NoCounterexample { bound: a },
-                    BmcResult::NoCounterexample { bound: b },
-                ) => assert_eq!(a, b),
-                other => panic!("verdicts diverge at bound {bound}: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn aig_off_is_a_faithful_baseline() {
         for (target, constrain) in [(5u64, true), (50, true), (200, false)] {
             let mut tm = TermManager::new();
@@ -1439,37 +969,6 @@ mod tests {
                 off.stats().solver.encode.rewrite.pins == 0,
                 "simplify off must not pin"
             );
-        }
-    }
-
-    #[test]
-    fn frame_rescoring_keeps_cumulative_incremental_verdicts() {
-        // One checker with VSIDS frame rescoring, one without, driven
-        // through the same growing bounds: every verdict must match.
-        let mut tm = TermManager::new();
-        let ts = counter_system(&mut tm, 8, 5, true);
-        let mut rescored = Bmc::new(BmcConfig {
-            mode: BmcMode::CumulativeIncremental,
-            frame_rescore: Some(0.2),
-            ..BmcConfig::default()
-        });
-        let mut plain = Bmc::new(BmcConfig {
-            mode: BmcMode::CumulativeIncremental,
-            ..BmcConfig::default()
-        });
-        for bound in 0..8 {
-            let got = rescored.check(&mut tm, &ts, bound);
-            let want = plain.check(&mut tm, &ts, bound);
-            match (&got, &want) {
-                (BmcResult::Counterexample(a), BmcResult::Counterexample(b)) => {
-                    assert_eq!(a.num_steps(), b.num_steps(), "bound {bound}");
-                }
-                (
-                    BmcResult::NoCounterexample { bound: a },
-                    BmcResult::NoCounterexample { bound: b },
-                ) => assert_eq!(a, b),
-                other => panic!("verdicts diverge at bound {bound}: {other:?}"),
-            }
         }
     }
 

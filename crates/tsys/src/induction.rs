@@ -45,8 +45,8 @@ use crate::unroll::Unroller;
 
 /// The temporal-induction prover.  Reuses [`BmcConfig`] wholesale: budgets,
 /// cancellation flags, preprocessing toggles and the fault plan mean exactly
-/// what they mean for [`Bmc`](crate::Bmc); `mode` and `frame_rescore` are
-/// ignored (the two sessions are inherently per-depth incremental).
+/// what they mean for [`Bmc`](crate::Bmc); `mode` is ignored (the two
+/// sessions are inherently per-depth incremental).
 #[derive(Debug, Clone, Default)]
 pub struct KInduction {
     config: BmcConfig,

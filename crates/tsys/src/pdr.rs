@@ -103,9 +103,8 @@ struct FrameClause {
 }
 
 /// The IC3/PDR prover.  Reuses [`BmcConfig`] wholesale (budgets,
-/// cancellation, preprocessing toggles, fault plan); `mode`,
-/// `frame_rescore` and the cone-of-influence half of `simplify` are
-/// ignored.
+/// cancellation, preprocessing toggles, fault plan); `mode` and the
+/// cone-of-influence half of `simplify` are ignored.
 #[derive(Debug, Clone, Default)]
 pub struct Pdr {
     config: BmcConfig,
@@ -628,7 +627,6 @@ impl<'ts> PdrEngine<'ts> {
     ) -> Result<BmcResult, Interrupted> {
         let config = BmcConfig {
             mode: BmcMode::PerDepth,
-            frame_rescore: None,
             ..self.config.clone()
         };
         let mut bmc = Bmc::new(config);

@@ -1,28 +1,29 @@
 //! A multi-query bounded-model-checking *session* over one shared unrolling.
 //!
-//! [`Bmc`](crate::Bmc) answers one reachability question per run; a
-//! [`BmcSession`] keeps the unrolling, the cone-of-influence refinement state
-//! and one persistent [`IncrementalSolver`] open so a *caller-directed*
-//! sequence of queries — each a `check_assuming` call with its own retractable
-//! assumption set — can share every encoded frame and every learnt clause.
-//! This is the substrate of the batched multi-bug detector
-//! (`sepe_sqed::batch`): the transition system carries one activation literal
-//! per catalogue entry, and each query selects an entry by assuming its
-//! literal true and the others false on top of the depth's bad state.
+//! A [`BmcSession`] keeps the unrolling, the cone-of-influence refinement
+//! state and one persistent [`IncrementalSolver`] open so a *caller-directed*
+//! sequence of queries — each a `check_assuming` call with its own
+//! retractable assumption set — can share every encoded frame and every
+//! learnt clause.  [`Bmc`](crate::Bmc)'s default
+//! [`BmcMode::PerDepth`](crate::BmcMode::PerDepth) driver is the simplest
+//! such sequence: one query per depth, assuming only that depth's bad state.
+//! The batched multi-bug detector (`sepe_sqed::batch`) is the richer one:
+//! the transition system carries one activation literal per catalogue entry,
+//! and each query selects an entry by assuming its literal true and the
+//! others false on top of the depth's bad state.
 //!
 //! The session inherits the incremental-solving contract wholesale: frames
 //! are asserted append-only (with per-depth cone-of-influence refinement
-//! deltas exactly like [`BmcMode::PerDepth`](crate::BmcMode::PerDepth)),
-//! assumptions never contribute rewrite pins, and the node→CNF-variable
-//! mapping only grows — so interleaving queries for different assumption sets
-//! cannot invalidate each other's encodings.
+//! deltas for frames asserted at a shallower bound), assumptions never
+//! contribute rewrite pins, and the node→CNF-variable mapping only grows —
+//! so interleaving queries for different assumption sets cannot invalidate
+//! each other's encodings.
 
 use std::time::Instant;
 
 use sepe_smt::{IncrementalSolver, Model, SatResult, StopReason, TermId, TermManager};
 
-use crate::bmc::{coi_dropped_total, extend_unrolling, extract_witness};
-use crate::bmc::{BmcConfig, BmcStats, DepthStats};
+use crate::bmc::{extract_witness, BmcConfig, BmcStats, DepthStats};
 use crate::ts::{CoiInfo, TransitionSystem};
 use crate::unroll::Unroller;
 use crate::witness::Witness;
@@ -195,5 +196,60 @@ impl<'ts> BmcSession<'ts> {
             solver,
             depths: self.depths.clone(),
         }
+    }
+}
+
+/// Extends the asserted unrolling so that frames `0..bound` cover the
+/// per-depth cone of influence at that bound: the update into frame `k + 1`
+/// is needed only for variables within `bound - k - 1` remaining transition
+/// steps of a bad state or constraint ([`CoiInfo::keeps_within`]).  New
+/// frames contribute their depth-restricted transition plus the next
+/// frame's constraints; frames asserted by an earlier, shallower bound
+/// contribute only the refinement delta for the levels they gained
+/// ([`Unroller::transition_refinement`]), so an incremental solver never
+/// re-asserts what it already has.  `levels[k]` tracks the remaining depth
+/// frame `k` is topped up to.  Without a cone (`coi == None`, preprocessing
+/// off) frames are asserted whole, once.  Returns the terms to assert, in
+/// order.
+fn extend_unrolling(
+    tm: &mut TermManager,
+    unroller: &mut Unroller<'_>,
+    coi: Option<&CoiInfo>,
+    levels: &mut Vec<usize>,
+    bound: usize,
+) -> Vec<TermId> {
+    let mut out = Vec::new();
+    for k in 0..bound {
+        // The per-frame cone saturates at the largest finite distance:
+        // capping here makes old frames' levels converge, so deep sweeps
+        // skip them instead of re-filtering every variable per bound.
+        let required = match coi {
+            Some(coi) => (bound - k - 1).min(coi.max_dist()),
+            None => 0, // whole frames are asserted once, never refined
+        };
+        if k >= levels.len() {
+            let tr = match coi {
+                Some(coi) => unroller.transition_within(tm, k, coi, required),
+                None => unroller.transition(tm, k),
+            };
+            out.push(tr);
+            out.push(unroller.constraints_at(tm, k + 1));
+            levels.push(required);
+        } else if levels[k] < required {
+            if let Some(coi) = coi {
+                out.push(unroller.transition_refinement(tm, k, coi, levels[k], required));
+            }
+            levels[k] = required;
+        }
+    }
+    out
+}
+
+/// Total next-state updates dropped across the asserted frames at their
+/// current refinement levels.
+fn coi_dropped_total(coi: Option<&CoiInfo>, levels: &[usize]) -> u64 {
+    match coi {
+        Some(coi) => levels.iter().map(|&r| coi.dropped_within(r) as u64).sum(),
+        None => 0,
     }
 }

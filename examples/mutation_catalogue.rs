@@ -15,7 +15,6 @@ use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_sqed::detect::{DetectorConfig, Method};
 use sepe_sqed::parallel::{BatchSpec, Engine, RetryPolicy};
 use sepe_sqed::CatalogueEntry;
-use sepe_tsys::BmcMode;
 
 fn main() {
     // The catalogue: the first three Table-1 bugs, plus the shared opcode
@@ -31,12 +30,11 @@ fn main() {
         .collect();
 
     // One shared configuration for the whole catalogue, via the builder:
-    // per-depth sweeps report shortest counterexamples, and the retry
-    // ladder rescues entries whose queries fail on the shared solver.
+    // the default per-depth sweeps report shortest counterexamples, and the
+    // retry ladder rescues entries whose queries fail on the shared solver.
     let config = DetectorConfig::builder()
         .processor(ProcessorConfig::tiny().with_opcodes(&ops))
         .bound(3)
-        .bmc_mode(BmcMode::PerDepth)
         .retry(RetryPolicy::ladder(2))
         .build();
 
