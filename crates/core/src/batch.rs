@@ -452,24 +452,15 @@ impl BatchedDetector {
                                     continue;
                                 }
                                 detections[i] = Some(Detection {
-                                    method,
-                                    bug: Some(entry.mutation.name.clone()),
                                     detected: true,
-                                    inconclusive: false,
-                                    stop_reason: None,
                                     runtime: acc[i].runtime,
                                     trace_len: Some(witness.num_steps()),
                                     witness: Some(witness),
                                     witness_validated: validated,
-                                    proved: false,
-                                    proof_method: None,
-                                    proof_depth: None,
-                                    proof_checked: None,
-                                    proof_work: None,
                                     bound_reached: bound,
                                     conflicts: acc[i].conflicts,
-                                    solver: SolverReuseStats::default(),
                                     depths: std::mem::take(&mut acc[i].depths),
+                                    ..Detection::blank(method, Some(entry.mutation.name.clone()))
                                 });
                                 reports[i] =
                                     Some(shared_report(entry, JobOutcome::Completed, false));
@@ -597,24 +588,11 @@ impl BatchedDetector {
             for &i in &unresolved {
                 let entry = &catalogue[i];
                 detections[i] = Some(Detection {
-                    method,
-                    bug: Some(entry.mutation.name.clone()),
-                    detected: false,
-                    inconclusive: false,
-                    stop_reason: None,
                     runtime: acc[i].runtime,
-                    trace_len: None,
-                    witness: None,
-                    witness_validated: None,
-                    proved: false,
-                    proof_method: None,
-                    proof_depth: None,
-                    proof_checked: None,
-                    proof_work: None,
                     bound_reached: self.config.max_bound,
                     conflicts: acc[i].conflicts,
-                    solver: SolverReuseStats::default(),
                     depths: std::mem::take(&mut acc[i].depths),
+                    ..Detection::blank(method, Some(entry.mutation.name.clone()))
                 });
                 reports[i] = Some(shared_report(entry, JobOutcome::Completed, false));
             }
@@ -697,24 +675,13 @@ fn inconclusive_detection(
     acc: &mut EntryAcc,
 ) -> Detection {
     Detection {
-        method,
-        bug: Some(entry.mutation.name.clone()),
-        detected: false,
         inconclusive: true,
         stop_reason: Some(reason),
         runtime: acc.runtime,
-        trace_len: None,
-        witness: None,
-        witness_validated: None,
-        proved: false,
-        proof_method: None,
-        proof_depth: None,
-        proof_checked: None,
-        proof_work: None,
         bound_reached: bound,
         conflicts: acc.conflicts,
-        solver: SolverReuseStats::default(),
         depths: std::mem::take(&mut acc.depths),
+        ..Detection::blank(method, Some(entry.mutation.name.clone()))
     }
 }
 

@@ -331,6 +331,32 @@ pub struct Detection {
 }
 
 impl Detection {
+    /// A verdict-free detection of `method` on `bug`: nothing detected,
+    /// proved or checked, and no work behind it.  Each verdict site fills in
+    /// what it knows with struct-update syntax.
+    pub(crate) fn blank(method: Method, bug: Option<String>) -> Self {
+        Detection {
+            method,
+            bug,
+            detected: false,
+            inconclusive: false,
+            stop_reason: None,
+            runtime: Duration::ZERO,
+            trace_len: None,
+            witness: None,
+            witness_validated: None,
+            proved: false,
+            proof_method: None,
+            proof_depth: None,
+            proof_checked: None,
+            proof_work: None,
+            bound_reached: 0,
+            conflicts: 0,
+            solver: sepe_smt::SolverReuseStats::default(),
+            depths: Vec::new(),
+        }
+    }
+
     /// Formats the runtime like the paper's tables (seconds, or "-" when the
     /// bug was not detected).
     pub fn table_cell(&self) -> String {
@@ -476,7 +502,14 @@ impl Detector {
         certificate: Option<ProofCertificate>,
         totals: RunTotals,
     ) -> Detection {
-        let bug = mutation.map(|m| m.name.clone());
+        let run = Detection {
+            runtime: totals.runtime,
+            bound_reached: totals.deepest,
+            conflicts: totals.conflicts,
+            solver: totals.solver,
+            depths: totals.depths,
+            ..Detection::blank(method, mutation.map(|m| m.name.clone()))
+        };
         match result {
             BmcResult::Counterexample(witness) => {
                 // Fault hook: hand the self-check a corrupted witness so the
@@ -497,45 +530,19 @@ impl Detector {
                     // The solver's counterexample does not reproduce on the
                     // concrete twin: a structured failure, not a bug report.
                     return Detection {
-                        method,
-                        bug,
-                        detected: false,
                         inconclusive: true,
                         stop_reason: Some(StopReason::WitnessMismatch),
-                        runtime: totals.runtime,
-                        trace_len: None,
                         witness: Some(witness),
                         witness_validated: Some(false),
-                        proved: false,
-                        proof_method: None,
-                        proof_depth: None,
-                        proof_checked: None,
-                        proof_work: None,
-                        bound_reached: totals.deepest,
-                        conflicts: totals.conflicts,
-                        solver: totals.solver,
-                        depths: totals.depths,
+                        ..run
                     };
                 }
                 Detection {
-                    method,
-                    bug,
                     detected: true,
-                    inconclusive: false,
-                    stop_reason: None,
-                    runtime: totals.runtime,
                     trace_len: Some(witness.num_steps()),
                     witness: Some(witness),
                     witness_validated: validated,
-                    proved: false,
-                    proof_method: None,
-                    proof_depth: None,
-                    proof_checked: None,
-                    proof_work: None,
-                    bound_reached: totals.deepest,
-                    conflicts: totals.conflicts,
-                    solver: totals.solver,
-                    depths: totals.depths,
+                    ..run
                 }
             }
             BmcResult::Proved {
@@ -555,90 +562,35 @@ impl Detector {
                         .as_ref()
                         .is_some_and(|cert| verify_certificate(tm, ts, cert).is_ok())
                 });
-                if checked == Some(false) {
-                    // The prover's certificate does not re-verify on an
-                    // independent solver: a structured failure, not a proof.
-                    return Detection {
-                        method,
-                        bug,
-                        detected: false,
-                        inconclusive: true,
-                        stop_reason: Some(StopReason::ProofMismatch),
-                        runtime: totals.runtime,
-                        trace_len: None,
-                        witness: None,
-                        witness_validated: None,
-                        proved: false,
-                        proof_method: Some(prover),
-                        proof_depth: Some(depth),
-                        proof_checked: Some(false),
-                        proof_work: None,
-                        bound_reached: totals.deepest,
-                        conflicts: totals.conflicts,
-                        solver: totals.solver,
-                        depths: totals.depths,
-                    };
-                }
-                Detection {
-                    method,
-                    bug,
-                    detected: false,
-                    inconclusive: false,
-                    stop_reason: None,
-                    runtime: totals.runtime,
-                    trace_len: None,
-                    witness: None,
-                    witness_validated: None,
-                    proved: true,
+                let proof = Detection {
                     proof_method: Some(prover),
                     proof_depth: Some(depth),
                     proof_checked: checked,
-                    proof_work: None,
-                    bound_reached: totals.deepest,
-                    conflicts: totals.conflicts,
-                    solver: totals.solver,
-                    depths: totals.depths,
+                    ..run
+                };
+                if checked == Some(false) {
+                    // The prover's certificate does not re-verify on a fresh
+                    // solver: a structured failure, not a proof.
+                    return Detection {
+                        inconclusive: true,
+                        stop_reason: Some(StopReason::ProofMismatch),
+                        ..proof
+                    };
+                }
+                Detection {
+                    proved: true,
+                    ..proof
                 }
             }
             BmcResult::NoCounterexample { bound } => Detection {
-                method,
-                bug,
-                detected: false,
-                inconclusive: false,
-                stop_reason: None,
-                runtime: totals.runtime,
-                trace_len: None,
-                witness: None,
-                witness_validated: None,
-                proved: false,
-                proof_method: None,
-                proof_depth: None,
-                proof_checked: None,
-                proof_work: None,
                 bound_reached: bound,
-                conflicts: totals.conflicts,
-                solver: totals.solver,
-                depths: totals.depths,
+                ..run
             },
             BmcResult::Unknown { bound, reason } => Detection {
-                method,
-                bug,
-                detected: false,
                 inconclusive: true,
                 stop_reason: Some(reason),
-                runtime: totals.runtime,
-                trace_len: None,
-                witness: None,
-                witness_validated: None,
-                proved: false,
-                proof_method: None,
-                proof_depth: None,
-                proof_checked: None,
-                proof_work: None,
                 bound_reached: bound,
-                conflicts: totals.conflicts,
-                solver: totals.solver,
-                depths: totals.depths,
+                ..run
             },
         }
     }

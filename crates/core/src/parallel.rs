@@ -825,24 +825,8 @@ fn stub_detection(job: &DetectionJob) -> Detection {
 /// callers set one).
 fn stub_detection_raw(method: Method, mutation: Option<&Mutation>) -> Detection {
     Detection {
-        method,
-        bug: mutation.map(|m| m.name.clone()),
-        detected: false,
         inconclusive: true,
-        stop_reason: None,
-        runtime: Duration::ZERO,
-        trace_len: None,
-        witness: None,
-        witness_validated: None,
-        proved: false,
-        proof_method: None,
-        proof_depth: None,
-        proof_checked: None,
-        proof_work: None,
-        bound_reached: 0,
-        conflicts: 0,
-        solver: SolverReuseStats::default(),
-        depths: Vec::new(),
+        ..Detection::blank(method, mutation.map(|m| m.name.clone()))
     }
 }
 
@@ -875,7 +859,6 @@ fn assert_engine_types_are_send() {
     is_send::<Detection>();
     is_send::<sepe_smt::TermManager>();
     is_send::<sepe_smt::SatSolver>();
-    is_send::<sepe_smt::Solver>();
     is_send::<sepe_smt::IncrementalSolver>();
     is_send::<sepe_tsys::Bmc>();
 }

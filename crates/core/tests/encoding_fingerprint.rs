@@ -9,6 +9,12 @@
 //! faster, but never different: any change to a term they emit shifts at
 //! least one of these numbers.  Refresh them only for a change meant to
 //! alter the encoding or the search, and say so.
+//!
+//! A second case pins the one-shot path the same way: an SQED
+//! `PerDepthScratch` detection run, where every depth is a fresh solver
+//! that simplifies the whole unrolling prefix in one joint rewrite fixpoint
+//! before encoding it.  SQED cannot see the single-instruction bug, so the
+//! run sweeps every depth to the bound.
 
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
@@ -17,7 +23,10 @@ use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::qed::{QedBuilder, Scheme};
 use sepe_tsys::{BmcConfig, BmcMode, BmcSession, QueryOutcome};
 
-/// What the encoding of the detection produced, layer by layer.
+/// What the encoding of the detection produced, layer by layer.  A run
+/// without a counterexample has `trace_len` 0.  A `PerDepthScratch` run
+/// sums the rewrite, AIG and CNF counters over its fresh per-depth solvers
+/// and reports no propagations.
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
     bound: usize,
@@ -79,6 +88,35 @@ fn single_add_fingerprint() -> Fingerprint {
     panic!("single-add not detected within bound {}", config.max_bound);
 }
 
+/// The fingerprint of an SQED detection run for the first Table-1 bug on
+/// tiny/ADD, bound 5, one fresh solver per depth, rewriting and AIG on.
+fn scratch_fingerprint() -> Fingerprint {
+    let bug = Mutation::table1().remove(0);
+    let config = DetectorConfig::builder()
+        .processor(ProcessorConfig::tiny().with_opcodes(&[Opcode::Add]))
+        .bound(5)
+        .bmc_mode(BmcMode::PerDepthScratch)
+        .simplify(true)
+        .aig(true)
+        .build();
+    let detection = Detector::new(config).check(Method::Sqed, Some(&bug));
+    assert!(
+        !detection.inconclusive,
+        "{} gave up: {detection:?}",
+        bug.name
+    );
+    Fingerprint {
+        bound: detection.bound_reached,
+        trace_len: detection.trace_len.unwrap_or(0),
+        rewrite_pins: detection.solver.encode.rewrite.pins,
+        aig_nodes: detection.solver.encode.aig.nodes,
+        cnf_vars: detection.solver.cnf_vars,
+        cnf_clauses: detection.solver.cnf_clauses,
+        conflicts: detection.conflicts,
+        propagations: detection.solver.propagations,
+    }
+}
+
 #[test]
 fn single_add_detection_encoding_is_pinned() {
     assert_eq!(
@@ -92,6 +130,23 @@ fn single_add_detection_encoding_is_pinned() {
             cnf_clauses: 8284,
             conflicts: 5,
             propagations: 3590,
+        }
+    );
+}
+
+#[test]
+fn sqed_per_depth_scratch_detection_encoding_is_pinned() {
+    assert_eq!(
+        scratch_fingerprint(),
+        Fingerprint {
+            bound: 5,
+            trace_len: 0,
+            rewrite_pins: 1605,
+            aig_nodes: 12121,
+            cnf_vars: 6588,
+            cnf_clauses: 25580,
+            conflicts: 1534,
+            propagations: 0,
         }
     );
 }

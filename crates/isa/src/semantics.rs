@@ -143,7 +143,7 @@ mod tests {
     use super::*;
     use crate::exec::alu_value;
     use crate::reg::Reg;
-    use sepe_smt::{concrete, SatResult, Solver, Sort};
+    use sepe_smt::{concrete, IncrementalSolver, SatResult, Sort};
     use std::collections::HashMap;
 
     /// Cross-checks the symbolic semantics against the concrete golden model
@@ -233,8 +233,8 @@ mod tests {
         let t2 = alu_result(&mut tm, Opcode::Add, t1, b);
         let rd = alu_result(&mut tm, Opcode::Xori, t2, minus_one);
         let goal = tm.neq(sub, rd);
-        let mut solver = Solver::new();
-        solver.assert_term(&tm, goal);
+        let mut solver = IncrementalSolver::new();
+        solver.assert_all(&mut tm, &[goal]);
         assert_eq!(solver.check(&mut tm), SatResult::Unsat);
     }
 

@@ -132,12 +132,6 @@ impl BitBlaster {
         self.cnf
     }
 
-    /// Consumes the blaster, returning the CNF and the variable encodings
-    /// (for model read-back) without copying either.
-    pub fn into_parts(self) -> (Cnf, HashMap<TermId, Vec<Lit>>) {
-        (self.cnf, self.var_bits)
-    }
-
     /// CNF literals of every *variable* term encountered, for model read-back.
     pub fn var_encodings(&self) -> &HashMap<TermId, Vec<Lit>> {
         &self.var_bits

@@ -1,13 +1,15 @@
 //! Incremental SMT solving: one bit-blaster, one SAT solver, many queries.
 //!
-//! The scratch [`Solver`](crate::Solver) re-encodes its whole assertion set
-//! and builds a fresh CDCL instance on every `check`, which makes a depth-`k`
-//! BMC sweep pay O(k²) total encoding work and restarts every search cold.
-//! [`IncrementalSolver`] instead keeps a single [`BitBlaster`] and a single
-//! [`SatSolver`] alive for its lifetime:
+//! [`IncrementalSolver`] is the crate's one SMT front end.  It keeps a single
+//! [`BitBlaster`] and a single [`SatSolver`] alive for its lifetime, so a
+//! depth-`k` BMC sweep encodes each frame once instead of re-encoding the
+//! prefix per depth (O(k²) total), and no search restarts cold.  A one-shot
+//! query is a fresh solver: [`assert_all`](IncrementalSolver::assert_all),
+//! then [`check`](IncrementalSolver::check).
 //!
-//! * [`assert_term`](IncrementalSolver::assert_term) adds a *permanent*
-//!   assertion — only the not-yet-encoded subgraph of the term is
+//! * [`assert_term`](IncrementalSolver::assert_term) and
+//!   [`assert_all`](IncrementalSolver::assert_all) add *permanent*
+//!   assertions — only the not-yet-encoded subgraph of a term is
 //!   bit-blasted, everything already seen is a cache hit;
 //! * [`assert_clause`](IncrementalSolver::assert_clause) adds a permanent
 //!   *flat* clause whose literals are lowered like assumptions — no OR gate,
@@ -232,36 +234,53 @@ impl IncrementalSolver {
         self.sat.set_reduce_interval(interval);
     }
 
-    /// Permanently asserts a boolean term.  With simplification on (the
-    /// default) the term is first rewritten modulo the already-asserted
-    /// equalities — definitions of not-yet-encoded variables are eliminated
-    /// entirely — and only then is the surviving subgraph bit-blasted (and
-    /// of that, only the part not already encoded by earlier work).
+    /// Permanently asserts a boolean term: [`assert_all`](Self::assert_all)
+    /// of the one term.
     ///
     /// # Panics
     ///
-    /// Panics if `t` is not a boolean term — asserting a bit-vector has no
+    /// Panics if `t` is not a boolean term.
+    pub fn assert_term(&mut self, tm: &mut TermManager, t: TermId) {
+        self.assert_all(tm, &[t]);
+    }
+
+    /// Permanently asserts a set of boolean terms.  With simplification on
+    /// (the default) the set is rewritten in one joint fixpoint modulo its
+    /// own equalities and the already-asserted ones — definitions of
+    /// not-yet-encoded variables are eliminated entirely — and only then is
+    /// the surviving subgraph bit-blasted (and of that, only the part not
+    /// already encoded by earlier work).  On a fresh solver this is a
+    /// one-shot query: assert everything at once, then
+    /// [`check`](Self::check).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a term is not boolean — asserting a bit-vector has no
     /// meaning, so the misuse is rejected at the call site rather than
     /// surfacing as an encoding error later.
-    pub fn assert_term(&mut self, tm: &mut TermManager, t: TermId) {
-        assert!(tm.sort(t).is_bool(), "assertions must be boolean terms");
+    pub fn assert_all(&mut self, tm: &mut TermManager, terms: &[TermId]) {
+        for &t in terms {
+            assert!(tm.sort(t).is_bool(), "assertions must be boolean terms");
+        }
         if !self.simplify {
             // Simplification may have been on earlier: variables it
             // eliminated have no defining equality in the CNF, so their
             // occurrences must keep substituting even with the pass off —
             // blasting such a variable raw would leave it unconstrained.
-            let t = if self.rewriter.num_pins() > 0 {
-                self.rewriter.rewrite(tm, t)
-            } else {
-                t
-            };
-            self.blaster.assert_true(tm, t);
+            for &t in terms {
+                let t = if self.rewriter.num_pins() > 0 {
+                    self.rewriter.rewrite(tm, t)
+                } else {
+                    t
+                };
+                self.blaster.assert_true(tm, t);
+            }
             return;
         }
         let to_assert = {
             let blaster = &self.blaster;
             self.rewriter
-                .assert_simplify(tm, &[t], &|v| blaster.var_encodings().contains_key(&v))
+                .assert_simplify(tm, terms, &|v| blaster.var_encodings().contains_key(&v))
         };
         for c in to_assert {
             self.blaster.assert_true(tm, c);
@@ -463,7 +482,6 @@ pub fn one_hot_assumptions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::Solver;
     use crate::sort::Sort;
 
     #[test]
@@ -486,16 +504,16 @@ mod tests {
             frames.push(next);
             let bad = tm.eq(next, three);
             let got = inc.check_assuming(&mut tm, &[bad]);
-            // Scratch reference: assert everything from zero.
-            let mut scratch = Solver::new();
-            scratch.assert_term(&tm, init);
+            // Scratch reference: a fresh solver asserting everything at once.
+            let mut path = vec![init];
             for j in 0..=k {
                 let one = tm.one(width);
                 let step = tm.bv_add(frames[j], one);
-                let eq = tm.eq(frames[j + 1], step);
-                scratch.assert_term(&tm, eq);
+                path.push(tm.eq(frames[j + 1], step));
             }
-            scratch.assert_term(&tm, bad);
+            path.push(bad);
+            let mut scratch = IncrementalSolver::new();
+            scratch.assert_all(&mut tm, &path);
             assert_eq!(got, scratch.check(&mut tm), "divergence at depth {k}");
             if got == SatResult::Sat {
                 assert_eq!(inc.model(&tm).eval(&tm, bad), 1);
@@ -596,6 +614,7 @@ mod tests {
         let t = tm.tru();
         assert_eq!(inc.check_assuming(&mut tm, &[t]), SatResult::Unsat);
         assert!(inc.unsat_core().is_empty());
+        assert!(inc.try_model().is_none());
         // Permanent assertions stay contradictory forever.
         assert_eq!(inc.check(&mut tm), SatResult::Unsat);
     }
@@ -650,5 +669,61 @@ mod tests {
         let m = inc.model(&tm);
         assert_eq!((m.value(x) * m.value(y)) & 0xf_ffff, 1048573);
         assert!(m.value(x) > 1 && m.value(y) > 1);
+    }
+
+    #[test]
+    fn finds_a_model_for_linear_equation() {
+        let mut tm = TermManager::new();
+        let x = tm.var("x", Sort::BitVec(16));
+        let y = tm.var("y", Sort::BitVec(16));
+        let three = tm.bv_const(3, 16);
+        let lhs = tm.bv_mul(x, three);
+        let sum = tm.bv_add(lhs, y);
+        let target = tm.bv_const(1000, 16);
+        let goal = tm.eq(sum, target);
+        let hundred = tm.bv_const(100, 16);
+        let constraint = tm.bv_ult(y, hundred);
+
+        let mut solver = IncrementalSolver::new();
+        solver.assert_all(&mut tm, &[goal, constraint]);
+        assert_eq!(solver.check(&mut tm), SatResult::Sat);
+        let m = solver.model(&tm);
+        let xv = m.value(x);
+        let yv = m.value(y);
+        assert_eq!((3 * xv + yv) & 0xffff, 1000);
+        assert!(yv < 100);
+        assert_eq!(m.eval(&tm, goal), 1);
+    }
+
+    #[test]
+    fn stats_are_populated() {
+        let mut tm = TermManager::new();
+        let x = tm.var("x", Sort::BitVec(24));
+        let y = tm.var("y", Sort::BitVec(24));
+        let p = tm.bv_mul(x, y);
+        let c = tm.bv_const(0xbeef, 24);
+        let goal = tm.eq(p, c);
+        let mut solver = IncrementalSolver::new();
+        solver.assert_term(&mut tm, goal);
+        let _ = solver.check(&mut tm);
+        assert!(solver.stats().cnf_vars > 0);
+        assert!(solver.stats().cnf_clauses > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "model requested")]
+    fn model_panics_without_sat() {
+        let tm = TermManager::new();
+        let solver = IncrementalSolver::new();
+        let _ = solver.model(&tm);
+    }
+
+    #[test]
+    #[should_panic(expected = "assertions must be boolean")]
+    fn asserting_bitvector_panics() {
+        let mut tm = TermManager::new();
+        let x = tm.var("x", Sort::BitVec(8));
+        let mut solver = IncrementalSolver::new();
+        solver.assert_term(&mut tm, x);
     }
 }

@@ -10,8 +10,8 @@
 //! * [`Rewriter`] — word-level simplification *ahead of*
 //!   bit-blasting: a rule catalogue (ite/comparison collapsing,
 //!   extract/concat pushing, strength reduction) plus equality-driven
-//!   constant/variable propagation across an assertion set, on by default in
-//!   both solver front-ends (`set_simplify(false)` turns it off),
+//!   constant/variable propagation across an assertion set, on by default
+//!   (`set_simplify(false)` turns it off),
 //! * [`eval`](concrete::eval) — a concrete evaluator used for counterexample
 //!   handling and for differential testing of the bit-blaster,
 //! * [`BitBlaster`](bitblast::BitBlaster) — gate-level lowering of term
@@ -26,14 +26,14 @@
 //! * [`sat::SatSolver`] — a CDCL SAT solver (two-watched literals,
 //!   first-UIP learning, VSIDS, phase saving, Luby restarts, and MiniSat-style
 //!   incremental solving under assumptions with unsat cores),
-//! * [`Solver`] — the scratch SMT interface: assert, check, model, where
-//!   every check re-encodes the assertion set from zero,
-//! * [`IncrementalSolver`] — the incremental SMT interface: one persistent
+//! * [`IncrementalSolver`] — the one SMT front end: one persistent
 //!   bit-blaster and SAT solver, permanent
-//!   [`assert_term`](incremental::IncrementalSolver::assert_term) plus
+//!   [`assert_term`](incremental::IncrementalSolver::assert_term) and
+//!   [`assert_all`](incremental::IncrementalSolver::assert_all) plus
 //!   retractable
 //!   [`check_assuming`](incremental::IncrementalSolver::check_assuming),
-//!   with term-encoding caching and learnt-clause retention across checks.
+//!   with term-encoding caching and learnt-clause retention across checks;
+//!   a one-shot query is a fresh solver, an `assert_all` and a `check`.
 //!
 //! The workloads this crate serves are dominated by *sequences of closely
 //! related queries*: BMC re-checks the same unrolling prefix at every depth,
@@ -50,10 +50,10 @@
 //! served from cache, learnt clauses retained) and the reduction
 //! ([`ReduceStats`] fields: passes, deletions, live high-water mark).
 //!
-//! # Example: scratch solving
+//! # Example: a one-shot query
 //!
 //! ```
-//! use sepe_smt::{TermManager, Sort, Solver, SatResult};
+//! use sepe_smt::{IncrementalSolver, TermManager, Sort, SatResult};
 //!
 //! let mut tm = TermManager::new();
 //! let x = tm.var("x", Sort::BitVec(8));
@@ -61,13 +61,17 @@
 //! let sum = tm.bv_add(x, y);
 //! let c42 = tm.bv_const(42, 8);
 //! let goal = tm.eq(sum, c42);
+//! let ten = tm.bv_const(10, 8);
+//! let small = tm.bv_ult(x, ten);
 //!
-//! let mut solver = Solver::new();
-//! solver.assert_term(&tm, goal);
+//! // A fresh solver; the assertion set is simplified jointly, then encoded.
+//! let mut solver = IncrementalSolver::new();
+//! solver.assert_all(&mut tm, &[goal, small]);
 //! match solver.check(&mut tm) {
 //!     SatResult::Sat => {
 //!         let m = solver.model(&tm);
 //!         assert_eq!((m.value(x) + m.value(y)) & 0xff, 42);
+//!         assert!(m.value(x) < 10);
 //!     }
 //!     _ => unreachable!("the constraint is satisfiable"),
 //! }
@@ -116,7 +120,7 @@ pub use cnf::{Clause, Cnf, Lit, Var};
 pub use incremental::{one_hot_assumptions, IncrementalSolver, SolverReuseStats};
 pub use rewrite::{EncodeStats, RewriteStats, Rewriter};
 pub use sat::{CancelFlag, FaultHooks, ReduceStats, SatSolver, SolveOutcome, StopReason};
-pub use solver::{Model, SatResult, Solver};
+pub use solver::{Model, SatResult};
 pub use sort::Sort;
 pub use stable::{stable_hash, stable_hash_seeded, StableHasher};
 pub use term::{Op, Term, TermId, TermManager};

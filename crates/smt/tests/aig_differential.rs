@@ -4,7 +4,8 @@
 //! reductions (structural hashing, local rewriting, polarity-aware Tseitin)
 //! forced **on** and **off** (the direct-blasting baseline):
 //!
-//! * `Solver::check` returns the same verdict, and on SAT both models
+//! * a fresh solver's one-shot `assert_all` + `check` returns the same
+//!   verdict, and on SAT both models
 //!   satisfy every asserted term under the concrete evaluator — i.e. the
 //!   polarity-aware encoding reads models back exactly like the
 //!   biconditional one;
@@ -19,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sepe_smt::concrete::eval;
-use sepe_smt::{IncrementalSolver, SatResult, Solver, Sort, TermId, TermManager};
+use sepe_smt::{IncrementalSolver, SatResult, Sort, TermId, TermManager};
 
 const WIDTH: u32 = 8;
 
@@ -126,15 +127,13 @@ fn scratch_solver_aig_is_equisatisfiable_with_agreeing_models() {
         // Both word-level settings, so the AIG layer is also exercised on
         // raw (unsimplified) structure.
         let simplify = round % 2 == 0;
-        let mut on = Solver::new();
-        let mut off = Solver::new();
+        let mut on = IncrementalSolver::new();
+        let mut off = IncrementalSolver::new();
         off.set_aig(false);
         on.set_simplify(simplify);
         off.set_simplify(simplify);
-        for &t in &asserted {
-            on.assert_term(&tm, t);
-            off.assert_term(&tm, t);
-        }
+        on.assert_all(&mut tm, &asserted);
+        off.assert_all(&mut tm, &asserted);
         let r_on = on.check(&mut tm);
         let r_off = off.check(&mut tm);
         assert_eq!(r_on, r_off, "round {round}: scratch verdicts diverge");
@@ -256,14 +255,12 @@ fn aig_on_emits_fewer_clauses_on_shared_structure() {
         },
     ];
     let run = |aig: bool, tm: &mut TermManager| {
-        let mut s = Solver::new();
+        let mut s = IncrementalSolver::new();
         s.set_aig(aig);
         s.set_simplify(false);
-        for &t in &asserted {
-            s.assert_term(tm, t);
-        }
+        s.assert_all(tm, &asserted);
         assert_eq!(s.check(tm), SatResult::Sat);
-        s.stats()
+        s.stats().encode
     };
     let on = run(true, &mut tm);
     let off = run(false, &mut tm);

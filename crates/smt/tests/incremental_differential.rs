@@ -1,20 +1,39 @@
-//! Randomized differential test: [`IncrementalSolver`] vs the scratch
-//! [`Solver`] on random term-graph query sequences.
+//! Randomized differential test: a long-lived [`IncrementalSolver`] vs a
+//! fresh one per query on random term-graph query sequences.
 //!
 //! Each round builds a random bit-vector term graph, then drives one
 //! incremental solver through a sequence of queries — permanent assertions
 //! interleaved with `check_assuming` calls over random boolean terms — and
-//! cross-checks every verdict against a fresh scratch solver given the same
-//! conjunction.  UNSAT answers also get core sanity checks: the core is a
+//! cross-checks every verdict against a scratch reference: a fresh solver
+//! given the same conjunction in one
+//! [`assert_all`](IncrementalSolver::assert_all).  UNSAT answers also get core sanity checks: the core is a
 //! subset of the assumptions and is itself unsatisfiable together with the
 //! permanent assertions.
 //!
 //! Everything is seeded (no time/randomness nondeterminism), so failures
-//! reproduce exactly.
+//! reproduce exactly.  Each test has a fixed seed; setting `SEPE_FAULT_SEED`
+//! (the knob the fault-injection CI matrix sweeps) mixes it in, so each
+//! matrix leg draws different query sequences.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sepe_smt::{IncrementalSolver, SatResult, Solver, Sort, TermId, TermManager};
+use sepe_smt::{IncrementalSolver, SatResult, Sort, TermId, TermManager};
+
+/// A test's RNG seed: its fixed seed, mixed with `SEPE_FAULT_SEED` when that
+/// is set.
+fn seed(fixed: u64) -> u64 {
+    std::env::var("SEPE_FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+        .map_or(fixed, |env| fixed ^ env.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+}
+
+/// The scratch reference: a fresh solver over the conjunction of `terms`.
+fn scratch_check(tm: &mut TermManager, terms: &[TermId]) -> SatResult {
+    let mut scratch = IncrementalSolver::new();
+    scratch.assert_all(tm, terms);
+    scratch.check(tm)
+}
 
 /// Builds a pool of random bit-vector terms over three variables.
 fn random_bv_pool(tm: &mut TermManager, rng: &mut StdRng, width: u32) -> Vec<TermId> {
@@ -66,7 +85,7 @@ fn random_constraint(
 
 #[test]
 fn incremental_agrees_with_scratch_on_random_query_sequences() {
-    let mut rng = StdRng::seed_from_u64(0x01ec_5eed);
+    let mut rng = StdRng::seed_from_u64(seed(0x01ec_5eed));
     let width = 6;
     let mut checks = 0usize;
     for round in 0..25 {
@@ -92,14 +111,8 @@ fn incremental_agrees_with_scratch_on_random_query_sequences() {
             checks += 1;
 
             // Scratch reference over the identical conjunction.
-            let mut scratch = Solver::new();
-            for &p in &permanent {
-                scratch.assert_term(&tm, p);
-            }
-            for &a in &assumed {
-                scratch.assert_term(&tm, a);
-            }
-            let expected = scratch.check(&mut tm);
+            let conjunction: Vec<TermId> = permanent.iter().chain(&assumed).copied().collect();
+            let expected = scratch_check(&mut tm, &conjunction);
             assert_eq!(
                 got, expected,
                 "round {round}: incremental disagrees with scratch \
@@ -120,8 +133,8 @@ fn incremental_agrees_with_scratch_on_random_query_sequences() {
                 }
                 SatResult::Unsat => {
                     // Core sanity: subset of assumptions, itself UNSAT with
-                    // the permanent assertions (checked on a scratch solver
-                    // so the incremental state is not disturbed).
+                    // the permanent assertions (checked on a fresh solver so
+                    // the incremental state is not disturbed).
                     let core: Vec<TermId> = incremental.unsat_core().to_vec();
                     for t in &core {
                         assert!(
@@ -129,15 +142,9 @@ fn incremental_agrees_with_scratch_on_random_query_sequences() {
                             "round {round}: core member not among assumptions"
                         );
                     }
-                    let mut core_check = Solver::new();
-                    for &p in &permanent {
-                        core_check.assert_term(&tm, p);
-                    }
-                    for &t in &core {
-                        core_check.assert_term(&tm, t);
-                    }
+                    let core_query: Vec<TermId> = permanent.iter().chain(&core).copied().collect();
                     assert_eq!(
-                        core_check.check(&mut tm),
+                        scratch_check(&mut tm, &core_query),
                         SatResult::Unsat,
                         "round {round}: unsat core {core:?} is not unsatisfiable"
                     );
@@ -158,7 +165,7 @@ fn incremental_agrees_with_scratch_on_random_query_sequences() {
 /// verdicts must still agree with scratch solving query for query.
 #[test]
 fn forced_reduction_agrees_with_scratch_on_random_query_sequences() {
-    let mut rng = StdRng::seed_from_u64(0x9ed_0cee);
+    let mut rng = StdRng::seed_from_u64(seed(0x9ed_0cee));
     let width = 6;
     let mut reduced_total = 0u64;
     for round in 0..20 {
@@ -183,13 +190,10 @@ fn forced_reduction_agrees_with_scratch_on_random_query_sequences() {
                 .collect();
 
             let got = incremental.check_assuming(&mut tm, &assumed);
-            let mut scratch = Solver::new();
-            for &p in permanent.iter().chain(&assumed) {
-                scratch.assert_term(&tm, p);
-            }
+            let conjunction: Vec<TermId> = permanent.iter().chain(&assumed).copied().collect();
             assert_eq!(
                 got,
-                scratch.check(&mut tm),
+                scratch_check(&mut tm, &conjunction),
                 "round {round}: reduced incremental disagrees with scratch \
                  (permanent: {permanent:?}, assumed: {assumed:?})"
             );
@@ -269,7 +273,7 @@ fn deadline_interrupt_during_reduced_search_leaves_the_solver_reusable() {
 fn incremental_depth_sweep_matches_scratch_with_growing_assertions() {
     // A second shape: monotonically growing assertion sets (the BMC pattern)
     // with one retractable "bad state" per check.
-    let mut rng = StdRng::seed_from_u64(0xb0c5);
+    let mut rng = StdRng::seed_from_u64(seed(0xb0c5));
     let width = 5;
     for round in 0..15 {
         let mut tm = TermManager::new();
@@ -283,12 +287,12 @@ fn incremental_depth_sweep_matches_scratch_with_growing_assertions() {
             let bad = random_constraint(&mut tm, &mut rng, &pool, width);
 
             let got = incremental.check_assuming(&mut tm, &[bad]);
-            let mut scratch = Solver::new();
-            for &p in &permanent {
-                scratch.assert_term(&tm, p);
-            }
-            scratch.assert_term(&tm, bad);
-            assert_eq!(got, scratch.check(&mut tm), "round {round} diverged");
+            let conjunction: Vec<TermId> = permanent.iter().chain([&bad]).copied().collect();
+            assert_eq!(
+                got,
+                scratch_check(&mut tm, &conjunction),
+                "round {round} diverged"
+            );
         }
         let stats = incremental.stats();
         assert_eq!(stats.checks, 5);
@@ -327,7 +331,7 @@ fn random_clause_lit(
 /// clause it was given.
 #[test]
 fn assert_clause_agrees_with_an_asserted_disjunction() {
-    let mut rng = StdRng::seed_from_u64(0xc1a0_5eed);
+    let mut rng = StdRng::seed_from_u64(seed(0xc1a0_5eed));
     let width = 5;
     let mut checks = 0usize;
     for round in 0..30 {

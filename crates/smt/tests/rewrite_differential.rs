@@ -4,7 +4,8 @@
 //! structure plus deliberate `var = term` definitions, so equality pinning
 //! actually fires) and checks that with rewriting forced **on** and **off**:
 //!
-//! * `Solver::check` returns the same verdict, and on SAT both models
+//! * a fresh solver's one-shot `assert_all` + `check` returns the same
+//!   verdict, and on SAT both models
 //!   satisfy every *original* (unrewritten) assertion under the concrete
 //!   evaluator — i.e. eliminated variables read back correctly;
 //! * `IncrementalSolver::check_assuming` returns the same verdict per
@@ -15,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sepe_smt::concrete::eval;
-use sepe_smt::{IncrementalSolver, SatResult, Solver, Sort, TermId, TermManager};
+use sepe_smt::{IncrementalSolver, SatResult, Sort, TermId, TermManager};
 
 const WIDTH: u32 = 8;
 
@@ -134,13 +135,11 @@ fn scratch_solver_rewriting_is_equisatisfiable_with_agreeing_models() {
         let mut tm = TermManager::new();
         let asserted = gen.assertion_set(&mut tm, "s");
 
-        let mut on = Solver::new();
-        let mut off = Solver::new();
+        let mut on = IncrementalSolver::new();
+        let mut off = IncrementalSolver::new();
         off.set_simplify(false);
-        for &t in &asserted {
-            on.assert_term(&tm, t);
-            off.assert_term(&tm, t);
-        }
+        on.assert_all(&mut tm, &asserted);
+        off.assert_all(&mut tm, &asserted);
         let r_on = on.check(&mut tm);
         let r_off = off.check(&mut tm);
         assert_eq!(r_on, r_off, "round {round}: scratch verdicts diverge");
@@ -250,11 +249,9 @@ fn rewriting_forced_on_pins_definitions_and_still_agrees_with_scratch() {
     assert_eq!(m.value(a), 5, "eliminated variable reads back");
     assert_eq!(m.value(b), 12, "chained eliminated variable reads back");
 
-    let mut scratch = Solver::new();
+    let mut scratch = IncrementalSolver::new();
     scratch.set_simplify(false);
-    for t in [def_a, def_b, goal] {
-        scratch.assert_term(&tm, t);
-    }
+    scratch.assert_all(&mut tm, &[def_a, def_b, goal]);
     assert_eq!(scratch.check(&mut tm), SatResult::Sat);
     assert_eq!(scratch.model(&tm).value(x), 7);
 }

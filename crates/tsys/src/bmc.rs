@@ -4,7 +4,8 @@ use std::time::{Duration, Instant};
 
 use sepe_smt::concrete::{self, Assignment};
 use sepe_smt::{
-    CancelFlag, FaultHooks, Model, SatResult, Solver, SolverReuseStats, StopReason, TermManager,
+    CancelFlag, FaultHooks, IncrementalSolver, Model, SatResult, SolverReuseStats, StopReason,
+    TermId, TermManager,
 };
 
 use crate::prove::ProofMethod;
@@ -23,10 +24,11 @@ pub enum BmcMode {
     /// shortest one.
     #[default]
     PerDepth,
-    /// One SAT query per depth, each on a fresh scratch solver that
-    /// re-encodes the whole unrolling prefix (the pre-incremental behavior,
-    /// kept as the reference of the differential tests and the bottom rung
-    /// of the parallel engine's retry ladder).
+    /// One SAT query per depth, each on a fresh [`IncrementalSolver`] that
+    /// asserts the whole unrolling prefix in one
+    /// [`assert_all`](IncrementalSolver::assert_all) (the pre-incremental
+    /// behavior, kept as the reference of the differential tests and the
+    /// bottom rung of the parallel engine's retry ladder).
     PerDepthScratch,
 }
 
@@ -123,6 +125,22 @@ impl Default for BmcConfig {
 }
 
 impl BmcConfig {
+    /// A fresh solver configured for a run of this configuration: the AIG
+    /// layer and word-level rewriting as set, the per-query conflict budget,
+    /// a wall deadline `time_limit` after `started`, the cancellation flags,
+    /// the memory cap and the fault plan's SAT hooks.
+    pub(crate) fn solver(&self, started: Instant) -> IncrementalSolver {
+        let mut solver = IncrementalSolver::new();
+        solver.set_aig(self.aig);
+        solver.set_simplify(self.simplify);
+        solver.set_conflict_limit(self.conflict_limit);
+        solver.set_deadline(self.time_limit.map(|limit| started + limit));
+        solver.set_cancel_flags(self.cancel.clone());
+        solver.set_memory_limit(self.memory_limit);
+        solver.set_fault_hooks(self.fault.sat);
+        solver
+    }
+
     /// Starts a builder over the default configuration.  The struct fields
     /// stay public — the builder is sugar for the common
     /// construct-and-override flow, not a new representation:
@@ -247,7 +265,8 @@ pub struct BmcStats {
     /// rewriting and cone-of-influence work, learnt clauses retained across
     /// depths, learnt-database reduction work).  In
     /// [`BmcMode::PerDepthScratch`], which builds a fresh solver per depth,
-    /// only the encoding counters are populated, summed over the depths.
+    /// only the rewrite, AIG and CNF counters are populated, summed over the
+    /// depths.
     pub solver: SolverReuseStats,
     /// Per-query deltas, one entry per SAT query (one per depth) in issue
     /// order.
@@ -377,7 +396,6 @@ impl Bmc {
     ) -> BmcResult {
         let start = Instant::now();
         let mut session = BmcSession::open(tm, ts, &self.config);
-        session.solver().set_fault_hooks(self.config.fault.sat);
         let mut result = BmcResult::NoCounterexample { bound: max_bound };
         for bound in self.config.start_bound..=max_bound {
             session.extend(tm, bound);
@@ -406,9 +424,10 @@ impl Bmc {
         result
     }
 
-    /// Per-depth exploration with a fresh scratch solver per depth — the
-    /// pre-incremental code path, kept as the differential-testing and
-    /// benchmarking baseline for [`Self::check_per_depth`].
+    /// Per-depth exploration with a fresh solver per depth that re-encodes
+    /// the whole prefix — the pre-incremental code path, kept as the
+    /// differential-testing and benchmarking baseline for
+    /// [`Self::check_per_depth`].
     fn check_per_depth_scratch(
         &mut self,
         tm: &mut TermManager,
@@ -421,7 +440,7 @@ impl Bmc {
 
         // Path constraints accumulated across depths so that each depth only
         // adds the new frame's transition and constraints.
-        let mut path: Vec<sepe_smt::TermId> = vec![unroller.init(tm)];
+        let mut path: Vec<TermId> = vec![unroller.init(tm)];
         path.push(unroller.constraints_at(tm, 0));
 
         for bound in self.config.start_bound..=max_bound {
@@ -439,36 +458,29 @@ impl Bmc {
             }
             let bad = unroller.bad_at(tm, bound);
             let query_start = Instant::now();
-            let mut solver = Solver::new();
-            solver.set_aig(self.config.aig);
-            solver.set_simplify(self.config.simplify);
-            solver.set_conflict_limit(self.config.conflict_limit);
-            solver.set_deadline(self.config.time_limit.map(|limit| start + limit));
-            solver.set_cancel_flags(self.config.cancel.clone());
-            solver.set_memory_limit(self.config.memory_limit);
-            solver.set_fault_hooks(self.config.fault.sat);
-            for &p in path.iter().take(bound + 2) {
-                solver.assert_term(tm, p);
-            }
-            solver.assert_term(tm, bad);
+            let mut query: Vec<TermId> = path[..bound + 2].to_vec();
+            query.push(bad);
+            let mut solver = self.config.solver(start);
+            solver.assert_all(tm, &query);
             let result = solver.check(tm);
+            let solved = solver.stats();
             self.stats.queries += 1;
-            self.stats.conflicts += solver.stats().conflicts;
-            // A scratch solver re-encodes the whole prefix per depth; sum
-            // the emissions so the sweep's total encoding cost is readable.
+            self.stats.conflicts += solved.conflicts;
+            // A fresh solver re-encodes the whole prefix per depth; sum the
+            // emissions so the sweep's total encoding cost is readable.
             self.stats
                 .solver
                 .encode
                 .rewrite
-                .absorb(&solver.stats().rewrite);
-            self.stats.solver.encode.aig.absorb(&solver.stats().aig);
-            self.stats.solver.cnf_vars += solver.stats().cnf_vars;
-            self.stats.solver.cnf_clauses += solver.stats().cnf_clauses;
+                .absorb(&solved.encode.rewrite);
+            self.stats.solver.encode.aig.absorb(&solved.encode.aig);
+            self.stats.solver.cnf_vars += solved.cnf_vars;
+            self.stats.solver.cnf_clauses += solved.cnf_clauses;
             self.stats.deepest_bound = bound;
             self.stats.depths.push(DepthStats {
                 bound,
-                conflicts: solver.stats().conflicts,
-                clauses_added: 0, // a scratch solver re-encodes everything
+                conflicts: solved.conflicts,
+                clauses_added: 0, // a fresh solver re-encodes everything
                 learnt_retained: 0,
                 duration: query_start.elapsed(),
             });

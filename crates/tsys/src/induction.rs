@@ -80,22 +80,10 @@ impl KInduction {
         // Base solver: a plain BMC session (init asserted, cone refinement
         // active, witness extraction for free).
         let mut base = BmcSession::open(tm, ts, &self.config);
-        if !self.config.fault.sat.is_empty() {
-            base.solver().set_fault_hooks(self.config.fault.sat);
-        }
 
         // Step solver: init-free unrolling, cone reduction off (see the
         // module docs), everything else configured like the base.
-        let mut step = IncrementalSolver::new();
-        step.set_aig(self.config.aig);
-        step.set_simplify(self.config.simplify);
-        step.set_conflict_limit(self.config.conflict_limit);
-        step.set_deadline(self.config.time_limit.map(|limit| started + limit));
-        step.set_cancel_flags(self.config.cancel.clone());
-        step.set_memory_limit(self.config.memory_limit);
-        if !self.config.fault.sat.is_empty() {
-            step.set_fault_hooks(self.config.fault.sat);
-        }
+        let mut step = self.config.solver(started);
         let mut step_unroller = Unroller::new(ts);
         let c0 = step_unroller.constraints_at(tm, 0);
         step.assert_term(tm, c0);

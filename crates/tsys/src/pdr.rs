@@ -215,16 +215,7 @@ fn bit_term(tm: &mut TermManager, var: TermId, bit: u32) -> TermId {
 impl<'ts> PdrEngine<'ts> {
     fn open(tm: &mut TermManager, ts: &'ts TransitionSystem, config: &BmcConfig) -> Self {
         let started = Instant::now();
-        let mut solver = IncrementalSolver::new();
-        solver.set_aig(config.aig);
-        solver.set_simplify(config.simplify);
-        solver.set_conflict_limit(config.conflict_limit);
-        solver.set_deadline(config.time_limit.map(|limit| started + limit));
-        solver.set_cancel_flags(config.cancel.clone());
-        solver.set_memory_limit(config.memory_limit);
-        if !config.fault.sat.is_empty() {
-            solver.set_fault_hooks(config.fault.sat);
-        }
+        let mut solver = config.solver(started);
         let mut unroller = Unroller::new(ts);
         let c0 = unroller.constraints_at(tm, 0);
         solver.assert_term(tm, c0);

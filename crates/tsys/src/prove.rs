@@ -6,12 +6,14 @@
 //! the gap with a genuine `Proved` verdict.  Because a wrong "Proved" is the
 //! worst answer this stack can give — it silently certifies a buggy design —
 //! every proof carries a [`ProofCertificate`] that
-//! [`verify_certificate`] re-checks on *fresh, independent* scratch
-//! [`Solver`]s before the verdict is allowed to leave the engine.  This is
-//! the proof-side twin of the witness-replay self-check: the prover's own
-//! long-lived incremental solvers (with their learnt clauses, activation
-//! literals and assumption plumbing) are deliberately not trusted to audit
-//! themselves.
+//! [`verify_certificate`] re-checks on *fresh* [`IncrementalSolver`]s, one
+//! per obligation, before the verdict is allowed to leave the engine.  This
+//! is the proof-side twin of the witness-replay self-check: the prover's own
+//! long-lived solvers (with their learnt clauses, activation literals and
+//! assumption plumbing) are deliberately not trusted to audit themselves.
+//! The fresh solvers share no state with the prover, but they do run the
+//! same SAT core, so the check is independent of the prover's solver state
+//! and not of the CDCL implementation itself.
 //!
 //! The obligations re-checked per certificate:
 //!
@@ -33,7 +35,7 @@
 
 use std::fmt;
 
-use sepe_smt::{SatResult, Solver, TermId, TermManager};
+use sepe_smt::{IncrementalSolver, SatResult, TermId, TermManager};
 
 use crate::ts::TransitionSystem;
 use crate::unroll::Unroller;
@@ -163,28 +165,23 @@ pub struct ProofRun {
     pub stats: ProveStats,
 }
 
-/// Returns a fresh scratch solver for one certificate obligation: word-level
-/// rewriting and the AIG layer on (both equisatisfiability-preserving), no
-/// budgets — an obligation is checked to completion or not at all.
-fn obligation_solver() -> Solver {
-    Solver::new()
-}
-
-/// Asserts `terms` and reports whether the conjunction is satisfiable.
+/// Whether the conjunction of `terms` is satisfiable, decided on a fresh
+/// solver for this one obligation: word-level rewriting and the AIG layer
+/// on (both equisatisfiability-preserving), no budgets — an obligation is
+/// checked to completion or not at all.
 fn sat(tm: &mut TermManager, terms: &[TermId]) -> bool {
-    let mut solver = obligation_solver();
-    for &t in terms {
-        solver.assert_term(tm, t);
-    }
+    let mut solver = IncrementalSolver::new();
+    solver.assert_all(tm, terms);
     solver.check(tm) == SatResult::Sat
 }
 
 /// Re-validates a certificate against the transition system on fresh
-/// independent solvers; `Ok(())` confirms every obligation.
+/// solvers; `Ok(())` confirms every obligation.
 ///
-/// The prover that produced the certificate shares nothing with this check
-/// but the term manager: each obligation gets its own scratch [`Solver`],
-/// its own bit-blasting, its own SAT state.
+/// The prover that produced the certificate shares no solver state with
+/// this check, only the term manager and the SAT implementation: each
+/// obligation gets its own fresh [`IncrementalSolver`], its own
+/// bit-blasting, its own SAT state.
 pub fn verify_certificate(
     tm: &mut TermManager,
     ts: &TransitionSystem,

@@ -61,19 +61,12 @@ pub struct BmcSession<'ts> {
 impl<'ts> BmcSession<'ts> {
     /// Opens a session: configures the solver from `config` (AIG layer,
     /// word-level rewriting, per-query conflict budget, wall deadline,
-    /// cancellation flags, memory cap — fault hooks are *not* armed here;
-    /// see [`BmcSession::solver`]) and asserts the initial state and the
-    /// frame-0 constraints.
+    /// cancellation flags, memory cap, the fault plan's SAT hooks) and
+    /// asserts the initial state and the frame-0 constraints.
     pub fn open(tm: &mut TermManager, ts: &'ts TransitionSystem, config: &BmcConfig) -> Self {
         let started = Instant::now();
         let coi = config.simplify.then(|| ts.cone_of_influence(tm));
-        let mut solver = IncrementalSolver::new();
-        solver.set_aig(config.aig);
-        solver.set_simplify(config.simplify);
-        solver.set_conflict_limit(config.conflict_limit);
-        solver.set_deadline(config.time_limit.map(|limit| started + limit));
-        solver.set_cancel_flags(config.cancel.clone());
-        solver.set_memory_limit(config.memory_limit);
+        let mut solver = config.solver(started);
         let mut unroller = Unroller::new(ts);
         let init = unroller.init(tm);
         solver.assert_term(tm, init);

@@ -197,7 +197,7 @@ impl<'a> Unroller<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sepe_smt::{SatResult, Solver, Sort};
+    use sepe_smt::{IncrementalSolver, SatResult, Sort};
 
     #[test]
     fn frames_get_distinct_variables() {
@@ -233,10 +233,8 @@ mod tests {
         let c2 = unroller.var_at(&mut tm, c, 2);
         let two = tm.bv_const(2, 8);
         let goal = tm.neq(c2, two);
-        let mut solver = Solver::new();
-        for t in [init, t01, t12, goal] {
-            solver.assert_term(&tm, t);
-        }
+        let mut solver = IncrementalSolver::new();
+        solver.assert_all(&mut tm, &[init, t01, t12, goal]);
         // after two increments from 0 the counter must be 2, so asking for a
         // different value is unsatisfiable
         assert_eq!(solver.check(&mut tm), SatResult::Unsat);
