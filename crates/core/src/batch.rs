@@ -12,7 +12,9 @@
 //!   ([`QedBuilder::build_catalogue`]) — a free boolean variable that is
 //!   neither a state variable nor an input, so unrolling maps it to itself
 //!   in every frame and one literal switches its mutation on or off across
-//!   the whole trace,
+//!   the whole trace; a one-entry catalogue has no such literal — its
+//!   mutation is compiled in unguarded and its activation is the constant
+//!   `true`, so it runs the direct per-depth check's queries exactly,
 //! * the unrolling is encoded **once** into one persistent
 //!   [`BmcSession`] (rewriting, pinning,
 //!   cone-of-influence refinement and the AIG layer all run once, and the

@@ -146,7 +146,9 @@ impl QedBuilder {
     /// The QED layer — dispatch queue, commit counters, the universal
     /// property — is built once and shared by every entry; the returned
     /// activation terms select which bug the bounded model checker is asking
-    /// about, via `check_assuming` assumptions.
+    /// about, via `check_assuming` assumptions.  A one-entry catalogue builds
+    /// the same system as [`build`](Self::build) with that bug, and its
+    /// entry's activation is the constant `true`.
     pub fn build_catalogue(
         &self,
         tm: &mut TermManager,

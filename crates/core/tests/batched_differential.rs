@@ -7,7 +7,7 @@
 
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
-use sepe_sqed::batch::CatalogueEntry;
+use sepe_sqed::batch::{BatchedDetector, CatalogueEntry};
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::fault::FaultPlan;
 use sepe_sqed::parallel::{BatchSpec, DetectionJob, Engine, RetryPolicy};
@@ -203,5 +203,43 @@ fn batched_prove_pass_matches_the_scalar_detector() {
             "trace length on {}",
             bug.name
         );
+    }
+}
+
+/// A one-entry catalogue shares nothing, so it must run exactly the direct
+/// per-depth check: same verdict, bound, trace, witness and conflicts.  The
+/// shape is the service bug hunt's (xlen 4, 4 memory words, history 1,
+/// bound 6, the target opcode plus ADDI); these two bugs end in its hardest
+/// satisfiable queries, whose search any perturbation of the encoding moves.
+#[test]
+fn a_one_entry_catalogue_costs_what_the_direct_check_costs() {
+    for (name, direct_conflicts) in [("single-srai", 380), ("single-sw", 449)] {
+        let bug = Mutation::table1()
+            .into_iter()
+            .find(|m| m.name == name)
+            .expect("a Table-1 bug");
+        let target = bug.target_opcode().expect("targets an opcode");
+        let config = DetectorConfig::builder()
+            .processor(ProcessorConfig {
+                history_depth: 1,
+                ..ProcessorConfig::tiny().with_opcodes(&[target, Opcode::Addi])
+            })
+            .bound(6)
+            .build();
+        let batched = BatchedDetector::new(config.clone())
+            .run(Method::SepeSqed, &catalogue_of(std::slice::from_ref(&bug)));
+        let direct = Detector::new(config).check(Method::SepeSqed, Some(&bug));
+        let b = &batched.detections[0];
+        assert!(direct.detected, "{name} is detected within bound 6");
+        assert_eq!(batched.stats.encodes, 1, "{name}: one encoding");
+        assert_eq!(b.detected, direct.detected, "verdict on {name}");
+        assert_eq!(b.trace_len, direct.trace_len, "trace length on {name}");
+        assert_eq!(b.bound_reached, direct.bound_reached, "bound on {name}");
+        assert_eq!(b.witness, direct.witness, "witness on {name}");
+        assert_eq!(
+            direct.conflicts, direct_conflicts,
+            "direct conflicts on {name}"
+        );
+        assert_eq!(b.conflicts, direct.conflicts, "conflicts on {name}");
     }
 }

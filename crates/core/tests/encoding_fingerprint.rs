@@ -15,10 +15,15 @@
 //! that simplifies the whole unrolling prefix in one joint rewrite fixpoint
 //! before encoding it.  SQED cannot see the single-instruction bug, so the
 //! run sweeps every depth to the bound.
+//!
+//! A third case builds the same `single-add` detection as a one-entry
+//! mutation catalogue and queries it under the batched detector's one-hot
+//! assumptions.  A lone entry has nothing to share, so it must be the direct
+//! encoding: the same fingerprint, field for field.
 
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
-use sepe_smt::TermManager;
+use sepe_smt::{one_hot_assumptions, TermManager};
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::qed::{QedBuilder, Scheme};
 use sepe_tsys::{BmcConfig, BmcMode, BmcSession, QueryOutcome};
@@ -39,7 +44,9 @@ struct Fingerprint {
     propagations: u64,
 }
 
-fn single_add_fingerprint() -> Fingerprint {
+/// The fingerprint of the SEPE-SQED `single-add` per-depth detection,
+/// built either directly or as a one-entry catalogue.
+fn single_add_fingerprint(catalogue: bool) -> Fingerprint {
     let bug = Mutation::table1()
         .into_iter()
         .find(|m| m.name == "single-add")
@@ -55,7 +62,14 @@ fn single_add_fingerprint() -> Fingerprint {
         queue_depth: config.queue_depth,
     };
     let mut tm = TermManager::new();
-    let system = builder.build(&mut tm, &Scheme::Sepe(helper.equivalence_db()), Some(&bug));
+    let scheme = Scheme::Sepe(helper.equivalence_db());
+    let (system, acts) = if catalogue {
+        let (system, activated) = builder.build_catalogue(&mut tm, &scheme, &[bug]);
+        let acts: Vec<_> = activated.iter().map(|a| a.activation).collect();
+        (system, Some(acts))
+    } else {
+        (builder.build(&mut tm, &scheme, Some(&bug)), None)
+    };
     let bmc_config = BmcConfig {
         start_bound: 1,
         mode: BmcMode::PerDepth,
@@ -67,7 +81,11 @@ fn single_add_fingerprint() -> Fingerprint {
     for bound in 1..=config.max_bound {
         session.extend(&mut tm, bound);
         let bad = session.bad_at(&mut tm, bound);
-        match session.query(&mut tm, bound, &[bad]) {
+        let assumptions = match &acts {
+            Some(acts) => one_hot_assumptions(&mut tm, acts, 0, &[bad]),
+            None => vec![bad],
+        };
+        match session.query(&mut tm, bound, &assumptions) {
             QueryOutcome::Counterexample(witness) => {
                 let stats = session.stats();
                 return Fingerprint {
@@ -120,7 +138,7 @@ fn scratch_fingerprint() -> Fingerprint {
 #[test]
 fn single_add_detection_encoding_is_pinned() {
     assert_eq!(
-        single_add_fingerprint(),
+        single_add_fingerprint(false),
         Fingerprint {
             bound: 3,
             trace_len: 4,
@@ -149,4 +167,9 @@ fn sqed_per_depth_scratch_detection_encoding_is_pinned() {
             propagations: 0,
         }
     );
+}
+
+#[test]
+fn one_entry_catalogue_is_the_direct_encoding() {
+    assert_eq!(single_add_fingerprint(true), single_add_fingerprint(false));
 }

@@ -100,11 +100,14 @@ pub struct SymbolicProcessor {
 /// Asserting it as a [`check_assuming`](sepe_smt::IncrementalSolver::check_assuming)
 /// assumption therefore switches the entry's mutated gate on or off across
 /// the whole unrolling at once.
+///
+/// The lone entry of a one-entry catalogue has no literal: its activation is
+/// the constant `true`, because its mutation is compiled in unguarded.
 #[derive(Debug, Clone)]
 pub struct ActivatedMutation {
     /// The catalogue entry.
     pub mutation: Mutation,
-    /// Its rigid activation literal.
+    /// Its rigid activation literal, or `true` for a lone entry.
     pub activation: TermId,
 }
 
@@ -119,19 +122,24 @@ impl SymbolicProcessor {
         config: &ProcessorConfig,
         mutation: Option<&Mutation>,
     ) -> Self {
-        let entries: Vec<(Option<TermId>, &Mutation)> =
-            mutation.into_iter().map(|m| (None, m)).collect();
+        let entries: Vec<(TermId, &Mutation)> =
+            mutation.into_iter().map(|m| (tm.tru(), m)).collect();
         Self::build_inner(tm, config, &entries)
     }
 
     /// Builds the model with a whole mutation *catalogue* compiled in, each
     /// entry's mutated gate guarded by a fresh activation literal.
     ///
-    /// With every activation literal assumed false the datapath is exactly
-    /// the clean design; assuming entry `i`'s literal true (and the others
-    /// false) yields exactly the design with bug `i` injected.  All entries
-    /// share the register file, memory, history window and result mux, so
-    /// one unrolling encodes the whole catalogue once.
+    /// With two or more entries, every activation literal assumed false
+    /// gives exactly the clean design, and entry `i`'s literal true (the
+    /// others false) gives exactly the design with bug `i` injected.  All
+    /// entries share the register file, memory, history window and result
+    /// mux, so one unrolling encodes the whole catalogue once.
+    ///
+    /// A one-entry catalogue is the classic single-bug build of
+    /// [`build`](Self::build): no activation variable is created and the
+    /// entry's activation is the constant `true`, so the one-hot assumption
+    /// set selects it and no assumption yields the clean design.
     ///
     /// # Panics
     ///
@@ -141,16 +149,19 @@ impl SymbolicProcessor {
         config: &ProcessorConfig,
         mutations: &[Mutation],
     ) -> (Self, Vec<ActivatedMutation>) {
-        let activations: Vec<TermId> = mutations
-            .iter()
-            .enumerate()
-            .map(|(i, m)| tm.var(&format!("act{i:02}_{}", m.name), Sort::Bool))
-            .collect();
-        let entries: Vec<(Option<TermId>, &Mutation)> = mutations
-            .iter()
-            .zip(&activations)
-            .map(|(m, &act)| (Some(act), m))
-            .collect();
+        // A lone entry shares nothing: its activation is the constant
+        // `true`, which folds its guard to the bare trigger — the classic
+        // single-bug build.  A guard literal would only perturb the search.
+        let activations: Vec<TermId> = match mutations {
+            [_] => vec![tm.tru()],
+            _ => mutations
+                .iter()
+                .enumerate()
+                .map(|(i, m)| tm.var(&format!("act{i:02}_{}", m.name), Sort::Bool))
+                .collect(),
+        };
+        let entries: Vec<(TermId, &Mutation)> =
+            activations.iter().copied().zip(mutations).collect();
         let proc = Self::build_inner(tm, config, &entries);
         let activated = mutations
             .iter()
@@ -163,14 +174,13 @@ impl SymbolicProcessor {
         (proc, activated)
     }
 
-    /// The shared build: each entry contributes a guarded effect at the
-    /// mutation sites.  An entry without an activation term is guarded by its
-    /// bare trigger (the classic single-bug build); with one, by
-    /// `activation ∧ trigger`.
+    /// The shared build: each entry contributes an effect at the mutation
+    /// sites, guarded by `activation ∧ trigger`.  An activation of `true`
+    /// folds the guard to the bare trigger (the classic single-bug build).
     fn build_inner(
         tm: &mut TermManager,
         config: &ProcessorConfig,
-        entries: &[(Option<TermId>, &Mutation)],
+        entries: &[(TermId, &Mutation)],
     ) -> Self {
         config.validate();
         let xlen = config.xlen;
@@ -222,8 +232,8 @@ impl SymbolicProcessor {
         let rs1_raw = select_reg(tm, &regs, port.rs1);
         let rs2_val = select_reg(tm, &regs, port.rs2);
 
-        // Guarded effects, in catalogue order.  A lone unguarded entry folds
-        // to exactly the classic single-bug terms; guarded entries chain
+        // Guarded effects, in catalogue order.  An entry activated by `true`
+        // folds to exactly the classic single-bug terms; guarded entries chain
         // `ite`s whose conditions are mutually exclusive under the batched
         // detector's one-hot activation assumptions.
         let guarded: Vec<(TermId, Effect)> = entries
@@ -231,11 +241,7 @@ impl SymbolicProcessor {
             .map(|&(activation, m)| {
                 let trigger =
                     trigger_term(tm, &m.trigger, &port, &history, &config.allowed_opcodes);
-                let guard = match activation {
-                    Some(act) => tm.and(act, trigger),
-                    None => trigger,
-                };
-                (guard, m.effect)
+                (tm.and(activation, trigger), m.effect)
             })
             .collect();
 
