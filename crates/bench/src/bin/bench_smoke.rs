@@ -47,9 +47,9 @@
 //! regression gate.
 //!
 //! A sixth, **batched** arm answers a twenty-entry mutation catalogue
-//! over one shared unrolling (`sepe_sqed::BatchedDetector` via
-//! `BatchSpec::catalogue`): one encoding, one persistent solver, one-hot
-//! activation-literal flips per entry and depth.  Its counters are
+//! over one shared unrolling (`sepe_sqed::BatchedDetector`): one
+//! encoding, one persistent solver, one-hot activation-literal flips per
+//! entry and depth.  Its counters are
 //! deterministic, so it *is* gated: the shared encoding's clause count
 //! gets the tight clause gate, and the throughput ratio (per-job total
 //! clauses / batched shared clauses) must clear a hard 5x floor on every
@@ -84,7 +84,8 @@ use serde::{Serialize, Value};
 use sepe_bench::{jobs_from_args, sweep};
 use sepe_smt::SolverReuseStats;
 use sepe_sqed::detect::Method;
-use sepe_sqed::parallel::{BatchSpec, Engine};
+use sepe_sqed::parallel::Engine;
+use sepe_sqed::BatchedDetector;
 use sepe_tsys::BmcMode;
 
 /// Wall-time regression tolerance against the checked-in baseline (loose:
@@ -479,7 +480,7 @@ fn run_proofs() -> ProofsResult {
 
 /// The batched in-solver arm: [`BATCHED_ENTRIES`] identical copies of the
 /// sweep's mutation answered over **one** shared unrolling
-/// (`sepe_sqed::BatchedDetector` behind `BatchSpec::catalogue`).  The
+/// (`sepe_sqed::BatchedDetector`).  The
 /// encode-once counters are deterministic, so unlike the parallel arm this
 /// one *is* part of the regression gate: `cnf_clauses` gets the tight
 /// clause gate and `throughput` (per-job total clauses / batched shared
@@ -602,12 +603,8 @@ fn main() {
     // Parallel arm: the same sweep × BATCH_COPIES, one worker vs N workers.
     const BATCH_COPIES: usize = 4;
     let workers = jobs_from_args();
-    let seq = Engine::new(1)
-        .run(sweep::batch_jobs(bound, BATCH_COPIES))
-        .expect_jobs();
-    let par = Engine::new(workers)
-        .run(sweep::batch_jobs(bound, BATCH_COPIES))
-        .expect_jobs();
+    let seq = Engine::new(1).run(sweep::batch_jobs(bound, BATCH_COPIES));
+    let par = Engine::new(workers).run(sweep::batch_jobs(bound, BATCH_COPIES));
     for d in seq.detections.iter().chain(&par.detections) {
         assert!(!d.detected, "SQED must miss the Table-1 bug");
         assert!(!d.inconclusive, "the smoke batch runs without budgets");
@@ -618,13 +615,8 @@ fn main() {
     // reference comes from the sequential arm above (identical jobs, so any
     // one of its detections carries the single-encoding clause count).
     let shared_config = sweep::detector(bound, BmcMode::PerDepth).config().clone();
-    let batched_outcome = Engine::new(1)
-        .run(BatchSpec::catalogue(
-            Method::Sqed,
-            shared_config,
-            sweep::catalogue(BATCHED_ENTRIES),
-        ))
-        .expect_catalogue();
+    let batched_outcome =
+        BatchedDetector::new(shared_config).run(Method::Sqed, &sweep::catalogue(BATCHED_ENTRIES));
     for d in &batched_outcome.detections {
         assert!(!d.detected, "SQED must miss the Table-1 bug");
         assert!(!d.inconclusive, "the smoke catalogue runs without budgets");

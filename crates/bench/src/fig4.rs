@@ -8,9 +8,9 @@ use serde::Serialize;
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_smt::EncodeStats;
-use sepe_sqed::batch::{BatchedStats, CatalogueEntry};
+use sepe_sqed::batch::{BatchedDetector, CatalogueEntry};
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
-use sepe_sqed::parallel::{BatchSpec, BatchStats, DetectionJob, Engine};
+use sepe_sqed::parallel::{BatchStats, DetectionJob, Engine};
 
 use crate::report::{SolverRow, SolverSummary};
 use crate::Profile;
@@ -199,7 +199,7 @@ fn jobs_for(bug: &Mutation, profile: Profile) -> [DetectionJob; 2] {
 pub fn run_with_jobs(profile: Profile, jobs: usize) -> (Vec<Fig4Row>, BatchStats) {
     let bugs = bugs(profile);
     let batch: Vec<DetectionJob> = bugs.iter().flat_map(|bug| jobs_for(bug, profile)).collect();
-    let outcome = Engine::new(jobs).run(batch).expect_jobs();
+    let outcome = Engine::new(jobs).run(batch);
     let rows = bugs
         .iter()
         .enumerate()
@@ -282,19 +282,13 @@ pub fn batched_config(profile: Profile) -> DetectorConfig {
 /// Runs the SEPE-SQED arm of Figure 4 as one batched catalogue over a
 /// shared unrolling (one encoding, one-hot activation flips per entry and
 /// depth on the persistent solver).
-pub fn run_batched(profile: Profile) -> (Vec<BatchedRow>, BatchedStats) {
+pub fn run_batched(profile: Profile) -> (Vec<BatchedRow>, BatchStats) {
     let bugs = bugs(profile);
     let entries: Vec<CatalogueEntry> = bugs
         .iter()
         .map(|bug| CatalogueEntry::new(bug.name.clone(), bug.clone()))
         .collect();
-    let outcome = Engine::new(1)
-        .run(BatchSpec::catalogue(
-            Method::SepeSqed,
-            batched_config(profile),
-            entries,
-        ))
-        .expect_catalogue();
+    let outcome = BatchedDetector::new(batched_config(profile)).run(Method::SepeSqed, &entries);
     let rows = bugs
         .iter()
         .zip(&outcome.detections)
@@ -311,7 +305,7 @@ pub fn run_batched(profile: Profile) -> (Vec<BatchedRow>, BatchedStats) {
 }
 
 /// Prints the batched arm's data series.
-pub fn print_batched(rows: &[BatchedRow], stats: &BatchedStats) {
+pub fn print_batched(rows: &[BatchedRow], stats: &BatchStats) {
     println!(
         "{:<4} {:<28} {:>10} {:>9} {:>7}",
         "No.", "bug", "SEPE [s]", "SEPE len", "bound"
@@ -339,7 +333,7 @@ pub fn print_batched(rows: &[BatchedRow], stats: &BatchedStats) {
     println!(
         "encode economics: {} encoding(s) answered {} entries ({} shared CNF clauses); \
          the per-job engine pays {} encodings for the same catalogue.",
-        stats.encodes, stats.entries, stats.solver.cnf_clauses, stats.entries,
+        stats.encodes, stats.jobs, stats.solver.cnf_clauses, stats.jobs,
     );
 }
 

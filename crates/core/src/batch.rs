@@ -9,8 +9,9 @@
 //!
 //! * the transition system is built **once** with every catalogue entry's
 //!   mutation guarded by a fresh *activation literal*
-//!   ([`QedBuilder::build_catalogue`]) — a free boolean variable that is
-//!   neither a state variable nor an input, so unrolling maps it to itself
+//!   ([`QedBuilder::build_catalogue`](crate::qed::QedBuilder::build_catalogue))
+//!   — a free boolean variable that is neither a state variable nor an
+//!   input, so unrolling maps it to itself
 //!   in every frame and one literal switches its mutation on or off across
 //!   the whole trace; a one-entry catalogue has no such literal — its
 //!   mutation is compiled in unguarded and its activation is the constant
@@ -34,7 +35,9 @@
 //! entry reports its *shortest* counterexample exactly like the per-depth
 //! per-job modes, and verdicts/bounds/trace lengths are bit-identical to the
 //! per-job engine at `jobs = 1` (the differential test suite holds the two
-//! paths to that).
+//! paths to that).  Both paths return the same [`BatchOutcome`], tallied
+//! by the same per-job step, and a counterexample is classified by the
+//! direct detector's own witness check, with the entry's fault plan.
 //!
 //! # Failure model
 //!
@@ -48,25 +51,20 @@
 //! entry falls back to a fresh, fault-free per-job run — bystanders keep
 //! their verdicts even when a neighbour detonates.
 
-use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use sepe_processor::Mutation;
-use sepe_smt::{
-    one_hot_assumptions, CancelFlag, FaultHooks, SolverReuseStats, StopReason, TermId, TermManager,
-};
+use sepe_smt::{one_hot_assumptions, FaultHooks, StopReason, TermId, TermManager};
 use sepe_tsys::{BmcConfig, BmcFaultPlan, BmcMode, BmcSession, DepthStats, QueryOutcome};
 
 use crate::detect::{Detection, Detector, DetectorConfig, Method};
 use crate::fault::FaultPlan;
 use crate::parallel::{
-    panic_message, resume_retry_ladder, run_with_retry, DegradationRung, DetectionJob, JobOutcome,
-    JobReport, RetryPolicy, StopReasonTally,
+    panic_message, resume_retry_ladder, run_with_retry, BatchOutcome, BatchStats, DegradationRung,
+    DetectionJob, JobOutcome, JobReport,
 };
-use crate::qed::{QedBuilder, Scheme};
 
 /// One entry of a mutation catalogue: a labelled bug, with an optional
 /// per-entry fault plan (armed on the shared solver only while this entry's
@@ -100,100 +98,6 @@ impl CatalogueEntry {
     }
 }
 
-/// Aggregate counters of one batched run.  The encode-once economics are
-/// all here: `encodes` stays at 1 unless something poisons the shared
-/// solver, while the per-job engine pays one encoding per job.
-#[derive(Debug, Clone, Default)]
-pub struct BatchedStats {
-    /// Catalogue entries scheduled.
-    pub entries: u64,
-    /// Wall-clock time of the whole batch.
-    pub wall: Duration,
-    /// Queries issued on the shared solver (≤ entries × bounds; resolved
-    /// entries stop querying).
-    pub queries: u64,
-    /// Transition-system encodings paid for: 1 for the shared session, plus
-    /// one per per-job fallback attempt.  The per-job engine pays
-    /// `entries` here — this counter against that baseline is the
-    /// deterministic form of the batched-throughput claim.
-    pub encodes: u64,
-    /// Entries whose final answer came from the per-job fallback path
-    /// (shared-solver poisoning, or a budget-stopped entry granted a
-    /// retry).
-    pub fallbacks: u64,
-    /// Deepest bound the shared unrolling was extended to.
-    pub deepest_bound: usize,
-    /// SAT conflicts spent by the shared solver (fallback runs not
-    /// included; their conflicts are in the per-entry detections).
-    pub shared_conflicts: u64,
-    /// Retry attempts across all entries (attempts beyond each entry's
-    /// first).
-    pub retries: u64,
-    /// Entries whose final attempt ran below [`DegradationRung::Full`].
-    pub degraded_runs: u64,
-    /// Attempts that panicked and were caught.
-    pub panics: u64,
-    /// Entries that ended inconclusive because a cancellation flag was
-    /// raised.
-    pub cancelled: u64,
-    /// Final-outcome tallies by stop reason (completed entries are not
-    /// tallied).
-    pub stop_reasons: StopReasonTally,
-    /// Concrete witness replays performed on final counterexamples.
-    pub witness_validations: u64,
-    /// Replays whose final verdict was a mismatch (the entry was demoted to
-    /// [`StopReason::WitnessMismatch`] instead of reporting a wrong bug).
-    pub witness_mismatches: u64,
-    /// Per-entry unbounded-prover runs dispatched for entries that survived
-    /// the shared bounded phase (prove mode only).
-    pub proof_attempts: u64,
-    /// Entries whose final verdict was `Proved` — clean at *every* depth,
-    /// certificate checked.
-    pub proved: u64,
-    /// Certificates whose independent-solver self-check failed (the entry
-    /// was demoted to [`StopReason::ProofMismatch`] instead of reporting a
-    /// wrong proof).
-    pub proof_mismatches: u64,
-    /// The shared session's solver-reuse counters: one encoding's worth of
-    /// CNF (`cnf_vars`/`cnf_clauses`), cache hits across queries, learnt
-    /// clauses retained between them.
-    pub solver: SolverReuseStats,
-}
-
-impl fmt::Display for BatchedStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} entries in {:.2}s: {} shared queries to bound {}, {} encodes, \
-             {} fallbacks, {} shared conflicts, {} retries, {} panics",
-            self.entries,
-            self.wall.as_secs_f64(),
-            self.queries,
-            self.deepest_bound,
-            self.encodes,
-            self.fallbacks,
-            self.shared_conflicts,
-            self.retries,
-            self.panics,
-        )
-    }
-}
-
-/// The result of [`BatchedDetector::run`]: one [`Detection`] per catalogue
-/// entry, in catalogue order, plus execution reports and the aggregate
-/// counters — the same shape as the per-job engine's
-/// [`BatchOutcome`](crate::parallel::BatchOutcome), so drivers can consume
-/// either.
-#[derive(Debug, Clone)]
-pub struct BatchedOutcome {
-    /// Per-entry results; `detections[i]` answers `catalogue[i]`.
-    pub detections: Vec<Detection>,
-    /// Per-entry execution reports, parallel to `detections`.
-    pub reports: Vec<JobReport>,
-    /// Aggregate batched counters.
-    pub stats: BatchedStats,
-}
-
 /// Per-entry accumulators across the entry's shared-solver queries.
 #[derive(Debug, Clone, Default)]
 struct EntryAcc {
@@ -218,102 +122,63 @@ enum Fallback {
 /// See the [module docs](self) for the encoding and failure model.
 #[derive(Debug, Clone)]
 pub struct BatchedDetector {
-    config: DetectorConfig,
-    retry: RetryPolicy,
+    detector: Detector,
 }
 
 impl BatchedDetector {
     /// Creates a batched detector over one shared configuration: the
     /// processor (whose `allowed_opcodes` are the catalogue's shared
     /// original-instruction universe), budgets and solver knobs apply to
-    /// every entry.
+    /// every entry.  The configuration's `time_limit` and `cancel` flags
+    /// bound the whole catalogue, and its `retry` policy governs the
+    /// per-entry fallback ladder: a failed entry's shared-solver query
+    /// counts as the first rung.
     pub fn new(config: DetectorConfig) -> Self {
-        let retry = config.retry.unwrap_or_default();
-        BatchedDetector { config, retry }
-    }
-
-    /// Sets the retry policy for budget-stopped or panicked entries: their
-    /// shared-solver attempt counts as the first rung, and fallback re-runs
-    /// descend the same [`DegradationRung`] ladder as the per-job engine.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
+        BatchedDetector {
+            detector: Detector::new(config),
+        }
     }
 
     /// The shared configuration.
     pub fn config(&self) -> &DetectorConfig {
-        &self.config
+        self.detector.config()
     }
 
     /// Runs the whole catalogue under one method over one shared unrolling,
     /// returning one [`Detection`] per entry in catalogue order.
-    pub fn run(&self, method: Method, catalogue: &[CatalogueEntry]) -> BatchedOutcome {
-        let cancel: CancelFlag = Arc::new(AtomicBool::new(false));
-        self.run_under(method, catalogue, &cancel, None)
-    }
-
-    /// [`run`](Self::run) under an external cancellation flag and deadline —
-    /// the entry point the engine uses to schedule a catalogue as one work
-    /// unit inside a batch (the flag chains onto the configuration's own
-    /// flags, the deadline tightens the configuration's own budget).
-    pub(crate) fn run_under(
-        &self,
-        method: Method,
-        catalogue: &[CatalogueEntry],
-        batch_cancel: &CancelFlag,
-        batch_deadline: Option<Instant>,
-    ) -> BatchedOutcome {
+    pub fn run(&self, method: Method, catalogue: &[CatalogueEntry]) -> BatchOutcome {
         let start = Instant::now();
-        let n = catalogue.len();
-        let mut stats = BatchedStats {
-            entries: n as u64,
-            ..BatchedStats::default()
+        let config = self.config();
+        let retry = config.retry.unwrap_or_default();
+        let granted = retry.max_retries >= 1;
+        let mut stats = BatchStats {
+            workers: 1,
+            ..BatchStats::default()
         };
-        if n == 0 {
+        if catalogue.is_empty() {
             stats.wall = start.elapsed();
-            return BatchedOutcome {
+            return BatchOutcome {
                 detections: Vec::new(),
                 reports: Vec::new(),
                 stats,
             };
         }
-        let deadline = match (self.config.time_limit.map(|l| start + l), batch_deadline) {
-            (Some(own), Some(batch)) => Some(own.min(batch)),
-            (own, batch) => own.or(batch),
-        };
+        let n = catalogue.len();
+        let deadline = config.time_limit.map(|l| start + l);
 
         // One build, one encoding: every entry's mutation rides in the same
         // transition system behind its activation literal.
-        let helper = Detector::new(self.config.clone());
-        let scheme = match method {
-            Method::Sqed => Scheme::Sqed,
-            Method::SepeSqed => Scheme::Sepe(helper.equivalence_db()),
-        };
-        let builder = QedBuilder {
-            processor: self.config.processor.clone(),
-            original_opcodes: helper.original_opcodes(method),
-            queue_depth: self.config.queue_depth,
-        };
+        let (builder, scheme) = self.detector.qed(method);
         let mut tm = TermManager::new();
         let mutations: Vec<Mutation> = catalogue.iter().map(|e| e.mutation.clone()).collect();
         let (system, activated) = builder.build_catalogue(&mut tm, &scheme, &mutations);
         let acts: Vec<TermId> = activated.iter().map(|a| a.activation).collect();
-
-        let mut chained = self.config.cancel.clone();
-        chained.push(batch_cancel.clone());
         let session_config = BmcConfig {
-            conflict_limit: self.config.conflict_limit,
-            time_limit: deadline.map(|d| d.saturating_duration_since(start)),
-            start_bound: 1,
             // lock-step depths: shortest counterexamples, like PerDepth
             mode: BmcMode::PerDepth,
-            simplify: self.config.simplify,
-            aig: self.config.aig,
-            cancel: chained.clone(),
-            memory_limit: self.config.memory_limit,
             // per-entry faults are armed around individual queries instead
             fault: BmcFaultPlan::default(),
-            ..BmcConfig::default()
+            ..self.detector.bmc_config()
         };
         let mut session = BmcSession::open(&mut tm, &system.ts, &session_config);
         stats.encodes = 1;
@@ -326,11 +191,11 @@ impl BatchedDetector {
         let mut aborted: Option<StopReason> = None;
         let mut extended = 0usize;
 
-        'depths: for bound in 1..=self.config.max_bound {
+        'depths: for bound in 1..=config.max_bound {
             if unresolved.is_empty() {
                 break;
             }
-            if chained.iter().any(|f| f.load(Ordering::Relaxed)) {
+            if config.cancel.iter().any(|f| f.load(Ordering::Relaxed)) {
                 aborted = Some(StopReason::Cancelled);
                 break;
             }
@@ -387,7 +252,7 @@ impl BatchedDetector {
                         let outcome = JobOutcome::Failed {
                             message: panic_message(payload.as_ref()),
                         };
-                        if self.retry.max_retries >= 1 {
+                        if granted {
                             fallback.push((i, Fallback::Resume { panicked: true }));
                         } else {
                             detections[i] = Some(inconclusive_detection(
@@ -414,58 +279,25 @@ impl BatchedDetector {
                         acc[i].depths.push(q);
                         match outcome {
                             QueryOutcome::Counterexample(witness) => {
-                                // Fault hook, then the witness self-check:
-                                // a counterexample that does not replay on
-                                // the concrete twin is a structured failure,
-                                // retried on the per-job ladder if granted.
-                                let witness = if fplan.corrupt_witness {
-                                    crate::selfcheck::corrupt_witness(&witness)
+                                // The direct check's classifier: a witness
+                                // that does not replay is a structured
+                                // failure, retried on the ladder if granted.
+                                let run = entry_detection(method, entry, bound, &mut acc[i]);
+                                let detection = self.detector.classify_witness(
+                                    Some(&entry.mutation),
+                                    entry.fault,
+                                    witness,
+                                    run,
+                                );
+                                if detection.inconclusive && granted {
+                                    fallback.push((i, Fallback::Resume { panicked: false }));
                                 } else {
-                                    witness
-                                };
-                                let validated = self.config.validate_witness.then(|| {
-                                    crate::selfcheck::replay_confirms(
-                                        &self.config.processor,
-                                        Some(&entry.mutation),
-                                        method,
-                                        &witness,
-                                    )
-                                });
-                                if validated == Some(false) {
-                                    if self.retry.max_retries >= 1 {
-                                        fallback.push((i, Fallback::Resume { panicked: false }));
-                                    } else {
-                                        let mut demoted = inconclusive_detection(
-                                            method,
-                                            entry,
-                                            StopReason::WitnessMismatch,
-                                            bound,
-                                            &mut acc[i],
-                                        );
-                                        demoted.witness = Some(witness);
-                                        demoted.witness_validated = Some(false);
-                                        detections[i] = Some(demoted);
-                                        reports[i] = Some(shared_report(
-                                            entry,
-                                            JobOutcome::Stopped(StopReason::WitnessMismatch),
-                                            false,
-                                        ));
-                                    }
-                                    continue;
+                                    let outcome = detection
+                                        .stop_reason
+                                        .map_or(JobOutcome::Completed, JobOutcome::Stopped);
+                                    reports[i] = Some(shared_report(entry, outcome, false));
+                                    detections[i] = Some(detection);
                                 }
-                                detections[i] = Some(Detection {
-                                    detected: true,
-                                    runtime: acc[i].runtime,
-                                    trace_len: Some(witness.num_steps()),
-                                    witness: Some(witness),
-                                    witness_validated: validated,
-                                    bound_reached: bound,
-                                    conflicts: acc[i].conflicts,
-                                    depths: std::mem::take(&mut acc[i].depths),
-                                    ..Detection::blank(method, Some(entry.mutation.name.clone()))
-                                });
-                                reports[i] =
-                                    Some(shared_report(entry, JobOutcome::Completed, false));
                             }
                             QueryOutcome::Unreachable => still.push(i),
                             QueryOutcome::Unknown(
@@ -482,7 +314,7 @@ impl BatchedDetector {
                                 // A genuine breach: the shared arena is over
                                 // the cap and every later query would breach
                                 // too — degrade like a poisoning.
-                                if self.retry.max_retries >= 1 {
+                                if granted {
                                     fallback.push((i, Fallback::Resume { panicked: false }));
                                 } else {
                                     detections[i] = Some(inconclusive_detection(
@@ -510,7 +342,7 @@ impl BatchedDetector {
                                 // resumes on the ladder if granted.
                                 let retryable = JobOutcome::Stopped(reason).should_retry()
                                     || reason == StopReason::Panicked;
-                                if retryable && self.retry.max_retries >= 1 {
+                                if retryable && granted {
                                     fallback.push((i, Fallback::Resume { panicked: false }));
                                 } else {
                                     detections[i] = Some(inconclusive_detection(
@@ -538,12 +370,23 @@ impl BatchedDetector {
         }
 
         // Shared-session counters, before the fallback runs muddy the water.
-        let bmc_stats = session.stats();
-        stats.solver = bmc_stats.solver;
-        stats.shared_conflicts = bmc_stats.conflicts;
-        stats.deepest_bound = bmc_stats.deepest_bound;
+        let shared = session.stats();
+        stats.shared_conflicts = shared.conflicts;
+        stats.deepest_bound = shared.deepest_bound;
         drop(session);
 
+        // An entry as a per-job run, for the prover and the fallback paths.
+        let entry_job = |entry: &CatalogueEntry| {
+            DetectionJob::new(
+                entry.label.clone(),
+                DetectorConfig {
+                    fault: entry.fault,
+                    ..config.clone()
+                },
+                method,
+                Some(entry.mutation.clone()),
+            )
+        };
         if let Some(reason) = aborted {
             for &i in &unresolved {
                 let entry = &catalogue[i];
@@ -559,7 +402,7 @@ impl BatchedDetector {
                 report.attempts = u32::from(started);
                 reports[i] = Some(report);
             }
-        } else if self.config.prove.is_some() {
+        } else if config.prove.is_some() {
             // Entries that survived every bound get a dedicated per-entry
             // proof attempt (fresh system, concrete mutation — activation
             // literals would leak into cubes and uniqueness constraints):
@@ -568,17 +411,8 @@ impl BatchedDetector {
             // so prover panics and budget faults degrade instead of
             // poisoning the batch.
             for &i in &unresolved {
-                let entry = &catalogue[i];
-                let job = DetectionJob::new(
-                    entry.label.clone(),
-                    DetectorConfig {
-                        fault: entry.fault,
-                        ..self.config.clone()
-                    },
-                    method,
-                    Some(entry.mutation.clone()),
-                );
-                let (detection, report) = run_with_retry(&job, batch_cancel, deadline, self.retry);
+                let (detection, report) =
+                    run_with_retry(&entry_job(&catalogue[i]), None, deadline, retry);
                 stats.proof_attempts += 1;
                 // Each prover attempt re-encodes the entry's system.
                 stats.encodes += u64::from(report.attempts);
@@ -589,13 +423,12 @@ impl BatchedDetector {
             // Entries that survived every bound: proven clean to the bound.
             for &i in &unresolved {
                 let entry = &catalogue[i];
-                detections[i] = Some(Detection {
-                    runtime: acc[i].runtime,
-                    bound_reached: self.config.max_bound,
-                    conflicts: acc[i].conflicts,
-                    depths: std::mem::take(&mut acc[i].depths),
-                    ..Detection::blank(method, Some(entry.mutation.name.clone()))
-                });
+                detections[i] = Some(entry_detection(
+                    method,
+                    entry,
+                    config.max_bound,
+                    &mut acc[i],
+                ));
                 reports[i] = Some(shared_report(entry, JobOutcome::Completed, false));
             }
         }
@@ -603,23 +436,14 @@ impl BatchedDetector {
         // Per-job fallback: poisoning bystanders run fresh, failed entries
         // resume the retry ladder one rung down from their shared attempt.
         for (i, kind) in fallback {
-            let entry = &catalogue[i];
-            let job = DetectionJob::new(
-                entry.label.clone(),
-                DetectorConfig {
-                    fault: entry.fault,
-                    ..self.config.clone()
-                },
-                method,
-                Some(entry.mutation.clone()),
-            );
+            let job = entry_job(&catalogue[i]);
             let (detection, report) = match kind {
-                Fallback::Fresh => run_with_retry(&job, batch_cancel, deadline, self.retry),
+                Fallback::Fresh => run_with_retry(&job, None, deadline, retry),
                 Fallback::Resume { panicked } => resume_retry_ladder(
                     &job,
-                    batch_cancel,
+                    None,
                     deadline,
-                    self.retry,
+                    retry,
                     DegradationRung::Full.next(),
                     1,
                     u32::from(panicked),
@@ -644,22 +468,14 @@ impl BatchedDetector {
             .map(|d| d.expect("every entry resolves exactly once"))
             .collect();
         for (detection, report) in detections.iter().zip(&reports) {
-            stats.retries += u64::from(report.attempts.saturating_sub(1));
-            stats.degraded_runs += u64::from(report.rung != DegradationRung::Full);
-            stats.panics += u64::from(report.panicked_attempts);
-            if let Some(reason) = report.outcome.stop_reason() {
-                stats.stop_reasons.record(reason);
-            }
-            stats.cancelled += u64::from(
-                detection.inconclusive && detection.stop_reason == Some(StopReason::Cancelled),
-            );
-            stats.witness_validations += u64::from(detection.witness_validated.is_some());
-            stats.witness_mismatches += u64::from(detection.witness_validated == Some(false));
-            stats.proved += u64::from(detection.proved);
-            stats.proof_mismatches += u64::from(detection.proof_checked == Some(false));
+            let cancelled =
+                detection.inconclusive && detection.stop_reason == Some(StopReason::Cancelled);
+            stats.absorb(detection, report, cancelled);
         }
+        // The shared session's solver last, so its per-check counters stand.
+        stats.solver.absorb(&shared.solver);
         stats.wall = start.elapsed();
-        BatchedOutcome {
+        BatchOutcome {
             detections,
             reports,
             stats,
@@ -667,8 +483,24 @@ impl BatchedDetector {
     }
 }
 
-/// An inconclusive per-entry detection carrying whatever shared-solver work
-/// the entry accumulated before it stopped.
+/// An entry's verdict-free detection at `bound`, carrying whatever
+/// shared-solver work the entry accumulated.
+fn entry_detection(
+    method: Method,
+    entry: &CatalogueEntry,
+    bound: usize,
+    acc: &mut EntryAcc,
+) -> Detection {
+    Detection {
+        runtime: acc.runtime,
+        bound_reached: bound,
+        conflicts: acc.conflicts,
+        depths: std::mem::take(&mut acc.depths),
+        ..Detection::blank(method, Some(entry.mutation.name.clone()))
+    }
+}
+
+/// An entry's inconclusive detection: stopped at `bound` for `reason`.
 fn inconclusive_detection(
     method: Method,
     entry: &CatalogueEntry,
@@ -679,11 +511,7 @@ fn inconclusive_detection(
     Detection {
         inconclusive: true,
         stop_reason: Some(reason),
-        runtime: acc.runtime,
-        bound_reached: bound,
-        conflicts: acc.conflicts,
-        depths: std::mem::take(&mut acc.depths),
-        ..Detection::blank(method, Some(entry.mutation.name.clone()))
+        ..entry_detection(method, entry, bound, acc)
     }
 }
 
@@ -728,7 +556,7 @@ mod tests {
         let (config, _) = tiny_catalogue();
         let outcome = BatchedDetector::new(config).run(Method::Sqed, &[]);
         assert!(outcome.detections.is_empty());
-        assert_eq!(outcome.stats.entries, 0);
+        assert_eq!(outcome.stats.jobs, 0);
         assert_eq!(outcome.stats.encodes, 0);
     }
 
@@ -751,6 +579,25 @@ mod tests {
             assert_eq!(batched.inconclusive, solo.inconclusive, "{}", entry.label);
             assert_eq!(batched.trace_len, solo.trace_len, "{}", entry.label);
         }
+    }
+
+    #[test]
+    fn an_exhausted_budget_stops_every_entry_before_its_first_query() {
+        let (config, catalogue) = tiny_catalogue();
+        let config = DetectorConfig {
+            time_limit: Some(Duration::ZERO),
+            ..config
+        };
+        let outcome = BatchedDetector::new(config).run(Method::Sqed, &catalogue);
+        for (detection, report) in outcome.detections.iter().zip(&outcome.reports) {
+            assert!(detection.inconclusive);
+            assert_eq!(detection.stop_reason, Some(StopReason::Deadline));
+            assert_eq!(report.outcome, JobOutcome::Stopped(StopReason::Deadline));
+            assert_eq!(report.attempts, 0, "no entry was ever queried");
+        }
+        assert_eq!(outcome.stats.stop_reasons.deadline, 2);
+        assert_eq!(outcome.stats.queries, 0);
+        assert_eq!(outcome.stats.encodes, 1, "the shared session was opened");
     }
 
     #[test]

@@ -421,9 +421,9 @@ impl Detector {
         }
     }
 
-    /// Runs one method against one (optional) injected bug.
-    pub fn check(&self, method: Method, mutation: Option<&Mutation>) -> Detection {
-        let mut tm = TermManager::new();
+    /// The QED builder and scheme of `method`: the one recipe both the
+    /// direct check and the batched catalogue build their system from.
+    pub(crate) fn qed(&self, method: Method) -> (QedBuilder, Scheme) {
         let scheme = match method {
             Method::Sqed => Scheme::Sqed,
             Method::SepeSqed => Scheme::Sepe(self.equivalence_db()),
@@ -433,8 +433,13 @@ impl Detector {
             original_opcodes: self.original_opcodes(method),
             queue_depth: self.config.queue_depth,
         };
-        let system = builder.build(&mut tm, &scheme, mutation);
-        let bmc_config = BmcConfig {
+        (builder, scheme)
+    }
+
+    /// The model checker's configuration: the detector's budgets, knobs,
+    /// cancellation flags and fault plan.
+    pub(crate) fn bmc_config(&self) -> BmcConfig {
+        BmcConfig {
             conflict_limit: self.config.conflict_limit,
             time_limit: self.config.time_limit,
             // the initial state is consistent by construction, start at 1
@@ -446,7 +451,15 @@ impl Detector {
             memory_limit: self.config.memory_limit,
             fault: self.config.fault.map(FaultPlan::to_bmc).unwrap_or_default(),
             ..BmcConfig::default()
-        };
+        }
+    }
+
+    /// Runs one method against one (optional) injected bug.
+    pub fn check(&self, method: Method, mutation: Option<&Mutation>) -> Detection {
+        let mut tm = TermManager::new();
+        let (builder, scheme) = self.qed(method);
+        let system = builder.build(&mut tm, &scheme, mutation);
+        let bmc_config = self.bmc_config();
         if let Some(prover) = self.config.prove {
             let run = match prover {
                 ProofMethod::KInduction => {
@@ -512,38 +525,7 @@ impl Detector {
         };
         match result {
             BmcResult::Counterexample(witness) => {
-                // Fault hook: hand the self-check a corrupted witness so the
-                // demotion path is deterministically testable.
-                let witness = match self.config.fault {
-                    Some(f) if f.corrupt_witness => crate::selfcheck::corrupt_witness(&witness),
-                    _ => witness,
-                };
-                let validated = self.config.validate_witness.then(|| {
-                    crate::selfcheck::replay_confirms(
-                        &self.config.processor,
-                        mutation,
-                        method,
-                        &witness,
-                    )
-                });
-                if validated == Some(false) {
-                    // The solver's counterexample does not reproduce on the
-                    // concrete twin: a structured failure, not a bug report.
-                    return Detection {
-                        inconclusive: true,
-                        stop_reason: Some(StopReason::WitnessMismatch),
-                        witness: Some(witness),
-                        witness_validated: Some(false),
-                        ..run
-                    };
-                }
-                Detection {
-                    detected: true,
-                    trace_len: Some(witness.num_steps()),
-                    witness: Some(witness),
-                    witness_validated: validated,
-                    ..run
-                }
+                self.classify_witness(mutation, self.config.fault, witness, run)
             }
             BmcResult::Proved {
                 method: prover,
@@ -592,6 +574,49 @@ impl Detector {
                 bound_reached: bound,
                 ..run
             },
+        }
+    }
+
+    /// Turns a counterexample against `mutation` into a verdict on top of
+    /// `run` (the run's method, bound and work).  The fault plan's
+    /// corruption hook fires first, so the demotion path is
+    /// deterministically testable; then the witness is replayed on the
+    /// concrete twin.  A replay that does not reproduce it is a structured
+    /// failure, [`StopReason::WitnessMismatch`], not a bug report.
+    pub(crate) fn classify_witness(
+        &self,
+        mutation: Option<&Mutation>,
+        fault: Option<FaultPlan>,
+        witness: Witness,
+        run: Detection,
+    ) -> Detection {
+        let witness = match fault {
+            Some(f) if f.corrupt_witness => crate::selfcheck::corrupt_witness(&witness),
+            _ => witness,
+        };
+        let validated = self.config.validate_witness.then(|| {
+            crate::selfcheck::replay_confirms(
+                &self.config.processor,
+                mutation,
+                run.method,
+                &witness,
+            )
+        });
+        if validated == Some(false) {
+            return Detection {
+                inconclusive: true,
+                stop_reason: Some(StopReason::WitnessMismatch),
+                witness: Some(witness),
+                witness_validated: Some(false),
+                ..run
+            };
+        }
+        Detection {
+            detected: true,
+            trace_len: Some(witness.num_steps()),
+            witness: Some(witness),
+            witness_validated: validated,
+            ..run
         }
     }
 

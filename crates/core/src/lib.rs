@@ -53,7 +53,7 @@ pub mod parallel;
 pub mod qed;
 pub mod selfcheck;
 
-pub use batch::{BatchedDetector, BatchedOutcome, BatchedStats, CatalogueEntry};
+pub use batch::{BatchedDetector, CatalogueEntry};
 pub use detect::{Detection, Detector, DetectorConfig, Method};
 pub use eddiv::EddiV;
 pub use edsepv::EdsepV;
@@ -61,6 +61,6 @@ pub use equivalence::EquivalenceDb;
 pub use fault::FaultPlan;
 pub use mapping::RegisterMapping;
 pub use parallel::{
-    BatchOutcome, BatchSpec, BatchStats, DegradationRung, DetectionJob, Engine, EngineOutcome,
-    JobOutcome, JobReport, RetryPolicy, StopReasonTally,
+    BatchOutcome, BatchStats, DegradationRung, DetectionJob, Engine, JobOutcome, JobReport,
+    RetryPolicy, StopReasonTally,
 };

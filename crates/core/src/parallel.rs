@@ -1,35 +1,27 @@
 //! Parallel multi-bug detection: a work-stealing engine over independent
-//! `Detector::check` jobs and batched mutation catalogues.
+//! `Detector::check` jobs.
 //!
 //! The paper's headline experiments (Table 1, Figure 4) are sweeps of one
-//! detection run per mutation × method × bound.  [`Engine::run`] is the one
-//! entry point for all of them: it takes a [`BatchSpec`] describing *what*
-//! to schedule and returns an [`EngineOutcome`] describing what happened.
-//! The two spec modes:
-//!
-//! * [`BatchSpec::Jobs`] — independent [`DetectionJob`]s: each worker gets
-//!   its own [`Detector`] (nothing is shared between jobs but the job queue
-//!   and the cancellation flag) and pulls jobs off a shared atomic counter
-//!   so fast workers steal the remaining work.  With `workers == 1` the
-//!   batch runs inline on the calling thread in job order — byte-for-byte
-//!   the sequential drivers, which is what the determinism tests and the
-//!   bench regression gate rely on.
-//! * [`BatchSpec::Catalogue`] — a mutation catalogue answered over **one
-//!   shared unrolling** by the batched detector
-//!   ([`BatchedDetector`]): the whole group
-//!   is one scheduling unit (one solver, so no intra-group parallelism to
-//!   steal), run under the engine's global budget and retry policy like any
-//!   other unit of work.
+//! detection run per mutation × method × bound.  [`Engine::run`] schedules
+//! them as independent [`DetectionJob`]s: each worker gets its own
+//! [`Detector`] (nothing is shared between jobs but the job queue and the
+//! cancellation flag) and pulls jobs off a shared atomic counter so fast
+//! workers steal the remaining work.  With `workers == 1` the batch runs
+//! inline on the calling thread in job order — byte-for-byte the sequential
+//! drivers, which is what the determinism tests and the bench regression
+//! gate rely on.  A mutation catalogue over one shared unrolling is the
+//! other way to answer a sweep ([`BatchedDetector`](crate::batch::BatchedDetector));
+//! both return the same [`BatchOutcome`].
 //!
 //! A **global time budget** ([`Engine::with_time_limit`]) bounds the whole
-//! batch in every mode: a watchdog raises one shared [`CancelFlag`] when the
-//! budget expires, every in-flight SAT search aborts within a short burst
-//! of conflicts (the flag is polled at the same sampled check point as the
+//! batch: a watchdog raises one shared [`CancelFlag`] when the budget
+//! expires, every in-flight SAT search aborts within a short burst of
+//! conflicts (the flag is polled at the same sampled check point as the
 //! solver deadline), and jobs not yet started return immediately as
 //! cancelled, inconclusive [`Detection`]s.
 //!
-//! Per-job [`SolverReuseStats`] are aggregated into a [`BatchStats`] so a
-//! batch reports the same counters the sequential drivers print.
+//! Per-job results are tallied into a [`BatchStats`] so a batch reports the
+//! same counters the sequential drivers print.
 //!
 //! # Example
 //!
@@ -48,7 +40,7 @@
 //!     DetectionJob::new("clean-sqed", config.clone(), Method::Sqed, None),
 //!     DetectionJob::new("clean-sepe", config, Method::SepeSqed, None),
 //! ];
-//! let outcome = Engine::new(2).run(jobs).expect_jobs();
+//! let outcome = Engine::new(2).run(jobs);
 //! assert_eq!(outcome.detections.len(), 2);
 //! assert!(outcome.detections.iter().all(|d| !d.detected));
 //! ```
@@ -64,7 +56,6 @@ use sepe_processor::Mutation;
 use sepe_smt::{CancelFlag, SolverReuseStats, StopReason};
 use sepe_tsys::BmcMode;
 
-use crate::batch::{BatchedDetector, BatchedOutcome, CatalogueEntry};
 use crate::detect::{Detection, Detector, DetectorConfig, Method};
 
 /// One unit of detection work: a full detector configuration plus the
@@ -302,12 +293,18 @@ impl StopReasonTally {
     }
 }
 
-/// Aggregate statistics of one batch run.
+/// Aggregate statistics of one batch: independent jobs ([`Engine::run`]) or
+/// a mutation catalogue ([`BatchedDetector::run`](crate::batch::BatchedDetector::run),
+/// where each entry counts as a job).  Both paths tally their jobs through
+/// the same per-job step; the shared-session counters (`queries`,
+/// `fallbacks`, `deepest_bound`, `shared_conflicts`, `proof_attempts`) stay
+/// zero on a jobs run.
 #[derive(Debug, Clone, Default)]
 pub struct BatchStats {
-    /// Jobs that were scheduled.
+    /// Jobs (or catalogue entries) that were scheduled.
     pub jobs: u64,
-    /// Worker threads the batch ran on.
+    /// Worker threads the batch ran on (1 for a catalogue: one shared
+    /// solver leaves nothing to steal).
     pub workers: usize,
     /// Wall-clock time of the whole batch, queue to last result.
     pub wall: Duration,
@@ -317,11 +314,16 @@ pub struct BatchStats {
     /// Longest single job — the lower bound on batch wall time no worker
     /// count can beat.
     pub job_wall_max: Duration,
-    /// Jobs that ended inconclusive because the shared cancellation flag
-    /// was raised (global budget expiry).
+    /// Jobs that ended inconclusive because a cancellation flag was raised
+    /// (the engine's global budget, or a catalogue entry's own flag).
     pub cancelled: u64,
     /// Total SAT conflicts across all jobs.
     pub conflicts: u64,
+    /// Transition-system encodings paid for: one per attempt on the jobs
+    /// path; on the catalogue path 1 for the shared session plus one per
+    /// per-job fallback attempt.  The catalogue's `encodes` against its
+    /// `jobs` is the deterministic form of the batched-throughput claim.
+    pub encodes: u64,
     /// Retry attempts across all jobs (attempts beyond each job's first).
     pub retries: u64,
     /// Jobs whose *final* attempt ran below the [`DegradationRung::Full`]
@@ -340,13 +342,37 @@ pub struct BatchStats {
     /// Replays whose final verdict was a mismatch — the counterexample did
     /// not reproduce and the job was demoted.
     pub witness_mismatches: u64,
-    /// Per-job solver-reuse counters, summed (encode/rewrite/AIG work,
-    /// learnt-database reduction, CNF sizes).
+    /// Jobs whose final verdict was `Proved` — clean at *every* depth,
+    /// certificate checked.
+    pub proved: u64,
+    /// Certificates whose independent-solver self-check failed (the job was
+    /// demoted to [`StopReason::ProofMismatch`] instead of reporting a wrong
+    /// proof).
+    pub proof_mismatches: u64,
+    /// Queries issued on a catalogue's shared solver (≤ entries × bounds;
+    /// resolved entries stop querying).
+    pub queries: u64,
+    /// Catalogue entries whose final answer came from the per-job fallback
+    /// path (shared-solver poisoning, or a failed entry granted a retry).
+    pub fallbacks: u64,
+    /// Deepest bound a catalogue's shared unrolling was extended to.
+    pub deepest_bound: usize,
+    /// SAT conflicts spent by a catalogue's shared solver (fallback runs not
+    /// included; their conflicts are in the per-entry detections).
+    pub shared_conflicts: u64,
+    /// Per-entry unbounded-prover runs a catalogue dispatched for entries
+    /// that survived the shared bounded phase (prove mode only).
+    pub proof_attempts: u64,
+    /// Solver-reuse counters summed over the batch's solvers (encode,
+    /// rewrite and AIG work, learnt-database reduction, CNF sizes): each
+    /// job's final attempt, and a catalogue's shared session.
     pub solver: SolverReuseStats,
 }
 
 impl BatchStats {
-    fn absorb_job(&mut self, detection: &Detection, report: &JobReport, cancelled: bool) {
+    /// Tallies one finished job.  `cancelled` is the caller's own verdict
+    /// on whether a cancellation flag stopped it.
+    pub(crate) fn absorb(&mut self, detection: &Detection, report: &JobReport, cancelled: bool) {
         self.jobs += 1;
         self.job_wall_total += detection.runtime;
         self.job_wall_max = self.job_wall_max.max(detection.runtime);
@@ -360,6 +386,8 @@ impl BatchStats {
         }
         self.witness_validations += u64::from(detection.witness_validated.is_some());
         self.witness_mismatches += u64::from(detection.witness_validated == Some(false));
+        self.proved += u64::from(detection.proved);
+        self.proof_mismatches += u64::from(detection.proof_checked == Some(false));
         self.solver.absorb(&detection.solver);
     }
 }
@@ -369,12 +397,17 @@ impl fmt::Display for BatchStats {
         write!(
             f,
             "{} jobs on {} workers in {:.2}s (job wall {:.2}s total / {:.2}s max, \
-             {} cancelled, {} conflicts, {} retries, {} degraded, {} panics)",
+             {} encodes, {} shared queries to bound {}, {} fallbacks, {} cancelled, \
+             {} conflicts, {} retries, {} degraded, {} panics)",
             self.jobs,
             self.workers,
             self.wall.as_secs_f64(),
             self.job_wall_total.as_secs_f64(),
             self.job_wall_max.as_secs_f64(),
+            self.encodes,
+            self.queries,
+            self.deepest_bound,
+            self.fallbacks,
             self.cancelled,
             self.conflicts,
             self.retries,
@@ -384,9 +417,10 @@ impl fmt::Display for BatchStats {
     }
 }
 
-/// The result of an independent-jobs run ([`BatchSpec::Jobs`]): one
-/// [`Detection`] per job, in job
-/// order, plus the aggregate counters.
+/// The result of a batch — [`Engine::run`] over independent jobs, or
+/// [`BatchedDetector::run`](crate::batch::BatchedDetector::run) over a
+/// catalogue: one [`Detection`] per job, in job order, plus the aggregate
+/// counters.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// Per-job results; `detections[i]` answers `jobs[i]` regardless of
@@ -399,100 +433,7 @@ pub struct BatchOutcome {
     pub stats: BatchStats,
 }
 
-/// What one [`Engine::run`] invocation schedules.
-///
-/// `Vec<DetectionJob>` converts [`Into`] the independent-jobs mode, so the
-/// common case reads `engine.run(jobs)`.
-#[derive(Debug, Clone)]
-pub enum BatchSpec {
-    /// Independent detection jobs, scheduled by work stealing.
-    Jobs(Vec<DetectionJob>),
-    /// A mutation catalogue answered over one shared unrolling (see
-    /// [`BatchedDetector`]); the whole group
-    /// is one scheduling unit.
-    Catalogue {
-        /// The verification method every entry runs under.
-        method: Method,
-        /// The shared configuration (processor universe, budgets, knobs),
-        /// boxed to keep the enum's variants near one size.
-        config: Box<DetectorConfig>,
-        /// The catalogue.
-        entries: Vec<CatalogueEntry>,
-    },
-}
-
-impl From<Vec<DetectionJob>> for BatchSpec {
-    fn from(jobs: Vec<DetectionJob>) -> Self {
-        BatchSpec::Jobs(jobs)
-    }
-}
-
-impl BatchSpec {
-    /// A batched-catalogue spec (convenience over the enum literal).
-    pub fn catalogue(method: Method, config: DetectorConfig, entries: Vec<CatalogueEntry>) -> Self {
-        BatchSpec::Catalogue {
-            method,
-            config: Box::new(config),
-            entries,
-        }
-    }
-}
-
-/// What one [`Engine::run`] invocation produced — the variant mirrors the
-/// [`BatchSpec`] that was scheduled.
-#[derive(Debug, Clone)]
-pub enum EngineOutcome {
-    /// The result of a [`BatchSpec::Jobs`] run.
-    Jobs(BatchOutcome),
-    /// The result of a [`BatchSpec::Catalogue`] run.
-    Catalogue(BatchedOutcome),
-}
-
-impl EngineOutcome {
-    /// The jobs outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run was not a [`BatchSpec::Jobs`] run.
-    pub fn expect_jobs(self) -> BatchOutcome {
-        match self {
-            EngineOutcome::Jobs(outcome) => outcome,
-            other => panic!("expected a jobs outcome, got {}", other.mode()),
-        }
-    }
-
-    /// The batched-catalogue outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run was not a [`BatchSpec::Catalogue`] run.
-    pub fn expect_catalogue(self) -> BatchedOutcome {
-        match self {
-            EngineOutcome::Catalogue(outcome) => outcome,
-            other => panic!("expected a catalogue outcome, got {}", other.mode()),
-        }
-    }
-
-    /// The scheduling mode this outcome came from.
-    pub fn mode(&self) -> &'static str {
-        match self {
-            EngineOutcome::Jobs(_) => "jobs",
-            EngineOutcome::Catalogue(_) => "catalogue",
-        }
-    }
-
-    /// Every detection the run produced, in schedule order — mode-agnostic
-    /// access for drivers that only care about verdicts.
-    pub fn detections(&self) -> Vec<&Detection> {
-        match self {
-            EngineOutcome::Jobs(outcome) => outcome.detections.iter().collect(),
-            EngineOutcome::Catalogue(outcome) => outcome.detections.iter().collect(),
-        }
-    }
-}
-
-/// The detection engine: one scheduler for independent jobs and batched
-/// catalogues.
+/// The detection engine: a work-stealing scheduler for independent jobs.
 ///
 /// See the [module docs](self) for the scheduling and cancellation model.
 #[derive(Debug, Clone)]
@@ -523,7 +464,7 @@ impl Engine {
     /// Sets the retry policy for each subsequent batch: jobs that panic or
     /// exhaust a per-solver budget are re-run down the
     /// [`DegradationRung`] ladder up to the policy's attempt count.  The
-    /// default retries nothing.
+    /// default retries nothing; a job's own `config.retry` overrides it.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -534,21 +475,6 @@ impl Engine {
         self.workers
     }
 
-    /// Runs a [`BatchSpec`] — independent jobs or a batched catalogue — and
-    /// returns the matching [`EngineOutcome`]
-    /// variant.  `Vec<DetectionJob>` converts into the jobs mode, so the
-    /// common case is `engine.run(jobs).expect_jobs()`.
-    pub fn run(&self, spec: impl Into<BatchSpec>) -> EngineOutcome {
-        match spec.into() {
-            BatchSpec::Jobs(jobs) => EngineOutcome::Jobs(self.run_jobs(jobs)),
-            BatchSpec::Catalogue {
-                method,
-                config,
-                entries,
-            } => EngineOutcome::Catalogue(self.run_catalogue(method, *config, &entries)),
-        }
-    }
-
     /// Runs a batch of independent detection jobs, returning one
     /// [`Detection`] per job in job order.
     ///
@@ -557,7 +483,7 @@ impl Engine {
     /// runs on a fresh [`Detector`] owned by its worker.  With one worker
     /// the batch runs inline on the calling thread, reproducing the
     /// sequential drivers exactly.
-    fn run_jobs(&self, jobs: Vec<DetectionJob>) -> BatchOutcome {
+    pub fn run(&self, jobs: Vec<DetectionJob>) -> BatchOutcome {
         let start = Instant::now();
         let cancel: CancelFlag = Arc::new(AtomicBool::new(false));
         let deadline = self.time_limit.map(|budget| start + budget);
@@ -587,7 +513,9 @@ impl Engine {
             ..BatchStats::default()
         };
         for (i, detection, report, cancelled) in rx {
-            stats.absorb_job(&detection, &report, cancelled);
+            stats.absorb(&detection, &report, cancelled);
+            // Every attempt builds and encodes the job's system afresh.
+            stats.encodes += u64::from(report.attempts);
             detections[i] = Some(detection);
             reports[i] = Some(report);
         }
@@ -607,32 +535,6 @@ impl Engine {
                 .collect(),
             stats,
         }
-    }
-
-    /// The batched-catalogue mode behind [`BatchSpec::Catalogue`]: the whole
-    /// catalogue is one scheduling unit (one shared solver leaves no
-    /// intra-group parallelism to steal), run inline under the engine's
-    /// global budget — the watchdog's flag chains onto the configuration's
-    /// own flags, and the retry policy (the configuration's override, else
-    /// the engine's) governs the per-entry fallback ladder.
-    fn run_catalogue(
-        &self,
-        method: Method,
-        config: DetectorConfig,
-        entries: &[CatalogueEntry],
-    ) -> BatchedOutcome {
-        let start = Instant::now();
-        let cancel: CancelFlag = Arc::new(AtomicBool::new(false));
-        let deadline = self.time_limit.map(|budget| start + budget);
-        let watchdog = self.spawn_watchdog(&cancel);
-        let retry = config.retry.unwrap_or(self.retry);
-        let detector = BatchedDetector::new(config).with_retry_policy(retry);
-        let outcome = detector.run_under(method, entries, &cancel, deadline);
-        if let Some((done, handle)) = watchdog {
-            let _ = done.send(());
-            let _ = handle.join();
-        }
-        outcome
     }
 
     /// Arms the global budget: a watchdog thread that raises the shared
@@ -685,7 +587,7 @@ fn worker_loop(
             };
             (stub_detection(job), report, true)
         } else {
-            let (detection, report) = run_with_retry(job, cancel, deadline, retry);
+            let (detection, report) = run_with_retry(job, Some(cancel), deadline, retry);
             let cancelled = detection.inconclusive && cancel.load(Ordering::Relaxed);
             (detection, report, cancelled)
         };
@@ -702,10 +604,11 @@ fn worker_loop(
 /// the first attempt only unless it says otherwise
 /// ([`FaultPlan::every_attempt`](crate::fault::FaultPlan)), so
 /// "failed once, retried clean, succeeded degraded" is itself a
-/// deterministic path.
+/// deterministic path.  `cancel` is the batch's flag, if it has one;
+/// `deadline` its wall-clock budget.
 pub(crate) fn run_with_retry(
     job: &DetectionJob,
-    cancel: &CancelFlag,
+    cancel: Option<&CancelFlag>,
     deadline: Option<Instant>,
     retry: RetryPolicy,
 ) -> (Detection, JobReport) {
@@ -715,13 +618,13 @@ pub(crate) fn run_with_retry(
 /// [`run_with_retry`] with the ladder state pre-advanced: `rung` is the rung
 /// of the *next* attempt, `attempts`/`panicked_attempts` count the attempts
 /// already spent elsewhere.  The batched detector
-/// ([`BatchedDetector`]) uses this to continue
+/// ([`BatchedDetector`](crate::batch::BatchedDetector)) uses this to continue
 /// a job whose first attempt was a shared-solver query that panicked or blew
 /// a budget — that query counts as attempt one at [`DegradationRung::Full`],
 /// and the per-job fallback resumes at the next rung down.
 pub(crate) fn resume_retry_ladder(
     job: &DetectionJob,
-    cancel: &CancelFlag,
+    cancel: Option<&CancelFlag>,
     deadline: Option<Instant>,
     retry: RetryPolicy,
     mut rung: DegradationRung,
@@ -736,7 +639,7 @@ pub(crate) fn resume_retry_ladder(
         rung.apply(&mut config);
         // Chain, don't replace: the job's own cancel flags stay armed
         // alongside the batch flag — either tripping cancels the job.
-        config.cancel.push(cancel.clone());
+        config.cancel.extend(cancel.cloned());
         clamp_time_limit(&mut config, deadline);
         if attempts > 1 && !config.fault.is_some_and(|f| f.every_attempt) {
             config.fault = None; // retries run clean by default
@@ -879,7 +782,7 @@ mod tests {
 
     #[test]
     fn empty_batch_returns_immediately() {
-        let outcome = Engine::new(4).run(Vec::new()).expect_jobs();
+        let outcome = Engine::new(4).run(Vec::new());
         assert!(outcome.detections.is_empty());
         assert_eq!(outcome.stats.jobs, 0);
     }
@@ -891,7 +794,7 @@ mod tests {
             DetectionJob::new("a", config.clone(), Method::Sqed, None),
             DetectionJob::new("b", config, Method::SepeSqed, None),
         ];
-        let outcome = Engine::new(1).run(jobs).expect_jobs();
+        let outcome = Engine::new(1).run(jobs);
         assert_eq!(outcome.detections.len(), 2);
         assert_eq!(outcome.detections[0].method, Method::Sqed);
         assert_eq!(outcome.detections[1].method, Method::SepeSqed);
@@ -918,7 +821,7 @@ mod tests {
                 )
             })
             .collect();
-        let outcome = Engine::new(3).run(jobs).expect_jobs();
+        let outcome = Engine::new(3).run(jobs);
         assert_eq!(outcome.detections.len(), 6);
         for (i, d) in outcome.detections.iter().enumerate() {
             let want = if i % 2 == 0 {

@@ -10,7 +10,7 @@ use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_sqed::batch::{BatchedDetector, CatalogueEntry};
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::fault::FaultPlan;
-use sepe_sqed::parallel::{BatchSpec, DetectionJob, Engine, RetryPolicy};
+use sepe_sqed::parallel::{DetectionJob, Engine, RetryPolicy};
 use sepe_tsys::{BmcMode, ProofMethod};
 
 /// The first `n` Table-1 bugs with the shared opcode universe their
@@ -52,16 +52,8 @@ fn batched_matches_per_job_over_the_table1_set() {
     // SQED consistency sweep is still sub-second per depth.
     let (config, bugs) = shared_setup(2, 3);
     for method in [Method::Sqed, Method::SepeSqed] {
-        let batched = Engine::new(1)
-            .run(BatchSpec::catalogue(
-                method,
-                config.clone(),
-                catalogue_of(&bugs),
-            ))
-            .expect_catalogue();
-        let per_job = Engine::new(1)
-            .run(jobs_of(&bugs, &config, method))
-            .expect_jobs();
+        let batched = BatchedDetector::new(config.clone()).run(method, &catalogue_of(&bugs));
+        let per_job = Engine::new(1).run(jobs_of(&bugs, &config, method));
         assert_eq!(batched.stats.encodes, 1, "one shared encoding ({method})");
         assert_eq!(batched.stats.fallbacks, 0, "no fallbacks ({method})");
         for ((bug, b), p) in bugs
@@ -111,21 +103,13 @@ fn a_faulted_entry_leaves_neighbour_verdicts_bit_identical() {
         .collect();
     catalogue[0] = catalogue[0].clone().with_fault(FaultPlan::panic_at(5));
 
-    let batched = Engine::new(1)
-        .run(BatchSpec::catalogue(
-            Method::Sqed,
-            config.clone(),
-            catalogue,
-        ))
-        .expect_catalogue();
-    let reference = Engine::new(1)
-        .run(vec![DetectionJob::new(
-            "reference",
-            config,
-            Method::Sqed,
-            Some(bug),
-        )])
-        .expect_jobs();
+    let batched = BatchedDetector::new(config.clone()).run(Method::Sqed, &catalogue);
+    let reference = Engine::new(1).run(vec![DetectionJob::new(
+        "reference",
+        config,
+        Method::Sqed,
+        Some(bug),
+    )]);
     let clean = &reference.detections[0];
 
     assert_eq!(batched.stats.panics, 1, "the bomb fired exactly once");
@@ -165,13 +149,7 @@ fn batched_prove_pass_matches_the_scalar_detector() {
         prove: Some(ProofMethod::KInduction),
         ..config
     };
-    let batched = Engine::new(1)
-        .run(BatchSpec::catalogue(
-            Method::SepeSqed,
-            config.clone(),
-            catalogue_of(&bugs),
-        ))
-        .expect_catalogue();
+    let batched = BatchedDetector::new(config.clone()).run(Method::SepeSqed, &catalogue_of(&bugs));
 
     let survivors = batched.detections.iter().filter(|d| d.detected).count();
     assert_eq!(

@@ -54,8 +54,8 @@ fn every_stop_reason_is_exercised_deterministically() {
             busy_job("panicked", Some(FaultPlan::panic_at(5))),
         ]
     };
-    let sequential = Engine::new(1).run(jobs()).expect_jobs();
-    let parallel = Engine::new(4).run(jobs()).expect_jobs();
+    let sequential = Engine::new(1).run(jobs());
+    let parallel = Engine::new(4).run(jobs());
 
     for outcome in [&sequential, &parallel] {
         let expect = [
@@ -125,10 +125,8 @@ fn a_panicking_job_does_not_poison_the_batch() {
             busy_job("busy", None),
         ]
     };
-    let clean = Engine::new(4).run(neighbors(None)).expect_jobs();
-    let faulted = Engine::new(4)
-        .run(neighbors(Some(FaultPlan::panic_at(5))))
-        .expect_jobs();
+    let clean = Engine::new(4).run(neighbors(None));
+    let faulted = Engine::new(4).run(neighbors(Some(FaultPlan::panic_at(5))));
 
     // No worker died: every job of the faulted batch delivered a result.
     assert_eq!(faulted.detections.len(), 4);
@@ -158,8 +156,7 @@ fn a_panicking_job_does_not_poison_the_batch() {
 fn retry_ladder_recovers_a_panicking_job_one_rung_down() {
     let outcome = Engine::new(1)
         .with_retry_policy(RetryPolicy::ladder(2))
-        .run(vec![busy_job("bomb", Some(FaultPlan::panic_at(5)))])
-        .expect_jobs();
+        .run(vec![busy_job("bomb", Some(FaultPlan::panic_at(5)))]);
     let report = &outcome.reports[0];
     // First attempt panics at conflict 5; the fault applies to the first
     // attempt only, so the aig_off retry runs clean and completes.
@@ -185,8 +182,7 @@ fn persistent_fault_exhausts_the_ladder_or_is_dodged_by_degradation() {
 
     let short = Engine::new(1)
         .with_retry_policy(RetryPolicy::ladder(1))
-        .run(vec![bomb()])
-        .expect_jobs();
+        .run(vec![bomb()]);
     let report = &short.reports[0];
     assert!(matches!(report.outcome, JobOutcome::Failed { .. }));
     assert_eq!(report.attempts, 2);
@@ -196,8 +192,7 @@ fn persistent_fault_exhausts_the_ladder_or_is_dodged_by_degradation() {
 
     let full = Engine::new(1)
         .with_retry_policy(RetryPolicy::ladder(3))
-        .run(vec![bomb()])
-        .expect_jobs();
+        .run(vec![bomb()]);
     let report = &full.reports[0];
     assert_eq!(report.outcome, JobOutcome::Completed);
     assert_eq!(report.attempts, 4);
@@ -212,8 +207,7 @@ fn budget_exhaustion_is_retried_but_cancellation_is_not() {
     // A faked memory breach is a per-solver budget verdict: retry-worthy.
     let outcome = Engine::new(1)
         .with_retry_policy(RetryPolicy::ladder(1))
-        .run(vec![busy_job("oom", Some(FaultPlan::memory_breach_at(3)))])
-        .expect_jobs();
+        .run(vec![busy_job("oom", Some(FaultPlan::memory_breach_at(3)))]);
     assert_eq!(outcome.reports[0].outcome, JobOutcome::Completed);
     assert_eq!(outcome.reports[0].attempts, 2);
     assert_eq!(outcome.stats.retries, 1);
@@ -221,8 +215,7 @@ fn budget_exhaustion_is_retried_but_cancellation_is_not() {
     // Cancellation is a verdict about the batch — never retried.
     let outcome = Engine::new(1)
         .with_retry_policy(RetryPolicy::ladder(3))
-        .run(vec![busy_job("cut", Some(FaultPlan::cancel_at(1)))])
-        .expect_jobs();
+        .run(vec![busy_job("cut", Some(FaultPlan::cancel_at(1)))]);
     assert_eq!(
         outcome.reports[0].outcome,
         JobOutcome::Stopped(StopReason::Cancelled)
@@ -244,7 +237,7 @@ fn a_callers_cancel_flag_chains_with_the_batch_flag() {
         DetectionJob::new("cut", cut, Method::Sqed, None),
         busy_job("after", None),
     ];
-    let outcome = Engine::new(2).run(jobs).expect_jobs();
+    let outcome = Engine::new(2).run(jobs);
     assert_eq!(outcome.reports[0].outcome, JobOutcome::Completed);
     assert_eq!(
         outcome.reports[1].outcome,
@@ -297,9 +290,9 @@ fn faults_inside_the_provers_classify_and_isolate_identically() {
             prove_job("clean-right", None),
         ]
     };
-    let clean = Engine::new(1).run(jobs(false)).expect_jobs();
-    let sequential = Engine::new(1).run(jobs(true)).expect_jobs();
-    let parallel = Engine::new(4).run(jobs(true)).expect_jobs();
+    let clean = Engine::new(1).run(jobs(false));
+    let sequential = Engine::new(1).run(jobs(true));
+    let parallel = Engine::new(4).run(jobs(true));
 
     for outcome in [&sequential, &parallel] {
         let expect = [
@@ -368,12 +361,10 @@ fn seeded_fault_plans_reproduce_across_worker_counts() {
         let jobs = || vec![busy_job("clean", None), busy_job("faulted", Some(plan))];
         let sequential = Engine::new(1)
             .with_retry_policy(RetryPolicy::ladder(2))
-            .run(jobs())
-            .expect_jobs();
+            .run(jobs());
         let parallel = Engine::new(4)
             .with_retry_policy(RetryPolicy::ladder(2))
-            .run(jobs())
-            .expect_jobs();
+            .run(jobs());
         for i in 0..2 {
             assert_eq!(
                 sequential.reports[i].outcome, parallel.reports[i].outcome,

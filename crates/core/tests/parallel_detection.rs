@@ -39,8 +39,8 @@ fn table1_jobs(max_bound: usize) -> Vec<DetectionJob> {
 
 #[test]
 fn four_workers_match_one_worker_on_the_table1_mutation_set() {
-    let sequential = Engine::new(1).run(table1_jobs(2)).expect_jobs();
-    let parallel = Engine::new(4).run(table1_jobs(2)).expect_jobs();
+    let sequential = Engine::new(1).run(table1_jobs(2));
+    let parallel = Engine::new(4).run(table1_jobs(2));
     assert_eq!(sequential.detections.len(), parallel.detections.len());
     for (i, (seq, par)) in sequential
         .detections
@@ -98,8 +98,7 @@ fn global_deadline_stops_all_workers_promptly() {
     let start = Instant::now();
     let outcome = Engine::new(2)
         .with_time_limit(Some(Duration::from_millis(300)))
-        .run(jobs)
-        .expect_jobs();
+        .run(jobs);
     let wall = start.elapsed();
     assert!(
         wall < Duration::from_secs(10),

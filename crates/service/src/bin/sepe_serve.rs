@@ -20,7 +20,7 @@ use sepe_sqed::RetryPolicy;
 fn usage() -> ! {
     eprintln!(
         "usage: sepe_serve (--unix PATH | --tcp ADDR) --cache-dir DIR\n\
-         \x20      [--workers N] [--engine-workers N] [--queue N] [--retries N]\n\
+         \x20      [--workers N] [--queue N] [--retries N]\n\
          \x20      [--read-timeout-ms N] [--busy-retry-ms N] [--drain-grace-ms N]\n\
          \x20      [--max-deadline-ms N] [--crash-after-jobs N] [--job-delay-ms N]"
     );
@@ -46,10 +46,6 @@ fn main() -> ExitCode {
             "--workers" => {
                 let n = parse(value()) as usize;
                 apply.push(Box::new(move |c| c.job_workers = n));
-            }
-            "--engine-workers" => {
-                let n = parse(value()) as usize;
-                apply.push(Box::new(move |c| c.engine_workers = n));
             }
             "--queue" => {
                 let n = parse(value()) as usize;

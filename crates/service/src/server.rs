@@ -46,7 +46,8 @@ use std::time::{Duration, Instant};
 use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_smt::CancelFlag;
 use sepe_sqed::{
-    BatchedDetector, CatalogueEntry, DetectorConfig, Engine, FaultPlan, Method, RetryPolicy,
+    BatchStats, BatchedDetector, CatalogueEntry, DetectionJob, DetectorConfig, Engine, FaultPlan,
+    Method, RetryPolicy,
 };
 use sepe_tsys::ProofMethod;
 use serde::Value;
@@ -152,8 +153,6 @@ pub struct ServerConfig {
     pub cache_dir: PathBuf,
     /// Job-worker threads (each runs one admitted request at a time).
     pub job_workers: usize,
-    /// Engine worker threads per job.
-    pub engine_workers: usize,
     /// Admission queue depth: requests beyond `job_workers` in flight plus
     /// this many queued are shed with `Busy`.
     pub queue_capacity: usize,
@@ -193,7 +192,6 @@ impl ServerConfig {
             endpoint,
             cache_dir: cache_dir.into(),
             job_workers: 1,
-            engine_workers: 1,
             queue_capacity: 4,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
@@ -749,7 +747,8 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Ticket>>) {
     }
 }
 
-/// Builds the detector configuration for a ticket, budgets applied.
+/// Builds the detector configuration for a ticket, budgets and the
+/// server's retry ladder applied.
 fn ticket_config(shared: &Shared, ticket: &Ticket, remaining: Duration) -> DetectorConfig {
     let mut builder = DetectorConfig::builder()
         .processor(ticket.processor.clone())
@@ -757,6 +756,7 @@ fn ticket_config(shared: &Shared, ticket: &Ticket, remaining: Duration) -> Detec
         .simplify(ticket.simplify)
         .aig(ticket.aig)
         .time_limit(remaining)
+        .retry(shared.config.retry)
         .cancel(ticket.cancel.clone())
         .cancel(shared.drain_cancel.clone());
     if let Some(limit) = ticket.conflict_limit {
@@ -800,27 +800,16 @@ fn run_ticket(shared: &Shared, ticket: Ticket) {
         }
         let remaining = ticket.deadline.saturating_sub(started.elapsed());
         let config = ticket_config(shared, &ticket, remaining);
-        let detector = BatchedDetector::new(config).with_retry_policy(shared.config.retry);
         let catalogue: Vec<CatalogueEntry> = batched
             .iter()
             .map(|e| CatalogueEntry::new(e.label.clone(), e.mutation.clone().unwrap()))
             .collect();
-        let outcome = detector.run(ticket.method, &catalogue);
+        let outcome = BatchedDetector::new(config).run(ticket.method, &catalogue);
         for (entry, detection) in batched.iter().zip(&outcome.detections) {
             let verdict = protocol::verdict_from_detection(&entry.label, detection, false);
             stream_verdict(shared, &ticket, entry, verdict);
         }
-        computed.jobs += outcome.stats.entries;
-        computed.computed += outcome.stats.entries;
-        computed.encodes += outcome.stats.encodes;
-        computed.witness_validations += outcome.stats.witness_validations;
-        computed.witness_mismatches += outcome.stats.witness_mismatches;
-        computed.retries += outcome.stats.retries;
-        computed.degraded_runs += outcome.stats.degraded_runs;
-        computed.panics += outcome.stats.panics;
-        computed.cancelled += outcome.stats.cancelled;
-        computed.proved += outcome.stats.proved;
-        computed.proof_mismatches += outcome.stats.proof_mismatches;
+        tally(&mut computed, &outcome.stats);
     }
     // Per-entry jobs: everything not covered by the batched group.  One
     // engine run per entry keeps the crash-loss granularity at a single
@@ -835,29 +824,16 @@ fn run_ticket(shared: &Shared, ticket: Ticket) {
         }
         let remaining = ticket.deadline.saturating_sub(started.elapsed());
         let config = ticket_config(shared, &ticket, remaining);
-        let engine =
-            Engine::new(shared.config.engine_workers).with_retry_policy(shared.config.retry);
-        let job = sepe_sqed::DetectionJob::new(
+        let job = DetectionJob::new(
             entry.label.clone(),
             config,
             ticket.method,
             entry.mutation.clone(),
         );
-        let outcome = engine.run(vec![job]).expect_jobs();
-        let detection = &outcome.detections[0];
-        let verdict = protocol::verdict_from_detection(&entry.label, detection, false);
+        let outcome = Engine::new(1).run(vec![job]);
+        let verdict = protocol::verdict_from_detection(&entry.label, &outcome.detections[0], false);
         stream_verdict(shared, &ticket, entry, verdict);
-        computed.jobs += 1;
-        computed.computed += 1;
-        computed.encodes += 1; // one transition-system encoding charged per computed entry
-        computed.witness_validations += outcome.stats.witness_validations;
-        computed.witness_mismatches += outcome.stats.witness_mismatches;
-        computed.retries += outcome.stats.retries;
-        computed.degraded_runs += outcome.stats.degraded_runs;
-        computed.panics += outcome.stats.panics;
-        computed.cancelled += outcome.stats.cancelled;
-        computed.proved += u64::from(detection.proved);
-        computed.proof_mismatches += u64::from(detection.proof_checked == Some(false));
+        tally(&mut computed, &outcome.stats);
     }
     let c = &shared.counters;
     c.encodes.fetch_add(computed.encodes, Ordering::Relaxed);
@@ -870,6 +846,21 @@ fn run_ticket(shared: &Shared, ticket: Ticket) {
         .fetch_add(computed.degraded_runs, Ordering::Relaxed);
     c.panics.fetch_add(computed.panics, Ordering::Relaxed);
     let _ = ticket.replies.send(WorkerMsg::Finished(computed));
+}
+
+/// Adds one engine or catalogue run's counters to a request's totals.
+fn tally(computed: &mut DoneStats, stats: &BatchStats) {
+    computed.jobs += stats.jobs;
+    computed.computed += stats.jobs;
+    computed.encodes += stats.encodes;
+    computed.witness_validations += stats.witness_validations;
+    computed.witness_mismatches += stats.witness_mismatches;
+    computed.retries += stats.retries;
+    computed.degraded_runs += stats.degraded_runs;
+    computed.panics += stats.panics;
+    computed.cancelled += stats.cancelled;
+    computed.proved += stats.proved;
+    computed.proof_mismatches += stats.proof_mismatches;
 }
 
 impl fmt::Display for Endpoint {

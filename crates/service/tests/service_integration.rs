@@ -240,6 +240,48 @@ fn batched_and_unbatched_paths_agree_on_a_detected_bug() {
 }
 
 #[test]
+fn both_paths_charge_one_encoding_per_attempt() {
+    // A one-conflict budget stops the bug's first attempt, so the server's
+    // one-rung retry ladder runs a second one.  The batched path pays the
+    // shared encoding plus the fallback's; the unbatched path pays one per
+    // attempt too, and `done.encodes` must say so on both.
+    let request = SubmitRequest {
+        mutations: vec!["single-add".to_string()],
+        conflict_limit: Some(1),
+        ..SubmitRequest::new(
+            Method::SepeSqed,
+            3,
+            ProcessorConfig {
+                history_depth: 1,
+                ..tiny_universe()
+            },
+        )
+    };
+    for batched in [true, false] {
+        let server = start_server(if batched { "encodes-on" } else { "encodes-off" }, |_| {});
+        let done = server
+            .client()
+            .submit(&SubmitRequest {
+                batched,
+                ..request.clone()
+            })
+            .unwrap()
+            .done;
+        server.stop();
+        assert_eq!(done.computed, 1, "batched={batched}");
+        assert!(
+            done.retries >= 1,
+            "batched={batched}: the budget forces a retry"
+        );
+        assert_eq!(
+            done.encodes,
+            done.computed + done.retries,
+            "batched={batched}: one encoding per attempt"
+        );
+    }
+}
+
+#[test]
 fn overload_is_shed_with_busy_and_a_retrying_client_gets_through() {
     let server = start_server("overload", |c| {
         c.job_workers = 1;

@@ -28,8 +28,8 @@ use crate::cnf::{Clause, Cnf, Lit, Var};
 /// [`SolveOutcome::Unknown`] at the next check point (the same sampled spot
 /// where the wall-clock deadline is polled).  This is what lets a parallel
 /// detection batch cut every worker loose when a global time budget expires,
-/// and what lets a portfolio run cancel the losing arms the moment the first
-/// one finishes.
+/// and what lets the detection service stop a request whose client has
+/// gone.
 pub type CancelFlag = Arc<AtomicBool>;
 
 /// Why a call gave up with [`SolveOutcome::Unknown`] (or why a detection

@@ -13,8 +13,8 @@
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_sqed::detect::{DetectorConfig, Method};
-use sepe_sqed::parallel::{BatchSpec, Engine, RetryPolicy};
-use sepe_sqed::CatalogueEntry;
+use sepe_sqed::parallel::RetryPolicy;
+use sepe_sqed::{BatchedDetector, CatalogueEntry};
 
 fn main() {
     // The catalogue: the first three Table-1 bugs, plus the shared opcode
@@ -42,9 +42,7 @@ fn main() {
         "# Batched SEPE-SQED over {} catalogue entries\n",
         bugs.len()
     );
-    let outcome = Engine::new(1)
-        .run(BatchSpec::catalogue(Method::SepeSqed, config, catalogue))
-        .expect_catalogue();
+    let outcome = BatchedDetector::new(config).run(Method::SepeSqed, &catalogue);
 
     for (bug, d) in bugs.iter().zip(&outcome.detections) {
         println!(
@@ -61,9 +59,9 @@ fn main() {
     println!(
         "one encoding answered {} entries ({} shared CNF clauses, {} queries); \
          the per-job engine would pay {} encodings.",
-        outcome.stats.entries,
+        outcome.stats.jobs,
         outcome.stats.solver.cnf_clauses,
         outcome.stats.queries,
-        outcome.stats.entries,
+        outcome.stats.jobs,
     );
 }
