@@ -406,6 +406,9 @@ pub struct SatSolver {
     /// Stored clauses (original + learnt); every stored clause is live.
     num_clauses: usize,
     watches: Vec<Vec<Watcher>>,
+    /// Value of every literal, indexed by [`Lit::index`]: a variable's two
+    /// literals always hold opposite values (or are both unassigned), so a
+    /// literal's value is one load with no polarity branch.
     assign: Vec<i8>,
     level: Vec<u32>,
     reason: Vec<Option<CRef>>,
@@ -443,8 +446,9 @@ pub struct SatSolver {
     /// Subset of the assumptions responsible for the last assumption-caused
     /// UNSAT answer.
     conflict_core: Vec<Lit>,
-    /// Assignment snapshot of the last SAT answer (the trail itself is
-    /// unwound to level 0 between calls so clauses can keep being added).
+    /// Assignment snapshot of the last SAT answer, indexed like `assign`
+    /// (the trail itself is unwound to level 0 between calls so clauses can
+    /// keep being added).
     model: Vec<i8>,
     /// Live (non-deleted) learnt clauses, kept as a counter so the search
     /// loop's database-reduction trigger is O(1) instead of O(|arena|).
@@ -547,7 +551,7 @@ impl SatSolver {
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.num_vars);
         self.num_vars += 1;
-        self.assign.push(UNASSIGNED);
+        self.assign.extend([UNASSIGNED, UNASSIGNED]);
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
@@ -662,18 +666,16 @@ impl SatSolver {
     }
 
     fn lit_value(&self, l: Lit) -> i8 {
-        // Negation keeps UNASSIGNED (0) fixed, so no separate case.
-        let v = self.assign[l.var().index()];
-        if l.is_positive() {
-            v
-        } else {
-            -v
-        }
+        self.assign[l.index()]
     }
 
     /// Value of a variable in the model of the last satisfiable call.
     pub fn value_of(&self, v: Var) -> bool {
-        self.model.get(v.index()).copied().unwrap_or(UNASSIGNED) == VALUE_TRUE
+        self.model
+            .get(Lit::pos(v).index())
+            .copied()
+            .unwrap_or(UNASSIGNED)
+            == VALUE_TRUE
     }
 
     /// The subset of the last call's assumptions that participated in the
@@ -781,11 +783,8 @@ impl SatSolver {
     fn enqueue(&mut self, l: Lit, reason: Option<CRef>) {
         debug_assert_eq!(self.lit_value(l), UNASSIGNED);
         let v = l.var();
-        self.assign[v.index()] = if l.is_positive() {
-            VALUE_TRUE
-        } else {
-            VALUE_FALSE
-        };
+        self.assign[l.index()] = VALUE_TRUE;
+        self.assign[(!l).index()] = VALUE_FALSE;
         self.level[v.index()] = self.decision_level();
         self.reason[v.index()] = reason;
         self.phase[v.index()] = l.is_positive();
@@ -803,15 +802,43 @@ impl SatSolver {
     /// from its watcher alone and is written only when it implies a literal
     /// or conflicts.
     fn propagate(&mut self) -> Option<CRef> {
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
-            self.qhead += 1;
-            self.propagations += 1;
+        // One split borrow for the whole fixpoint: the watcher loop reads
+        // and writes the arena, the watch lists and the assignment arrays
+        // directly instead of re-borrowing `self` per watcher.
+        let SatSolver {
+            arena,
+            watches,
+            assign,
+            level,
+            reason,
+            phase,
+            trail,
+            trail_lim,
+            qhead,
+            propagations,
+            ..
+        } = self;
+        let decision_level = u32::try_from(trail_lim.len()).expect("level overflow");
+        // `enqueue` with the borrows above.
+        let mut imply = |l: Lit, c: CRef, assign: &mut [i8], trail: &mut Vec<Lit>| {
+            debug_assert_eq!(assign[l.index()], UNASSIGNED);
+            let v = l.var().index();
+            assign[l.index()] = VALUE_TRUE;
+            assign[(!l).index()] = VALUE_FALSE;
+            level[v] = decision_level;
+            reason[v] = Some(c);
+            phase[v] = l.is_positive();
+            trail.push(l);
+        };
+        while *qhead < trail.len() {
+            let p = trail[*qhead];
+            *qhead += 1;
+            *propagations += 1;
             let false_lit = !p;
             // Taken out for the loop and put back below: every watcher
             // moved off this list goes to a non-false literal's list, never
             // back to this one.
-            let mut ws = std::mem::take(&mut self.watches[false_lit.index()]);
+            let mut ws = std::mem::take(&mut watches[false_lit.index()]);
             let mut conflict = None;
             let (mut i, mut j) = (0, 0);
             while i < ws.len() {
@@ -821,37 +848,37 @@ impl SatSolver {
                 if let Some(other) = w.binary_other() {
                     ws[j] = w;
                     j += 1;
-                    let value = self.lit_value(other);
+                    let value = assign[other.index()];
                     if value == VALUE_TRUE {
                         continue;
                     }
-                    if self.arena.lit(c, 0) == false_lit {
-                        self.arena.swap_lits(c, 0, 1);
+                    if arena.lit(c, 0) == false_lit {
+                        arena.swap_lits(c, 0, 1);
                     }
                     if value == VALUE_FALSE {
                         conflict = Some(c);
                         break;
                     }
-                    self.enqueue(other, Some(c));
+                    imply(other, c, assign, trail);
                     continue;
                 }
                 // Make sure the false literal is at position 1.
-                if self.arena.lit(c, 0) == false_lit {
-                    self.arena.swap_lits(c, 0, 1);
+                if arena.lit(c, 0) == false_lit {
+                    arena.swap_lits(c, 0, 1);
                 }
-                let first = self.arena.lit(c, 0);
-                if self.lit_value(first) == VALUE_TRUE {
+                let first = arena.lit(c, 0);
+                if assign[first.index()] == VALUE_TRUE {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
                 let mut moved = false;
-                for k in 2..self.arena.len(c) {
-                    let lk = self.arena.lit(c, k);
-                    if self.lit_value(lk) != VALUE_FALSE {
-                        self.arena.swap_lits(c, 1, k);
-                        self.watches[lk.index()].push(w);
+                for k in 2..arena.len(c) {
+                    let lk = arena.lit(c, k);
+                    if assign[lk.index()] != VALUE_FALSE {
+                        arena.swap_lits(c, 1, k);
+                        watches[lk.index()].push(w);
                         moved = true;
                         break;
                     }
@@ -862,16 +889,16 @@ impl SatSolver {
                 // Clause is unit or conflicting.
                 ws[j] = w;
                 j += 1;
-                if self.lit_value(first) == VALUE_FALSE {
+                if assign[first.index()] == VALUE_FALSE {
                     conflict = Some(c);
                     break;
                 }
-                self.enqueue(first, Some(c));
+                imply(first, c, assign, trail);
             }
             // On a conflict, keep the watchers not yet visited.
             ws.copy_within(i.., j);
             ws.truncate(j + (ws.len() - i));
-            self.watches[false_lit.index()] = ws;
+            watches[false_lit.index()] = ws;
             if conflict.is_some() {
                 return conflict;
             }
@@ -1021,7 +1048,8 @@ impl SatSolver {
                 let l = self.trail.pop().expect("trail not empty");
                 let v = l.var();
                 self.phase[v.index()] = l.is_positive();
-                self.assign[v.index()] = UNASSIGNED;
+                self.assign[l.index()] = UNASSIGNED;
+                self.assign[(!l).index()] = UNASSIGNED;
                 self.reason[v.index()] = None;
                 if !self.order.contains(v) {
                     self.order.insert(v, &self.activity);
@@ -1080,7 +1108,7 @@ impl SatSolver {
 
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.assign[v.index()] == UNASSIGNED {
+            if self.assign[Lit::pos(v).index()] == UNASSIGNED {
                 return Some(Lit::new(v, self.phase[v.index()]));
             }
         }

@@ -6,6 +6,32 @@
 //! variables, restricted to one multiset, plus the paper's additional input
 //! constraint that prevents the synthesized program from being the original
 //! instruction itself (Section 4.1).
+//!
+//! # Symmetry breaking
+//!
+//! The location encoding has one model per relabelling of identical
+//! components and per operand swap of a commutative component, so without
+//! help an UNSAT answer ("this multiset has no program") refutes each wiring
+//! up to `n!` times.  The well-formedness constraint ψ_wfp therefore fixes
+//! one representative (a symmetry-breaking predicate in the sense of
+//! Crawford–Ginsberg–Luks–Roy, KR 1996):
+//!
+//! * for every pair `j < j2` of identical components (every pair, not only
+//!   neighbours, since callers pass slices in any order), `o_j < o_j2`
+//!   replaces `o_j ≠ o_j2`;
+//! * for every commutative component ([`Component::is_commutative`]),
+//!   `l_{j,0} ≤ l_{j,1}`.
+//!
+//! Neither order loses a program.  Any model maps onto one that satisfies
+//! both: swap two identical components' locations, attributes and
+//! per-example variables, or swap a commutative component's operands; every
+//! other constraint, the identity exclusion included, is unchanged by the
+//! swap.  So a multiset has a program under the orders exactly when it has
+//! one without them, and the drivers try and accept the same multisets.
+//! Decoding sorts the components by output location, so a relabelling of
+//! identical components decodes to the same template; only which of several
+//! programs the solver happens to return first (and so the component order
+//! of a reported template) can differ.
 
 use std::cell::Cell;
 use std::time::Duration;
@@ -180,6 +206,7 @@ impl CegisEngine {
 
         // ψ_wfp: output locations in range and distinct, inputs strictly
         // before their component's output (acyclicity).  Asserted once.
+        // The two symmetry-breaking orders ride along (see the module docs).
         let lo = tm.bv_const(num_inputs as u64, loc_bits);
         let hi = tm.bv_const(total_locations as u64, loc_bits);
         for j in 0..n {
@@ -188,12 +215,22 @@ impl CegisEngine {
             solver.assert_term(&mut tm, ge);
             solver.assert_term(&mut tm, lt);
             for j2 in (j + 1)..n {
-                let ne = tm.neq(outputs[j], outputs[j2]);
-                solver.assert_term(&mut tm, ne);
+                // Every pair, not only neighbours: callers pass slices in
+                // any order, so identical components need not be adjacent.
+                let distinct = if multiset[j] == multiset[j2] {
+                    tm.bv_ult(outputs[j], outputs[j2])
+                } else {
+                    tm.neq(outputs[j], outputs[j2])
+                };
+                solver.assert_term(&mut tm, distinct);
             }
             for &l in &inputs_loc[j] {
                 let before = tm.bv_ult(l, outputs[j]);
                 solver.assert_term(&mut tm, before);
+            }
+            if multiset[j].is_commutative() {
+                let ordered = tm.bv_ule(inputs_loc[j][0], inputs_loc[j][1]);
+                solver.assert_term(&mut tm, ordered);
             }
             if let Some(attr) = attrs[j] {
                 let c = multiset[j].attr_constraint(&mut tm, attr);
@@ -537,6 +574,27 @@ pub fn template_result_term(
     dest
 }
 
+/// Proves `program` equivalent to `spec` on every legal input
+/// ([`Spec::input_constraint`]) through an independent validity query on a
+/// fresh solver.
+#[cfg(test)]
+pub(crate) fn assert_equivalent(program: &EquivTemplate, spec: &Spec) {
+    let mut tm = TermManager::new();
+    let inputs = spec.fresh_inputs(&mut tm, "chk");
+    let got = template_result_term(&mut tm, program, spec, &inputs);
+    let want = spec.result(&mut tm, &inputs);
+    let eq = tm.eq(got, want);
+    let legal = spec.input_constraint(&mut tm, &inputs);
+    let claim = tm.implies(legal, eq);
+    assert_eq!(
+        sepe_smt::solver::is_valid(&mut tm, claim, None),
+        SatResult::Sat,
+        "{}: {:?} is not equivalent",
+        spec.name,
+        program.component_names
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,20 +622,43 @@ mod tests {
 
     #[test]
     fn synthesizes_sub_from_xori_add_xori() {
-        // Force the Listing-1 multiset: {XORI, ADD, XORI}.
+        // Force the Listing-1 multiset {XORI, ADD, XORI} in each of its
+        // three slice orders; in the first the identical pair is not
+        // adjacent, which the output order of identical components must
+        // handle as well as the adjacent ones.
         let lib = Library::standard();
         let xori = lib.find("XORI").expect("XORI exists");
         let add = lib.find("ADD").expect("ADD exists");
         let spec = Spec::for_opcode(Opcode::Sub, 16);
-        let outcome = engine(16).synthesize_with_multiset(&spec, &[xori, add, xori]);
-        let program = match outcome {
+        for multiset in [[xori, add, xori], [xori, xori, add], [add, xori, xori]] {
+            let names: Vec<&str> = multiset.iter().map(|c| c.name.as_str()).collect();
+            let program = match engine(16).synthesize_with_multiset(&spec, &multiset) {
+                CegisOutcome::Program(p) => p,
+                other => panic!("{names:?}: expected a program, got {other:?}"),
+            };
+            assert_eq!(program.for_opcode, Opcode::Sub);
+            assert!(program.len() >= 3, "{names:?}");
+            assert_equivalent(&program, &spec);
+            // the synthesized program must hold at 32 bits as well (differential)
+            assert_eq!(program.differential_check(0, 300, 42), 0, "{names:?}");
+        }
+    }
+
+    #[test]
+    fn synthesizes_from_commutative_components_only() {
+        // OR = (a ^ b) ^ (a & b): every component is commutative and the
+        // identical XORs are not adjacent, so both symmetry orders apply.
+        let lib = Library::standard();
+        let xor = lib.find("XOR").expect("XOR exists");
+        let and = lib.find("AND").expect("AND exists");
+        assert!(xor.is_commutative() && and.is_commutative());
+        let spec = Spec::for_opcode(Opcode::Or, 8);
+        let program = match engine(8).synthesize_with_multiset(&spec, &[xor, and, xor]) {
             CegisOutcome::Program(p) => p,
             other => panic!("expected a program, got {other:?}"),
         };
-        assert_eq!(program.for_opcode, Opcode::Sub);
-        assert!(program.len() >= 3);
-        // the synthesized program must hold at 32 bits as well (differential)
-        assert_eq!(program.differential_check(0, 300, 42), 0);
+        assert_eq!(program.component_names.len(), 3);
+        assert_equivalent(&program, &spec);
     }
 
     #[test]
@@ -612,15 +693,25 @@ mod tests {
     fn excludes_the_identity_program() {
         // A single ADD component for the ADD spec must not synthesize the
         // identity `add rd, rs1, rs2`; with only one component available the
-        // query is unsatisfiable.
+        // query is unsatisfiable.  The same holds for every commutative
+        // operation: its operand order admits only `op rd, rs1, rs2` (or
+        // `op rd, rs1, rs1`), and the exclusion forbids each of them.
         let lib = Library::standard();
-        let add = lib.find("ADD").expect("ADD exists");
-        let spec = Spec::for_opcode(Opcode::Add, 8);
-        let outcome = engine(8).synthesize_with_multiset(&spec, &[add]);
-        assert!(
-            matches!(outcome, CegisOutcome::NoProgram),
-            "got {outcome:?}"
-        );
+        for (name, opcode) in [
+            ("ADD", Opcode::Add),
+            ("XOR", Opcode::Xor),
+            ("OR", Opcode::Or),
+            ("AND", Opcode::And),
+        ] {
+            let component = lib.find(name).expect("component exists");
+            assert!(component.is_commutative(), "{name}");
+            let spec = Spec::for_opcode(opcode, 8);
+            let outcome = engine(8).synthesize_with_multiset(&spec, &[component]);
+            assert!(
+                matches!(outcome, CegisOutcome::NoProgram),
+                "{name}: got {outcome:?}"
+            );
+        }
     }
 
     #[test]

@@ -113,6 +113,16 @@ impl Component {
         }
     }
 
+    /// Whether swapping the component's two inputs never changes its
+    /// output: the native ADD, XOR, OR and AND.  CEGIS fixes the operand
+    /// order of such a component, since both orders compute the same value.
+    pub fn is_commutative(&self) -> bool {
+        matches!(
+            self.kind,
+            ComponentKind::Native(Opcode::Add | Opcode::Xor | Opcode::Or | Opcode::And)
+        )
+    }
+
     /// The attribute kind (how the internal immediate is constrained).
     pub fn attr_kind(&self) -> AttrKind {
         match self.kind {
