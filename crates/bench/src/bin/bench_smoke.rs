@@ -64,16 +64,14 @@
 //! cache hits with zero misses and zero solver encodes, or the run exits
 //! nonzero.  Wall times are recorded for the artifact history only.
 //!
-//! An eighth, **proofs** arm runs both unbounded provers (k-induction and
-//! IC3/PDR) against one clean configuration and one Table-1 mutation.  The
-//! clean config must come back **Proved** by PDR — the verdict no bounded
-//! sweep can give — with its inductive invariant re-verified on an
-//! independent solver; k-induction must falsify the mutation with exactly
-//! the bounded baseline's shortest trace; and neither prover may ever
-//! contradict the baseline.  Those contracts are deterministic, so they
-//! are hard gates on every run; the proof work counters (frontier depth,
-//! queries, the prover solver's CNF variables and propagations, cubes
-//! blocked, clauses pushed, uniqueness constraints) are recorded for the
+//! An eighth, **proofs** arm runs the unbounded prover (IC3/PDR) against
+//! one clean configuration and one Table-1 mutation.  The clean config must
+//! come back **Proved** — the verdict no bounded sweep can give — with its
+//! inductive invariant re-verified on an independent solver, and the prover
+//! may never contradict the bounded baseline.  Those contracts are
+//! deterministic, so they are hard gates on every run; the proof work
+//! counters (frontier depth, queries, the prover solver's CNF variables and
+//! propagations, cubes blocked, clauses pushed) are recorded for the
 //! artifact history only.
 //!
 //! Usage:
@@ -297,10 +295,10 @@ fn run_service_cache() -> ServiceCacheResult {
     }
 }
 
-/// One prover's half of the `proofs` arm: the clean configuration it was
+/// One prover's row of the `proofs` arm: the clean configuration it was
 /// asked to prove and the mutated one it was asked to falsify, with the
-/// prover-specific work counters (frames, cubes, pushed clauses,
-/// uniqueness constraints) for the artifact history.
+/// prover-specific work counters (frames, cubes, pushed clauses) for the
+/// artifact history.
 #[derive(Debug, Clone, Serialize)]
 struct ProofMethodResult {
     prover: String,
@@ -310,7 +308,7 @@ struct ProofMethodResult {
     /// self-check? (Must be true whenever `clean_proved` is.)
     clean_self_checked: bool,
     clean_wall_ms: f64,
-    /// Induction depth / PDR frontier the proof closed at (0 if none).
+    /// PDR frontier the proof closed at (0 if none).
     clean_proof_depth: u64,
     clean_queries: u64,
     /// CNF variables of the prover's primary solver at the end of the clean
@@ -320,7 +318,6 @@ struct ProofMethodResult {
     clean_propagations: u64,
     clean_cubes_blocked: u64,
     clean_clauses_pushed: u64,
-    clean_uniqueness_constraints: u64,
     /// Mutated config: did the prover falsify it?
     bug_detected: bool,
     /// Length of the falsifying trace (0 if none).
@@ -328,18 +325,14 @@ struct ProofMethodResult {
     bug_wall_ms: f64,
 }
 
-/// The `proofs` arm: both unbounded provers against one clean configuration
-/// (which PDR must *prove* — the verdict bounded BMC can never give) and
-/// one Table-1 mutation, cross-checked against the plain bounded sweep.
-/// Deterministic agreement gates, checked on every run:
+/// The `proofs` arm: PDR against one clean configuration (which it must
+/// *prove* — the verdict bounded BMC can never give) and one Table-1
+/// mutation, cross-checked against the plain bounded sweep.  Deterministic
+/// agreement gates, checked on every run:
 ///
 /// * PDR proves the clean config and its certificate self-checks;
-/// * neither prover reports a counterexample on the clean config —
-///   k-induction cannot close this proof (the property is not
-///   k-inductive) and stops `Unknown` at a deterministic conflict budget;
-/// * k-induction falsifies the mutation with exactly the bounded
-///   baseline's shortest trace, and neither prover ever contradicts the
-///   baseline (no proof on the buggy design; any trace found matches).
+/// * PDR never contradicts the baseline: no proof on the buggy design, and
+///   any trace it does find matches the baseline's shortest trace.
 #[derive(Debug, Clone, Serialize)]
 struct ProofsResult {
     methods: Vec<ProofMethodResult>,
@@ -373,108 +366,71 @@ fn run_proofs() -> ProofsResult {
         bug.name
     );
 
-    let mut methods = Vec::new();
-    for prover in [ProofMethod::KInduction, ProofMethod::Pdr] {
-        // The conflict budget is the smoke cap for the prover that *cannot*
-        // close this proof: QED's property is not k-inductive, so
-        // k-induction alone grinds on ever-harder step queries forever and
-        // must be stopped deterministically (conflicts, unlike wall time,
-        // are identical on every runner).  PDR's whole proof costs a few
-        // hundred conflicts, so an order of magnitude of headroom keeps the
-        // budget invisible to it while k-induction's much more expensive
-        // induction-step conflicts stay inside the smoke window.
-        let clean_config = DetectorConfig::builder()
-            .processor(clean_processor.clone())
-            .bound(4)
-            .prove(prover)
-            .conflict_limit(5_000)
-            .build();
-        println!("bench-smoke:   {prover:?} / clean (prove)");
-        let clean = Detector::new(clean_config).check(Method::Sqed, None);
-        assert!(
-            !clean.detected,
-            "proofs arm: {prover:?} falsified the clean config: {clean:?}"
-        );
-        if prover == ProofMethod::Pdr {
-            assert!(
-                clean.proved && !clean.inconclusive,
-                "proofs arm: PDR must prove the clean config, got {clean:?}"
-            );
-        }
-        if clean.proved {
-            assert_eq!(
-                clean.proof_checked,
-                Some(true),
-                "proofs arm: a proof that failed its self-check leaked out"
-            );
-        }
-
-        // Falsification is a bounded job at heart: k-induction's base
-        // solver *is* the bounded sweep, so it must reproduce the
-        // baseline's shortest trace exactly, with no budget needed.  PDR
-        // is a prover, not a bug-finder — its one-cube-at-a-time
-        // enumeration is hopeless on a QED-sized state space — so it runs
-        // under a short deadline and is gated only on never contradicting:
-        // no proof on a buggy design, and any trace it does find must
-        // match the baseline's length.
-        let mut bug_builder = DetectorConfig::builder()
-            .processor(bug_processor.clone())
-            .bound(3)
-            .prove(prover);
-        if prover == ProofMethod::Pdr {
-            bug_builder = bug_builder.time_limit(std::time::Duration::from_secs(10));
-        }
-        let bug_config = bug_builder.build();
-        println!("bench-smoke:   {prover:?} / mutated (falsify)");
-        let faulty = Detector::new(bug_config).check(Method::SepeSqed, Some(&bug));
-        assert!(
-            !faulty.proved,
-            "proofs arm: {prover:?} proved a buggy design: {faulty:?}"
-        );
-        if prover == ProofMethod::KInduction {
-            assert!(
-                faulty.detected,
-                "proofs arm: k-induction must falsify {}: {faulty:?}",
-                bug.name
-            );
-        }
-        if faulty.detected {
-            assert_eq!(
-                faulty.trace_len, reference.trace_len,
-                "proofs arm: {prover:?} and the bounded baseline disagree on the \
-                 shortest trace for {}",
-                bug.name
-            );
-        }
-
-        let work = clean.proof_work.clone().unwrap_or_default();
-        methods.push(ProofMethodResult {
-            prover: match prover {
-                ProofMethod::KInduction => "k-induction".to_string(),
-                ProofMethod::Pdr => "pdr".to_string(),
-            },
-            clean_proved: clean.proved,
-            clean_self_checked: clean.proof_checked == Some(true),
-            clean_wall_ms: clean.runtime.as_secs_f64() * 1e3,
-            clean_proof_depth: clean.proof_depth.unwrap_or(0) as u64,
-            clean_queries: work.queries,
-            clean_cnf_vars: work.solver.cnf_vars,
-            clean_propagations: work.solver.propagations,
-            clean_cubes_blocked: work.cubes_blocked,
-            clean_clauses_pushed: work.clauses_pushed,
-            clean_uniqueness_constraints: work.uniqueness_constraints,
-            bug_detected: faulty.detected,
-            bug_trace_len: faulty.trace_len.unwrap_or(0) as u64,
-            bug_wall_ms: faulty.runtime.as_secs_f64() * 1e3,
-        });
-    }
-
-    // The headline: the clean config is *proved*, not merely bounded-clean.
+    // A per-query conflict budget (deterministic, unlike wall time) an
+    // order of magnitude above what the proof needs.
+    let clean_config = DetectorConfig::builder()
+        .processor(clean_processor)
+        .bound(4)
+        .prove(ProofMethod::Pdr)
+        .conflict_limit(5_000)
+        .build();
+    println!("bench-smoke:   Pdr / clean (prove)");
+    let clean = Detector::new(clean_config).check(Method::Sqed, None);
     assert!(
-        methods.iter().any(|m| m.clean_proved),
-        "proofs arm: no prover closed the clean-config proof"
+        !clean.detected,
+        "proofs arm: PDR falsified the clean config: {clean:?}"
+    );
+    assert!(
+        clean.proved && !clean.inconclusive,
+        "proofs arm: PDR must prove the clean config, got {clean:?}"
+    );
+    assert_eq!(
+        clean.proof_checked,
+        Some(true),
+        "proofs arm: a proof that failed its self-check leaked out"
     );
 
+    // PDR is a prover, not a bug-finder — its one-cube-at-a-time
+    // enumeration is hopeless on a QED-sized state space — so it runs
+    // under a short deadline and is gated only on never contradicting: no
+    // proof on a buggy design, and any trace it does find must match the
+    // baseline's length.
+    let bug_config = DetectorConfig::builder()
+        .processor(bug_processor)
+        .bound(3)
+        .prove(ProofMethod::Pdr)
+        .time_limit(std::time::Duration::from_secs(10))
+        .build();
+    println!("bench-smoke:   Pdr / mutated (falsify)");
+    let faulty = Detector::new(bug_config).check(Method::SepeSqed, Some(&bug));
+    assert!(
+        !faulty.proved,
+        "proofs arm: PDR proved a buggy design: {faulty:?}"
+    );
+    if faulty.detected {
+        assert_eq!(
+            faulty.trace_len, reference.trace_len,
+            "proofs arm: PDR and the bounded baseline disagree on the shortest trace for {}",
+            bug.name
+        );
+    }
+
+    let work = clean.proof_work.clone().unwrap_or_default();
+    let methods = vec![ProofMethodResult {
+        prover: ProofMethod::Pdr.to_string(),
+        clean_proved: clean.proved,
+        clean_self_checked: clean.proof_checked == Some(true),
+        clean_wall_ms: clean.runtime.as_secs_f64() * 1e3,
+        clean_proof_depth: clean.proof_depth.unwrap_or(0) as u64,
+        clean_queries: work.queries,
+        clean_cnf_vars: work.solver.cnf_vars,
+        clean_propagations: work.solver.propagations,
+        clean_cubes_blocked: work.cubes_blocked,
+        clean_clauses_pushed: work.clauses_pushed,
+        bug_detected: faulty.detected,
+        bug_trace_len: faulty.trace_len.unwrap_or(0) as u64,
+        bug_wall_ms: faulty.runtime.as_secs_f64() * 1e3,
+    }];
     ProofsResult { methods }
 }
 
@@ -655,7 +611,7 @@ fn main() {
     println!("bench-smoke: service cache arm (cold vs hot submit)");
     let service_cache = run_service_cache();
 
-    println!("bench-smoke: proofs arm (k-induction + PDR, prove clean / falsify mutated)");
+    println!("bench-smoke: proofs arm (PDR, prove clean / falsify mutated)");
     let proofs = run_proofs();
 
     let report = SmokeReport {
@@ -760,7 +716,7 @@ fn main() {
     for m in &report.proofs.methods {
         println!(
             "  proofs/{:<12} clean: {} in {:>8.1} ms (depth {}, {} queries, {} cnf vars, \
-             {} props, {} cubes, {} pushed, {} uniq)  bug: {} in {:>8.1} ms (trace {})",
+             {} props, {} cubes, {} pushed)  bug: {} in {:>8.1} ms (trace {})",
             m.prover,
             if m.clean_proved {
                 "PROVED"
@@ -774,7 +730,6 @@ fn main() {
             m.clean_propagations,
             m.clean_cubes_blocked,
             m.clean_clauses_pushed,
-            m.clean_uniqueness_constraints,
             if m.bug_detected {
                 "falsified"
             } else {

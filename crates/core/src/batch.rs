@@ -405,14 +405,13 @@ impl BatchedDetector {
         } else if config.prove.is_some() {
             // Entries that survived every bound get a dedicated per-entry
             // proof attempt (fresh system, concrete mutation — activation
-            // literals would leak into cubes and uniqueness constraints):
+            // literals would leak into the prover's cubes):
             // the prover can upgrade the bounded "clean to the bound" to a
             // conclusive `Proved`.  Runs through the per-job retry ladder,
             // so prover panics and budget faults degrade instead of
             // poisoning the batch.
             for &i in &unresolved {
-                let (detection, report) =
-                    run_with_retry(&entry_job(&catalogue[i]), None, deadline, retry);
+                let (detection, report) = run_with_retry(&entry_job(&catalogue[i]), deadline);
                 stats.proof_attempts += 1;
                 // Each prover attempt re-encodes the entry's system.
                 stats.encodes += u64::from(report.attempts);
@@ -438,12 +437,10 @@ impl BatchedDetector {
         for (i, kind) in fallback {
             let job = entry_job(&catalogue[i]);
             let (detection, report) = match kind {
-                Fallback::Fresh => run_with_retry(&job, None, deadline, retry),
+                Fallback::Fresh => run_with_retry(&job, deadline),
                 Fallback::Resume { panicked } => resume_retry_ladder(
                     &job,
-                    None,
                     deadline,
-                    retry,
                     DegradationRung::Full.next(),
                     1,
                     u32::from(panicked),
@@ -468,9 +465,7 @@ impl BatchedDetector {
             .map(|d| d.expect("every entry resolves exactly once"))
             .collect();
         for (detection, report) in detections.iter().zip(&reports) {
-            let cancelled =
-                detection.inconclusive && detection.stop_reason == Some(StopReason::Cancelled);
-            stats.absorb(detection, report, cancelled);
+            stats.absorb(detection, report);
         }
         // The shared session's solver last, so its per-check counters stand.
         stats.solver.absorb(&shared.solver);

@@ -8,7 +8,7 @@ use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_smt::{CancelFlag, StopReason, TermManager};
 use sepe_tsys::{
-    corrupt_certificate, verify_certificate, Bmc, BmcConfig, BmcMode, BmcResult, KInduction, Pdr,
+    corrupt_certificate, verify_certificate, Bmc, BmcConfig, BmcMode, BmcResult, Pdr,
     ProofCertificate, ProofMethod, TransitionSystem, Witness,
 };
 
@@ -85,20 +85,20 @@ pub struct DetectorConfig {
     /// [`FaultPlan`].  Test-only machinery — the parallel engine's retry
     /// ladder strips it on retries unless the plan says otherwise.
     pub fault: Option<FaultPlan>,
-    /// Per-run retry policy override (default `None`: inherit the engine's
-    /// policy).  Lets one job of a batch climb the degradation ladder
-    /// further (or not at all) than its batchmates.
+    /// Per-run retry policy (default `None`: no retries).  Lets one job of
+    /// a batch climb the degradation ladder further (or not at all) than
+    /// its batchmates.
     pub retry: Option<RetryPolicy>,
     /// Replay every counterexample on the concrete processor twin before
     /// reporting it (on by default); a replay that does not reproduce the
     /// inconsistency demotes the verdict to an inconclusive
     /// [`StopReason::WitnessMismatch`] instead of a silently wrong `Bug`.
     pub validate_witness: bool,
-    /// Run an unbounded prover instead of plain bounded model checking
+    /// Run the IC3/PDR prover instead of plain bounded model checking
     /// (default `None`: bounded BMC up to `max_bound`).  With a method set,
-    /// `max_bound` becomes the prover's depth/frontier cap; a run may now
-    /// end `Proved` — a conclusive "no bug at *any* depth" the bounded
-    /// checker can never give.
+    /// the prover alone runs — no bounded sweep first — and `max_bound`
+    /// becomes its frontier cap; a run may now end `Proved` — a conclusive
+    /// "no bug at *any* depth" the bounded checker can never give.
     pub prove: Option<ProofMethod>,
     /// Re-check every `Proved` verdict's certificate on an independent
     /// fresh solver before it leaves the detector (on by default); a
@@ -237,7 +237,7 @@ impl DetectorConfigBuilder {
         self
     }
 
-    /// Sets the per-run retry policy (overrides the engine's).
+    /// Sets the per-run retry policy.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.config.retry = Some(retry);
         self
@@ -249,8 +249,8 @@ impl DetectorConfigBuilder {
         self
     }
 
-    /// Runs an unbounded prover (k-induction or IC3/PDR) instead of plain
-    /// bounded model checking.
+    /// Runs the unbounded prover (IC3/PDR) instead of plain bounded model
+    /// checking.
     pub fn prove(mut self, method: ProofMethod) -> Self {
         self.config.prove = Some(method);
         self
@@ -302,7 +302,7 @@ pub struct Detection {
     pub proved: bool,
     /// The prover that produced a `proved` verdict.
     pub proof_method: Option<ProofMethod>,
-    /// Induction depth / PDR frontier frame at which the proof closed.
+    /// PDR frontier frame at which the proof closed.
     pub proof_depth: Option<usize>,
     /// Result of the independent-solver certificate self-check:
     /// `Some(true)` when the invariant re-verified, `Some(false)` when it
@@ -311,8 +311,8 @@ pub struct Detection {
     /// validation was disabled.
     pub proof_checked: Option<bool>,
     /// Work counters of the prover run (`None` when no prover was
-    /// configured): queries, cubes blocked, clauses pushed, uniqueness
-    /// constraints — what the bench `proofs` arm records.
+    /// configured): queries, cubes blocked, clauses pushed — what the bench
+    /// `proofs` arm records.
     pub proof_work: Option<sepe_tsys::ProveStats>,
     /// Deepest bound explored.
     pub bound_reached: usize,
@@ -460,15 +460,8 @@ impl Detector {
         let (builder, scheme) = self.qed(method);
         let system = builder.build(&mut tm, &scheme, mutation);
         let bmc_config = self.bmc_config();
-        if let Some(prover) = self.config.prove {
-            let run = match prover {
-                ProofMethod::KInduction => {
-                    KInduction::new(bmc_config).check(&mut tm, &system.ts, self.config.max_bound)
-                }
-                ProofMethod::Pdr => {
-                    Pdr::new(bmc_config).check(&mut tm, &system.ts, self.config.max_bound)
-                }
-            };
+        if let Some(ProofMethod::Pdr) = self.config.prove {
+            let run = Pdr::new(bmc_config).check(&mut tm, &system.ts, self.config.max_bound);
             let totals = RunTotals {
                 runtime: run.stats.duration,
                 deepest: run.stats.depth_reached,

@@ -4,21 +4,18 @@
 //! The paper's headline experiments (Table 1, Figure 4) are sweeps of one
 //! detection run per mutation × method × bound.  [`Engine::run`] schedules
 //! them as independent [`DetectionJob`]s: each worker gets its own
-//! [`Detector`] (nothing is shared between jobs but the job queue and the
-//! cancellation flag) and pulls jobs off a shared atomic counter so fast
-//! workers steal the remaining work.  With `workers == 1` the batch runs
+//! [`Detector`] (nothing is shared between jobs but the job queue) and pulls
+//! jobs off a shared atomic counter so fast workers steal the remaining
+//! work.  With `workers == 1` the batch runs
 //! inline on the calling thread in job order — byte-for-byte the sequential
 //! drivers, which is what the determinism tests and the bench regression
 //! gate rely on.  A mutation catalogue over one shared unrolling is the
 //! other way to answer a sweep ([`BatchedDetector`](crate::batch::BatchedDetector));
 //! both return the same [`BatchOutcome`].
 //!
-//! A **global time budget** ([`Engine::with_time_limit`]) bounds the whole
-//! batch: a watchdog raises one shared [`CancelFlag`] when the budget
-//! expires, every in-flight SAT search aborts within a short burst of
-//! conflicts (the flag is polled at the same sampled check point as the
-//! solver deadline), and jobs not yet started return immediately as
-//! cancelled, inconclusive [`Detection`]s.
+//! Budgets and retries are per job: a job's own `config.time_limit`,
+//! `config.cancel` flags and `config.retry` policy govern it alone, so a
+//! stopped or retried job never touches its neighbours.
 //!
 //! Per-job results are tallied into a [`BatchStats`] so a batch reports the
 //! same counters the sequential drivers print.
@@ -47,13 +44,13 @@
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use sepe_processor::Mutation;
-use sepe_smt::{CancelFlag, SolverReuseStats, StopReason};
+use sepe_smt::{SolverReuseStats, StopReason};
 use sepe_tsys::BmcMode;
 
 use crate::detect::{Detection, Detector, DetectorConfig, Method};
@@ -65,12 +62,6 @@ use crate::detect::{Detection, Detector, DetectorConfig, Method};
 /// because real sweeps vary the configuration per job (Table 1 narrows the
 /// opcode universe to each bug's target; Figure 4 derives it from the bug's
 /// trigger pattern).
-///
-/// Cancellation *chains*: when the job is scheduled, the engine **pushes**
-/// the batch's shared flag onto the job's own `config.cancel` set instead of
-/// replacing it, so either source tripping cancels the job — the batch
-/// budget through [`Engine::with_time_limit`], or a caller-supplied
-/// per-job flag raised from outside.
 #[derive(Debug, Clone)]
 pub struct DetectionJob {
     /// Human-readable job label, carried through to results and logs.
@@ -119,9 +110,8 @@ pub enum JobOutcome {
 impl JobOutcome {
     /// Whether the retry ladder re-runs a job that ended this way: panics
     /// and per-solver budget exhaustion are worth a degraded retry, while
-    /// deadline expiry and cancellation are verdicts about the *batch* (its
-    /// wall budget is gone either way), so retrying would only burn more of
-    /// it.
+    /// deadline expiry and cancellation are verdicts about the job's wall
+    /// budget or its caller, so retrying would only burn more of it.
     pub(crate) fn should_retry(&self) -> bool {
         match self {
             JobOutcome::Completed => false,
@@ -202,10 +192,10 @@ impl fmt::Display for DegradationRung {
     }
 }
 
-/// How the engine re-runs jobs that failed or exhausted a per-solver
-/// budget: up to `max_retries` additional attempts, each one rung further
-/// down the [`DegradationRung`] ladder.  The default retries nothing, which
-/// reproduces the pre-retry engine exactly.
+/// How a job that failed or exhausted a per-solver budget is re-run (set
+/// per job through `DetectorConfig::retry`): up to `max_retries` additional
+/// attempts, each one rung further down the [`DegradationRung`] ladder.
+/// The default retries nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Additional attempts after the first (0 disables retrying).
@@ -235,8 +225,8 @@ pub struct JobReport {
     pub label: String,
     /// The classified final outcome (after any retries).
     pub outcome: JobOutcome,
-    /// Attempts run, including the first (0 for a job cancelled before it
-    /// ever started).
+    /// Attempts run, including the first (0 for a catalogue entry whose
+    /// batch stopped before its first query).
     pub attempts: u32,
     /// Attempts that panicked along the way (caught, worker kept alive).
     pub panicked_attempts: u32,
@@ -255,7 +245,7 @@ pub struct StopReasonTally {
     pub conflict_budget: u64,
     /// Jobs that breached the SAT memory cap.
     pub memory_budget: u64,
-    /// Jobs cancelled through a shared flag.
+    /// Jobs cancelled through a cancellation flag.
     pub cancelled: u64,
     /// Jobs whose final attempt panicked.
     pub panicked: u64,
@@ -314,8 +304,7 @@ pub struct BatchStats {
     /// Longest single job — the lower bound on batch wall time no worker
     /// count can beat.
     pub job_wall_max: Duration,
-    /// Jobs that ended inconclusive because a cancellation flag was raised
-    /// (the engine's global budget, or a catalogue entry's own flag).
+    /// Jobs that ended inconclusive because a cancellation flag was raised.
     pub cancelled: u64,
     /// Total SAT conflicts across all jobs.
     pub conflicts: u64,
@@ -370,13 +359,14 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
-    /// Tallies one finished job.  `cancelled` is the caller's own verdict
-    /// on whether a cancellation flag stopped it.
-    pub(crate) fn absorb(&mut self, detection: &Detection, report: &JobReport, cancelled: bool) {
+    /// Tallies one finished job.
+    pub(crate) fn absorb(&mut self, detection: &Detection, report: &JobReport) {
         self.jobs += 1;
         self.job_wall_total += detection.runtime;
         self.job_wall_max = self.job_wall_max.max(detection.runtime);
-        self.cancelled += u64::from(cancelled);
+        self.cancelled += u64::from(
+            detection.inconclusive && detection.stop_reason == Some(StopReason::Cancelled),
+        );
         self.conflicts += detection.conflicts;
         self.retries += u64::from(report.attempts.saturating_sub(1));
         self.degraded_runs += u64::from(report.rung != DegradationRung::Full);
@@ -435,12 +425,10 @@ pub struct BatchOutcome {
 
 /// The detection engine: a work-stealing scheduler for independent jobs.
 ///
-/// See the [module docs](self) for the scheduling and cancellation model.
+/// See the [module docs](self) for the scheduling model.
 #[derive(Debug, Clone)]
 pub struct Engine {
     workers: usize,
-    time_limit: Option<Duration>,
-    retry: RetryPolicy,
 }
 
 impl Engine {
@@ -448,31 +436,7 @@ impl Engine {
     pub fn new(workers: usize) -> Self {
         Engine {
             workers: workers.max(1),
-            time_limit: None,
-            retry: RetryPolicy::none(),
         }
-    }
-
-    /// Sets a wall-clock budget for each subsequent batch: when it expires,
-    /// every in-flight job is interrupted and the not-yet-started ones
-    /// return cancelled.
-    pub fn with_time_limit(mut self, limit: Option<Duration>) -> Self {
-        self.time_limit = limit;
-        self
-    }
-
-    /// Sets the retry policy for each subsequent batch: jobs that panic or
-    /// exhaust a per-solver budget are re-run down the
-    /// [`DegradationRung`] ladder up to the policy's attempt count.  The
-    /// default retries nothing; a job's own `config.retry` overrides it.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// The worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Runs a batch of independent detection jobs, returning one
@@ -485,22 +449,18 @@ impl Engine {
     /// sequential drivers exactly.
     pub fn run(&self, jobs: Vec<DetectionJob>) -> BatchOutcome {
         let start = Instant::now();
-        let cancel: CancelFlag = Arc::new(AtomicBool::new(false));
-        let deadline = self.time_limit.map(|budget| start + budget);
-        let watchdog = self.spawn_watchdog(&cancel);
         let workers = self.workers.min(jobs.len().max(1));
         let next = AtomicUsize::new(0);
-        let retry = self.retry;
-        let (tx, rx) = mpsc::channel::<(usize, Detection, JobReport, bool)>();
+        let (tx, rx) = mpsc::channel::<(usize, Detection, JobReport)>();
 
         if workers <= 1 {
-            worker_loop(&jobs, &next, &cancel, deadline, retry, &tx);
+            worker_loop(&jobs, &next, &tx);
         } else {
             thread::scope(|scope| {
                 for _ in 0..workers {
                     let tx = tx.clone();
-                    let (jobs, next, cancel) = (&jobs, &next, &cancel);
-                    scope.spawn(move || worker_loop(jobs, next, cancel, deadline, retry, &tx));
+                    let (jobs, next) = (&jobs, &next);
+                    scope.spawn(move || worker_loop(jobs, next, &tx));
                 }
             });
         }
@@ -512,16 +472,12 @@ impl Engine {
             workers,
             ..BatchStats::default()
         };
-        for (i, detection, report, cancelled) in rx {
-            stats.absorb(&detection, &report, cancelled);
+        for (i, detection, report) in rx {
+            stats.absorb(&detection, &report);
             // Every attempt builds and encodes the job's system afresh.
             stats.encodes += u64::from(report.attempts);
             detections[i] = Some(detection);
             reports[i] = Some(report);
-        }
-        if let Some((done, handle)) = watchdog {
-            let _ = done.send(());
-            let _ = handle.join();
         }
         stats.wall = start.elapsed();
         BatchOutcome {
@@ -536,25 +492,6 @@ impl Engine {
             stats,
         }
     }
-
-    /// Arms the global budget: a watchdog thread that raises the shared
-    /// flag when the budget expires, unless released first through the
-    /// returned channel.  `None` when the engine has no time limit.
-    #[allow(clippy::type_complexity)]
-    fn spawn_watchdog(
-        &self,
-        cancel: &CancelFlag,
-    ) -> Option<(mpsc::Sender<()>, thread::JoinHandle<()>)> {
-        let budget = self.time_limit?;
-        let cancel = cancel.clone();
-        let (done, release) = mpsc::channel::<()>();
-        let handle = thread::spawn(move || {
-            if release.recv_timeout(budget).is_err() {
-                cancel.store(true, Ordering::Relaxed);
-            }
-        });
-        Some((done, handle))
-    }
 }
 
 /// One worker: pull the next job index, run it (with panic isolation and
@@ -564,55 +501,35 @@ impl Engine {
 fn worker_loop(
     jobs: &[DetectionJob],
     next: &AtomicUsize,
-    cancel: &CancelFlag,
-    deadline: Option<Instant>,
-    retry: RetryPolicy,
-    tx: &mpsc::Sender<(usize, Detection, JobReport, bool)>,
+    tx: &mpsc::Sender<(usize, Detection, JobReport)>,
 ) {
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= jobs.len() {
             return;
         }
-        let job = &jobs[i];
-        let (detection, report, cancelled) = if cancel.load(Ordering::Relaxed) {
-            // The budget expired before this job started: report it
-            // cancelled without building a detector at all.
-            let report = JobReport {
-                label: job.label.clone(),
-                outcome: JobOutcome::Stopped(StopReason::Cancelled),
-                attempts: 0,
-                panicked_attempts: 0,
-                rung: DegradationRung::Full,
-            };
-            (stub_detection(job), report, true)
-        } else {
-            let (detection, report) = run_with_retry(job, Some(cancel), deadline, retry);
-            let cancelled = detection.inconclusive && cancel.load(Ordering::Relaxed);
-            (detection, report, cancelled)
-        };
-        if tx.send((i, detection, report, cancelled)).is_err() {
+        let (detection, report) = run_with_retry(&jobs[i], None);
+        if tx.send((i, detection, report)).is_err() {
             return; // receiver gone — nothing left to report to
         }
     }
 }
 
-/// Runs one job down the retry ladder: the first attempt under the job's
-/// own configuration, each subsequent attempt — granted only for panics and
-/// per-solver budget exhaustion, see [`JobOutcome::should_retry`] — one
-/// rung further down [`DegradationRung`].  The job's fault plan applies to
-/// the first attempt only unless it says otherwise
+/// Runs one job down its retry ladder (`config.retry`): the first attempt
+/// under the job's own configuration, each subsequent attempt — granted
+/// only for panics and per-solver budget exhaustion, see
+/// [`JobOutcome::should_retry`] — one rung further down
+/// [`DegradationRung`].  The job's fault plan applies to the first attempt
+/// only unless it says otherwise
 /// ([`FaultPlan::every_attempt`](crate::fault::FaultPlan)), so
 /// "failed once, retried clean, succeeded degraded" is itself a
-/// deterministic path.  `cancel` is the batch's flag, if it has one;
-/// `deadline` its wall-clock budget.
+/// deterministic path.  `deadline` is the wall-clock budget of an enclosing
+/// batch, if it has one.
 pub(crate) fn run_with_retry(
     job: &DetectionJob,
-    cancel: Option<&CancelFlag>,
     deadline: Option<Instant>,
-    retry: RetryPolicy,
 ) -> (Detection, JobReport) {
-    resume_retry_ladder(job, cancel, deadline, retry, DegradationRung::Full, 0, 0)
+    resume_retry_ladder(job, deadline, DegradationRung::Full, 0, 0)
 }
 
 /// [`run_with_retry`] with the ladder state pre-advanced: `rung` is the rung
@@ -624,22 +541,16 @@ pub(crate) fn run_with_retry(
 /// and the per-job fallback resumes at the next rung down.
 pub(crate) fn resume_retry_ladder(
     job: &DetectionJob,
-    cancel: Option<&CancelFlag>,
     deadline: Option<Instant>,
-    retry: RetryPolicy,
     mut rung: DegradationRung,
     mut attempts: u32,
     mut panicked_attempts: u32,
 ) -> (Detection, JobReport) {
-    // A job's own retry override beats the engine-wide policy.
-    let retry = job.config.retry.unwrap_or(retry);
+    let retry = job.config.retry.unwrap_or_default();
     loop {
         attempts += 1;
         let mut config = job.config.clone();
         rung.apply(&mut config);
-        // Chain, don't replace: the job's own cancel flags stay armed
-        // alongside the batch flag — either tripping cancels the job.
-        config.cancel.extend(cancel.cloned());
         clamp_time_limit(&mut config, deadline);
         if attempts > 1 && !config.fault.is_some_and(|f| f.every_attempt) {
             config.fault = None; // retries run clean by default
@@ -685,8 +596,7 @@ fn run_isolated(
             (detection, outcome, false)
         }
         Err(payload) => {
-            let mut stub = stub_detection_raw(method, mutation);
-            stub.stop_reason = Some(StopReason::Panicked);
+            let stub = panicked_detection(method, mutation);
             let outcome = JobOutcome::Failed {
                 message: panic_message(payload.as_ref()),
             };
@@ -707,9 +617,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Tightens a job's own time limit to whatever remains of the global
-/// batch deadline (in-flight SAT calls then stop through the existing
-/// per-solver deadline even between flag polls).
+/// Tightens a job's own time limit to whatever remains of an enclosing
+/// batch's deadline.
 fn clamp_time_limit(config: &mut DetectorConfig, deadline: Option<Instant>) {
     if let Some(deadline) = deadline {
         let remaining = deadline.saturating_duration_since(Instant::now());
@@ -717,18 +626,11 @@ fn clamp_time_limit(config: &mut DetectorConfig, deadline: Option<Instant>) {
     }
 }
 
-/// An inconclusive result for a job that never ran.
-fn stub_detection(job: &DetectionJob) -> Detection {
-    let mut d = stub_detection_raw(job.method, job.mutation.as_ref());
-    d.stop_reason = Some(StopReason::Cancelled);
-    d
-}
-
-/// An inconclusive result with no run behind it (no stop reason assigned —
-/// callers set one).
-fn stub_detection_raw(method: Method, mutation: Option<&Mutation>) -> Detection {
+/// An inconclusive result with no run behind it: a panicked attempt.
+fn panicked_detection(method: Method, mutation: Option<&Mutation>) -> Detection {
     Detection {
         inconclusive: true,
+        stop_reason: Some(StopReason::Panicked),
         ..Detection::blank(method, mutation.map(|m| m.name.clone()))
     }
 }

@@ -5,6 +5,8 @@
 //! when one catalogue entry carries an injected fault, in which case the
 //! neighbours' answers must be unaffected.
 
+use std::time::Duration;
+
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_sqed::batch::{BatchedDetector, CatalogueEntry};
@@ -139,22 +141,27 @@ fn a_faulted_entry_leaves_neighbour_verdicts_bit_identical() {
 }
 
 /// With a prover configured, every entry the shared bounded pass leaves
-/// undetected gets an unbounded re-run — and each final verdict (detected,
-/// proved, or merely bounded-clean) must match the scalar detector run
-/// with the identical configuration.
+/// undetected gets an unbounded re-run.  Each final verdict must match the
+/// scalar detector with the identical configuration: the bounded check for
+/// an entry the sweep detected, the prover for a survivor (the scalar
+/// prover runs alone, without a bounded sweep first).
 #[test]
 fn batched_prove_pass_matches_the_scalar_detector() {
     let (config, bugs) = shared_setup(2, 3);
+    // PDR grinds on a survivor of the bound-3 sweep far longer than a test
+    // can wait, so both runs stop at the same wall budget: the batched and
+    // scalar verdicts then agree on inconclusive for the same reason.
     let config = DetectorConfig {
-        prove: Some(ProofMethod::KInduction),
+        prove: Some(ProofMethod::Pdr),
+        time_limit: Some(Duration::from_secs(2)),
         ..config
     };
     let batched = BatchedDetector::new(config.clone()).run(Method::SepeSqed, &catalogue_of(&bugs));
 
-    let survivors = batched.detections.iter().filter(|d| d.detected).count();
+    let detected = batched.detections.iter().filter(|d| d.detected).count();
     assert_eq!(
         batched.stats.proof_attempts,
-        (bugs.len() - survivors) as u64,
+        (bugs.len() - detected) as u64,
         "exactly the entries the bounded pass left undetected get a proof attempt"
     );
     assert!(
@@ -162,12 +169,26 @@ fn batched_prove_pass_matches_the_scalar_detector() {
         "the bound-3 sweep leaves at least one entry for the prover"
     );
 
+    let bounded = DetectorConfig {
+        prove: None,
+        ..config.clone()
+    };
     for (bug, b) in bugs.iter().zip(&batched.detections) {
-        let scalar = Detector::new(config.clone()).check(Method::SepeSqed, Some(bug));
+        let swept = Detector::new(bounded.clone()).check(Method::SepeSqed, Some(bug));
+        let scalar = if swept.detected {
+            swept
+        } else {
+            Detector::new(config.clone()).check(Method::SepeSqed, Some(bug))
+        };
         assert_eq!(b.detected, scalar.detected, "verdict on {}", bug.name);
         assert_eq!(
             b.inconclusive, scalar.inconclusive,
             "conclusiveness on {}",
+            bug.name
+        );
+        assert_eq!(
+            b.stop_reason, scalar.stop_reason,
+            "stop reason on {}",
             bug.name
         );
         assert_eq!(b.proved, scalar.proved, "proved flag on {}", bug.name);

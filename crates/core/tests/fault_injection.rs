@@ -1,6 +1,6 @@
 //! Deterministic fault-injection tests of the fault-tolerance layer: every
 //! [`StopReason`] variant, panic isolation, the retry degradation ladder,
-//! and cancel-flag chaining — all counter-indexed, no wall-clock
+//! and per-job cancel flags — all counter-indexed, no wall-clock
 //! assertions.
 //!
 //! The workhorse job is the clean bound-2 SQED check over {ADD, XORI} on
@@ -19,7 +19,7 @@ use sepe_smt::{CancelFlag, StopReason};
 use sepe_sqed::detect::{DetectorConfig, Method};
 use sepe_sqed::fault::FaultPlan;
 use sepe_sqed::parallel::{DegradationRung, DetectionJob, Engine, JobOutcome, RetryPolicy};
-use sepe_tsys::BmcMode;
+use sepe_tsys::{BmcMode, ProofMethod};
 
 /// The workhorse configuration: conclusive at bound 2 with ~150 conflicts.
 fn busy_config() -> DetectorConfig {
@@ -34,6 +34,12 @@ fn busy_job(label: &str, fault: Option<FaultPlan>) -> DetectionJob {
     let mut config = busy_config();
     config.fault = fault;
     DetectionJob::new(label, config, Method::Sqed, None)
+}
+
+/// `job` with its own retry ladder of `max_retries` degraded re-runs.
+fn retried(mut job: DetectionJob, max_retries: u32) -> DetectionJob {
+    job.config.retry = Some(RetryPolicy::ladder(max_retries));
+    job
 }
 
 #[test]
@@ -154,9 +160,10 @@ fn a_panicking_job_does_not_poison_the_batch() {
 
 #[test]
 fn retry_ladder_recovers_a_panicking_job_one_rung_down() {
-    let outcome = Engine::new(1)
-        .with_retry_policy(RetryPolicy::ladder(2))
-        .run(vec![busy_job("bomb", Some(FaultPlan::panic_at(5)))]);
+    let outcome = Engine::new(1).run(vec![retried(
+        busy_job("bomb", Some(FaultPlan::panic_at(5))),
+        2,
+    )]);
     let report = &outcome.reports[0];
     // First attempt panics at conflict 5; the fault applies to the first
     // attempt only, so the aig_off retry runs clean and completes.
@@ -180,9 +187,7 @@ fn persistent_fault_exhausts_the_ladder_or_is_dodged_by_degradation() {
     // never fires and the job legitimately completes degraded.
     let bomb = || busy_job("bomb", Some(FaultPlan::panic_at(5).every_attempt()));
 
-    let short = Engine::new(1)
-        .with_retry_policy(RetryPolicy::ladder(1))
-        .run(vec![bomb()]);
+    let short = Engine::new(1).run(vec![retried(bomb(), 1)]);
     let report = &short.reports[0];
     assert!(matches!(report.outcome, JobOutcome::Failed { .. }));
     assert_eq!(report.attempts, 2);
@@ -190,9 +195,7 @@ fn persistent_fault_exhausts_the_ladder_or_is_dodged_by_degradation() {
     assert_eq!(report.rung, DegradationRung::AigOff);
     assert_eq!(short.stats.stop_reasons.panicked, 1);
 
-    let full = Engine::new(1)
-        .with_retry_policy(RetryPolicy::ladder(3))
-        .run(vec![bomb()]);
+    let full = Engine::new(1).run(vec![retried(bomb(), 3)]);
     let report = &full.reports[0];
     assert_eq!(report.outcome, JobOutcome::Completed);
     assert_eq!(report.attempts, 4);
@@ -205,17 +208,19 @@ fn persistent_fault_exhausts_the_ladder_or_is_dodged_by_degradation() {
 #[test]
 fn budget_exhaustion_is_retried_but_cancellation_is_not() {
     // A faked memory breach is a per-solver budget verdict: retry-worthy.
-    let outcome = Engine::new(1)
-        .with_retry_policy(RetryPolicy::ladder(1))
-        .run(vec![busy_job("oom", Some(FaultPlan::memory_breach_at(3)))]);
+    let outcome = Engine::new(1).run(vec![retried(
+        busy_job("oom", Some(FaultPlan::memory_breach_at(3))),
+        1,
+    )]);
     assert_eq!(outcome.reports[0].outcome, JobOutcome::Completed);
     assert_eq!(outcome.reports[0].attempts, 2);
     assert_eq!(outcome.stats.retries, 1);
 
-    // Cancellation is a verdict about the batch — never retried.
-    let outcome = Engine::new(1)
-        .with_retry_policy(RetryPolicy::ladder(3))
-        .run(vec![busy_job("cut", Some(FaultPlan::cancel_at(1)))]);
+    // Cancellation is a verdict about the job's caller — never retried.
+    let outcome = Engine::new(1).run(vec![retried(
+        busy_job("cut", Some(FaultPlan::cancel_at(1))),
+        3,
+    )]);
     assert_eq!(
         outcome.reports[0].outcome,
         JobOutcome::Stopped(StopReason::Cancelled)
@@ -227,8 +232,8 @@ fn budget_exhaustion_is_retried_but_cancellation_is_not() {
 #[test]
 fn a_callers_cancel_flag_chains_with_the_batch_flag() {
     // The caller arms a private, already-raised flag on one job.  The
-    // engine must chain it with its own batch flag — not replace it — so
-    // exactly that job comes back cancelled while its neighbors complete.
+    // engine must keep it armed on that job alone, so exactly that job
+    // comes back cancelled while its neighbors complete.
     let private: CancelFlag = Arc::new(AtomicBool::new(true));
     let mut cut = busy_config();
     cut.cancel.push(private.clone());
@@ -254,45 +259,59 @@ fn a_callers_cancel_flag_chains_with_the_batch_flag() {
     );
 }
 
-/// The workhorse job in prove mode: k-induction over the same bound-2
-/// configuration (cheap — the base case is the plain bounded sweep and
-/// the step case never converges on a QED system, so the job concludes
-/// `NoCounterexample` in a few hundred conflicts).
+/// The prove-mode workhorse: PDR on the clean tiny/ADD SQED design, frontier
+/// cap 4.  The proof closes in a few dozen SAT conflicts spread over about a
+/// thousand queries, so solver-cumulative triggers at conflicts 3 and 5
+/// fire inside it, and a per-query conflict budget of 1 trips on the first
+/// query that conflicts at all.
+fn prove_config() -> DetectorConfig {
+    DetectorConfig {
+        processor: ProcessorConfig::tiny().with_opcodes(&[Opcode::Add]),
+        max_bound: 4,
+        prove: Some(ProofMethod::Pdr),
+        ..DetectorConfig::default()
+    }
+}
+
 fn prove_job(label: &str, fault: Option<FaultPlan>) -> DetectionJob {
-    let mut config = busy_config();
-    config.prove = Some(sepe_tsys::ProofMethod::KInduction);
+    let mut config = prove_config();
     config.fault = fault;
     DetectionJob::new(label, config, Method::Sqed, None)
 }
 
 #[test]
 fn faults_inside_the_provers_classify_and_isolate_identically() {
-    // Every fault class planted *inside* a k-induction run: the prover
-    // must come back Unknown with the same structured StopReason the
-    // bounded path reports, clean prove-mode bystanders must be
-    // bit-identical to a fault-free batch, and the whole classification
-    // must not depend on the worker count.
-    let jobs = |armed: bool| {
-        let mut deadline = busy_config();
-        deadline.prove = Some(sepe_tsys::ProofMethod::KInduction);
-        deadline.time_limit = armed.then_some(Duration::ZERO);
-        let mut conflict = busy_config();
-        conflict.prove = Some(sepe_tsys::ProofMethod::KInduction);
-        conflict.conflict_limit = armed.then_some(10);
-        let gate = |fault: FaultPlan| armed.then_some(fault);
+    // Every fault class planted *inside* a PDR run: the prover must come
+    // back Unknown with the same structured StopReason the bounded path
+    // reports, clean prove-mode bystanders must be bit-identical to a
+    // fault-free batch, and the whole classification must not depend on
+    // the worker count.
+    let jobs = || {
+        let mut deadline = prove_config();
+        deadline.time_limit = Some(Duration::ZERO);
+        let mut conflict = prove_config();
+        conflict.conflict_limit = Some(1);
         vec![
             prove_job("clean-left", None),
             DetectionJob::new("deadline", deadline, Method::Sqed, None),
             DetectionJob::new("conflict", conflict, Method::Sqed, None),
-            prove_job("memory", gate(FaultPlan::memory_breach_at(3))),
-            prove_job("cancelled", gate(FaultPlan::cancel_at(1))),
-            prove_job("panicked", gate(FaultPlan::panic_at(5))),
+            prove_job("memory", Some(FaultPlan::memory_breach_at(3))),
+            prove_job("cancelled", Some(FaultPlan::cancel_at(1))),
+            prove_job("panicked", Some(FaultPlan::panic_at(5))),
             prove_job("clean-right", None),
         ]
     };
-    let clean = Engine::new(1).run(jobs(false));
-    let sequential = Engine::new(1).run(jobs(true));
-    let parallel = Engine::new(4).run(jobs(true));
+    // Every job is the same proof with a fault planted in it; run without
+    // a fault, that proof closes and self-checks, so each fault below lands
+    // in a run that would otherwise have concluded.
+    let clean = Engine::new(1).run(vec![prove_job("clean", None)]);
+    let c = &clean.detections[0];
+    assert!(
+        c.proved && c.proof_checked == Some(true),
+        "the fault-free proof must close: {c:?}"
+    );
+    let sequential = Engine::new(1).run(jobs());
+    let parallel = Engine::new(4).run(jobs());
 
     for outcome in [&sequential, &parallel] {
         let expect = [
@@ -317,9 +336,9 @@ fn faults_inside_the_provers_classify_and_isolate_identically() {
             );
             assert!(!d.proved, "a faulted prover must never report proved");
         }
-        // The clean bystanders conclude exactly as in the fault-free batch.
+        // The clean bystanders conclude exactly as the fault-free proof.
         for i in [0, 6] {
-            let (c, f) = (&clean.detections[i], &outcome.detections[i]);
+            let f = &outcome.detections[i];
             assert_eq!(c.detected, f.detected, "verdict diverges on job {i}");
             assert_eq!(c.inconclusive, f.inconclusive);
             assert_eq!(c.proved, f.proved);
@@ -358,13 +377,14 @@ fn seeded_fault_plans_reproduce_across_worker_counts() {
     };
     for seed in seeds {
         let plan = FaultPlan::seeded(seed);
-        let jobs = || vec![busy_job("clean", None), busy_job("faulted", Some(plan))];
-        let sequential = Engine::new(1)
-            .with_retry_policy(RetryPolicy::ladder(2))
-            .run(jobs());
-        let parallel = Engine::new(4)
-            .with_retry_policy(RetryPolicy::ladder(2))
-            .run(jobs());
+        let jobs = || {
+            vec![
+                retried(busy_job("clean", None), 2),
+                retried(busy_job("faulted", Some(plan)), 2),
+            ]
+        };
+        let sequential = Engine::new(1).run(jobs());
+        let parallel = Engine::new(4).run(jobs());
         for i in 0..2 {
             assert_eq!(
                 sequential.reports[i].outcome, parallel.reports[i].outcome,

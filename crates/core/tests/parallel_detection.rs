@@ -1,10 +1,11 @@
 //! Integration tests of the parallel detection engine: determinism across
-//! worker counts and prompt global cancellation.
+//! worker counts and prompt per-job deadlines.
 
 use std::time::{Duration, Instant};
 
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
+use sepe_smt::StopReason;
 use sepe_sqed::detect::{DetectorConfig, Method};
 use sepe_sqed::parallel::{DetectionJob, Engine};
 
@@ -76,13 +77,14 @@ fn four_workers_match_one_worker_on_the_table1_mutation_set() {
 #[test]
 fn global_deadline_stops_all_workers_promptly() {
     // Each job alone would run for minutes (the bound-8 SQED sweep against
-    // an SQED-invisible bug explores every depth); the batch budget is a
-    // fraction of a second, and the shared flag must cut every in-flight
-    // SAT search loose within a short burst of conflicts.
+    // an SQED-invisible bug explores every depth); every job's own wall
+    // budget is a fraction of a second, and the solver deadline must cut
+    // every in-flight SAT search loose within a short burst of conflicts.
     let bug = Mutation::table1()[0].clone();
     let config = DetectorConfig {
         processor: ProcessorConfig::tiny().with_opcodes(&[Opcode::Add]),
         max_bound: 8,
+        time_limit: Some(Duration::from_millis(300)),
         ..DetectorConfig::default()
     };
     let jobs: Vec<DetectionJob> = (0..4)
@@ -96,13 +98,11 @@ fn global_deadline_stops_all_workers_promptly() {
         })
         .collect();
     let start = Instant::now();
-    let outcome = Engine::new(2)
-        .with_time_limit(Some(Duration::from_millis(300)))
-        .run(jobs);
+    let outcome = Engine::new(2).run(jobs);
     let wall = start.elapsed();
     assert!(
         wall < Duration::from_secs(10),
-        "cancellation took {wall:?} — workers are not being interrupted"
+        "the deadlines took {wall:?} — workers are not being interrupted"
     );
     assert_eq!(outcome.detections.len(), 4);
     for (i, d) in outcome.detections.iter().enumerate() {
@@ -110,9 +110,7 @@ fn global_deadline_stops_all_workers_promptly() {
             d.inconclusive && !d.detected,
             "job {i} should be cut off inconclusive"
         );
+        assert_eq!(d.stop_reason, Some(StopReason::Deadline), "job {i}");
     }
-    assert!(
-        outcome.stats.cancelled >= 1,
-        "at least the in-flight jobs must report as cancelled"
-    );
+    assert_eq!(outcome.stats.stop_reasons.deadline, 4);
 }

@@ -283,7 +283,7 @@ pub struct Verdict {
     /// The prover behind a `proved` verdict (wire name, see
     /// [`proof_method_name`]).
     pub proof_method: Option<String>,
-    /// Induction depth / PDR frontier at which the proof closed.
+    /// PDR frontier at which the proof closed.
     pub proof_depth: Option<u64>,
     /// Independent-solver certificate self-check result (`None`: nothing
     /// proved or validation off).
@@ -428,7 +428,6 @@ pub fn method_name(method: Method) -> &'static str {
 /// The proof method's wire name.
 pub fn proof_method_name(method: ProofMethod) -> &'static str {
     match method {
-        ProofMethod::KInduction => "k-induction",
         ProofMethod::Pdr => "pdr",
     }
 }
@@ -436,7 +435,6 @@ pub fn proof_method_name(method: ProofMethod) -> &'static str {
 /// Parses a proof-method wire name.
 pub fn proof_method_from_name(name: &str) -> Option<ProofMethod> {
     match name {
-        "k-induction" | "induction" => Some(ProofMethod::KInduction),
         "pdr" | "ic3" => Some(ProofMethod::Pdr),
         _ => None,
     }
@@ -1079,6 +1077,34 @@ mod tests {
             panic!("verdict expected");
         };
         assert_eq!(decoded, verdict);
+    }
+
+    #[test]
+    fn retired_proof_methods_get_a_structured_rejection() {
+        // A submit payload naming `method` as its prover.
+        let payload = |method: &str| {
+            let request = Request::Submit(SubmitRequest {
+                prove: Some(ProofMethod::Pdr),
+                ..SubmitRequest::new(Method::Sqed, 8, ProcessorConfig::tiny())
+            });
+            let text = String::from_utf8(encode_request(&request)).unwrap();
+            assert_eq!(text.matches("\"pdr\"").count(), 1, "{text}");
+            text.replace("\"pdr\"", &format!("\"{method}\""))
+        };
+        for name in ["pdr", "ic3"] {
+            let Ok(Request::Submit(s)) = decode_request(payload(name).as_bytes()) else {
+                panic!("'{name}' must decode as a PDR submit");
+            };
+            assert_eq!(s.prove, Some(ProofMethod::Pdr));
+        }
+        for name in ["k-induction", "induction"] {
+            match decode_request(payload(name).as_bytes()) {
+                Err(ProtocolError::Malformed(m)) => {
+                    assert_eq!(m, format!("unknown proof method '{name}'"));
+                }
+                other => panic!("'{name}' must be rejected as malformed, got {other:?}"),
+            }
+        }
     }
 
     #[test]

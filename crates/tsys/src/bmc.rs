@@ -70,9 +70,8 @@ pub struct BmcConfig {
     /// an in-flight SAT search abort within a short burst of conflicts and
     /// the check return [`BmcResult::Unknown`] with
     /// [`StopReason::Cancelled`]; the flags are also polled between depths.
-    /// Independent cancellation sources chain by each pushing their own flag
-    /// — a caller's flag and the parallel engine's batch flag coexist
-    /// instead of replacing each other (see `sepe_sqed::parallel`).
+    /// Independent cancellation sources chain by each pushing their own
+    /// flag instead of replacing each other.
     pub cancel: Vec<CancelFlag>,
     /// Caps the estimated clause-arena + watcher bytes of each SAT solver
     /// (`None` = unlimited); a query whose estimate exceeds the cap returns
@@ -276,9 +275,9 @@ pub struct BmcStats {
 /// Outcome of a model-checking run.
 ///
 /// Bounded runs ([`Bmc::check`]) produce the first three variants; the
-/// unbounded provers ([`KInduction`](crate::KInduction), [`Pdr`](crate::Pdr))
-/// additionally produce [`BmcResult::Proved`] when they certify the bad
-/// states unreachable at *every* depth, not just within the bound.
+/// unbounded prover ([`Pdr`](crate::Pdr)) additionally produces
+/// [`BmcResult::Proved`] when it certifies the bad states unreachable at
+/// *every* depth, not just within the bound.
 #[derive(Debug, Clone)]
 pub enum BmcResult {
     /// A counterexample reaching a bad state was found.
@@ -292,8 +291,8 @@ pub enum BmcResult {
     Proved {
         /// Which prover closed the proof.
         method: ProofMethod,
-        /// The proof's depth parameter: the induction depth `k`, or the
-        /// PDR frame index at which the reachability frames converged.
+        /// The proof's depth parameter: the PDR frontier frame at which the
+        /// reachability frames converged.
         depth: usize,
     },
     /// The run stopped without a verdict at the given bound.

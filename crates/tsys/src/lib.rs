@@ -35,7 +35,6 @@
 //! ```
 
 pub mod bmc;
-pub mod induction;
 pub mod pdr;
 pub mod prove;
 pub mod session;
@@ -46,7 +45,6 @@ pub mod witness;
 pub use bmc::{
     Bmc, BmcConfig, BmcConfigBuilder, BmcFaultPlan, BmcMode, BmcResult, BmcStats, DepthStats,
 };
-pub use induction::KInduction;
 pub use pdr::Pdr;
 pub use prove::{
     corrupt_certificate, verify_certificate, CertificateError, ProofCertificate, ProofMethod,

@@ -43,7 +43,7 @@
 //! The frames converge when some level `i < N` holds no clause of exactly
 //! level `i` — then `F_i = F_{i+1}`, and the conjunction of the clauses at
 //! level `≥ i` is a 1-inductive invariant.  It ships as a
-//! [`ProofCertificate::Inductive`] for the independent self-check.
+//! [`ProofCertificate`] for the independent self-check.
 //!
 //! On falsification PDR does **not** reconstruct the trace from its
 //! obligation chain (generalised frames make that fragile); it re-runs the
@@ -121,8 +121,7 @@ impl Pdr {
 
     /// Runs the frame loop up to frontier `max_frames`.
     ///
-    /// Outcomes mirror [`KInduction::check`](crate::KInduction::check):
-    /// [`BmcResult::Counterexample`] with a reference-BMC witness,
+    /// Outcomes: [`BmcResult::Counterexample`] with a reference-BMC witness,
     /// [`BmcResult::Proved`] with an inductive-invariant certificate,
     /// [`BmcResult::NoCounterexample`] when the frontier cap passes without
     /// convergence (still a sound bounded verdict: `F_N ⊨ ¬bad` was
@@ -140,7 +139,7 @@ impl Pdr {
         match engine.run(tm, max_frames) {
             Ok(result) => {
                 let certificate = match &result {
-                    BmcResult::Proved { .. } => Some(ProofCertificate::Inductive {
+                    BmcResult::Proved { .. } => Some(ProofCertificate {
                         clauses: engine.invariant_clauses(),
                     }),
                     _ => None,
@@ -279,7 +278,6 @@ impl<'ts> PdrEngine<'ts> {
             conflicts: solver.conflicts,
             duration: self.started.elapsed(),
             depth_reached: self.frontier,
-            uniqueness_constraints: 0,
             cubes_blocked: self.cubes_blocked,
             literals_dropped: self.literals_dropped,
             clauses_pushed: self.clauses_pushed,
@@ -705,7 +703,7 @@ mod tests {
         let opened = u64::from(engine.solver.num_cnf_vars());
         let proved = matches!(engine.run(tm, 16), Ok(BmcResult::Proved { .. }));
         assert!(proved, "the system is safe and PDR must prove it");
-        let cert = ProofCertificate::Inductive {
+        let cert = ProofCertificate {
             clauses: engine.invariant_clauses(),
         };
         assert_eq!(verify_certificate(tm, ts, &cert), Ok(()));

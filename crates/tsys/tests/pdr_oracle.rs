@@ -1,32 +1,33 @@
-//! Cross-method differential suite: k-induction vs IC3/PDR vs deep-bound
-//! BMC over seeded randomized transition systems.
+//! PDR against an exact oracle: explicit-state breadth-first reachability
+//! over seeded randomized transition systems.
 //!
-//! Every system is run through all three methods and the conclusive
-//! verdicts must agree:
+//! The generated systems have no inputs and at most 14 state bits, so a
+//! breadth-first search that evaluates the next-state functions concretely
+//! ([`sepe_smt::concrete::eval`]) from every initial state decides each one
+//! exactly: it either reaches a bad state at a shortest depth `d` or proves
+//! every bad state unreachable.  Against that ground truth, for each system:
 //!
-//! * any **Falsified** verdict must be reproducible by plain bounded BMC
-//!   at the reported depth, with a shortest trace no longer than the
-//!   prover's;
-//! * any **Proved** verdict must be corroborated by bounded BMC finding
-//!   nothing at *twice* the proof depth, and the attached certificate must
-//!   pass the independent-solver self-check;
-//! * no pair of conclusive verdicts may disagree.
-//!
-//! Inconclusive outcomes (`NoCounterexample` at the cap, `Unknown` on a
-//! budget) impose no constraint — agreement is only required between
-//! methods that actually concluded.
+//! * PDR reaches a verdict — `Proved` or a counterexample, never the frame
+//!   cap or a budget;
+//! * PDR proves it exactly when the search reaches no bad state, and every
+//!   proof's certificate passes the independent-solver self-check;
+//! * a PDR counterexample is no shorter than the search's depth `d`;
+//! * bounded BMC at bound `d` returns a trace of exactly `d` steps, and on
+//!   an unreachable system BMC at the frame cap finds nothing.
 //!
 //! The generator is a deterministic xorshift stream seeded from
 //! `SEPE_FAULT_SEED` (default 42), the same knob the fault-injection CI
 //! matrix sweeps, so each matrix job exercises a different population.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
+use sepe_smt::concrete::{eval, Assignment};
 use sepe_smt::{Sort, TermId, TermManager};
-use sepe_tsys::{
-    verify_certificate, Bmc, BmcConfig, BmcMode, BmcResult, KInduction, Pdr, ProofMethod,
-    TransitionSystem, Witness,
-};
+use sepe_tsys::{verify_certificate, Bmc, BmcConfig, BmcResult, Pdr, TransitionSystem};
+
+/// PDR's frontier cap, and the deepest bound the BMC checks run at.
+const CAP: usize = 12;
 
 /// Deterministic xorshift64* stream — no external RNG dependency.
 struct XorShift(u64);
@@ -64,7 +65,8 @@ fn seed_from_env() -> u64 {
 /// from small op pools (bit-vectors may be gated by a boolean, booleans
 /// read bits and comparisons of the bit-vectors), constrained inits, and a
 /// bad state targeting one or two variables of either sort.  Small widths
-/// keep every orbit tiny so all three methods stay fast.
+/// keep every orbit tiny: at most 3 × 4 + 2 = 14 state bits, so the
+/// explicit-state oracle enumerates every state.
 fn random_system(tm: &mut TermManager, rng: &mut XorShift) -> TransitionSystem {
     let num_vars = 1 + rng.below(3) as usize;
     let width = 2 + rng.below(3) as u32;
@@ -79,8 +81,8 @@ fn random_system(tm: &mut TermManager, rng: &mut XorShift) -> TransitionSystem {
     let mut ts = TransitionSystem::new();
     for &v in &vars {
         let next = random_update(tm, rng, &vars, &flags, v, width);
-        // Mostly constrained inits; an occasional free variable makes the
-        // base case do real work.
+        // Mostly constrained inits; an occasional free variable gives the
+        // system many initial states.
         let init = if rng.below(4) == 0 {
             None
         } else {
@@ -131,7 +133,7 @@ fn random_system(tm: &mut TermManager, rng: &mut XorShift) -> TransitionSystem {
 /// A random next-state function over the state variables: a shallow tree
 /// of arithmetic/boolean ops with the occasional saturating cap thrown in
 /// (caps are what make a random system *safe*, so the proved arm of the
-/// differential is actually populated), and, when there are boolean state
+/// oracle check is actually populated), and, when there are boolean state
 /// variables, the occasional enable: the update only fires while a flag
 /// holds.
 fn random_update(
@@ -212,14 +214,6 @@ fn random_flag_update(
     }
 }
 
-/// One method's distilled verdict for the agreement check.
-#[derive(Debug)]
-enum Outcome {
-    Falsified { steps: usize, witness: Witness },
-    Proved { method: ProofMethod, depth: usize },
-    Inconclusive,
-}
-
 fn budgeted_config() -> BmcConfig {
     BmcConfig {
         time_limit: Some(Duration::from_secs(20)),
@@ -227,132 +221,137 @@ fn budgeted_config() -> BmcConfig {
     }
 }
 
-fn distil(result: BmcResult, label: &str) -> Outcome {
-    match result {
-        BmcResult::Counterexample(w) => Outcome::Falsified {
-            steps: w.num_steps(),
-            witness: w,
-        },
-        BmcResult::Proved { method, depth } => Outcome::Proved { method, depth },
-        BmcResult::NoCounterexample { .. } | BmcResult::Unknown { .. } => {
-            let _ = label;
-            Outcome::Inconclusive
+/// The explicit state space of an input-free system: each state is packed
+/// into one integer, state variable by state variable, `width` bits each.
+struct StateSpace {
+    /// Every state variable with its bit offset and width.
+    layout: Vec<(TermId, u32, u32)>,
+    bits: u32,
+}
+
+impl StateSpace {
+    fn new(tm: &TermManager, ts: &TransitionSystem) -> Self {
+        assert!(ts.inputs().is_empty(), "the oracle enumerates states only");
+        assert!(
+            ts.constraints().is_empty(),
+            "the oracle ignores constraints"
+        );
+        let mut layout = Vec::new();
+        let mut bits = 0;
+        for sv in ts.state_vars() {
+            let width = match tm.sort(sv.current) {
+                Sort::Bool => 1,
+                Sort::BitVec(w) => w,
+            };
+            layout.push((sv.current, bits, width));
+            bits += width;
         }
+        assert!(bits <= 16, "{bits} state bits are too many to enumerate");
+        StateSpace { layout, bits }
+    }
+
+    fn assignment(&self, state: u64) -> Assignment {
+        self.layout
+            .iter()
+            .map(|&(var, offset, width)| (var, (state >> offset) & ((1 << width) - 1)))
+            .collect()
+    }
+
+    fn pack(&self, values: impl IntoIterator<Item = u64>) -> u64 {
+        self.layout
+            .iter()
+            .zip(values)
+            .fold(0, |state, (&(_, offset, _), value)| {
+                state | (value << offset)
+            })
     }
 }
 
-/// Runs all three methods on one system and enforces the agreement rules;
-/// returns whether PDR proved the system.
+/// The shortest number of transitions from an initial state to a bad
+/// state, or `None` when no bad state is reachable.  Initial states are
+/// every state whose constrained variables equal their init terms, so an
+/// unconstrained variable ranges over its whole domain.
+fn bfs_depth(tm: &TermManager, ts: &TransitionSystem) -> Option<usize> {
+    let space = StateSpace::new(tm, ts);
+    let mut depth = vec![usize::MAX; 1 << space.bits];
+    let mut queue = VecDeque::new();
+    for state in 0..1u64 << space.bits {
+        let env = space.assignment(state);
+        let initial = ts.state_vars().iter().all(|sv| {
+            sv.init
+                .is_none_or(|init| eval(tm, init, &env) == env[&sv.current])
+        });
+        if initial {
+            depth[state as usize] = 0;
+            queue.push_back(state);
+        }
+    }
+    while let Some(state) = queue.pop_front() {
+        let env = space.assignment(state);
+        let d = depth[state as usize];
+        if ts.bad_states().iter().any(|&bad| eval(tm, bad, &env) == 1) {
+            return Some(d);
+        }
+        let next = space.pack(ts.state_vars().iter().map(|sv| eval(tm, sv.next, &env)));
+        if depth[next as usize] == usize::MAX {
+            depth[next as usize] = d + 1;
+            queue.push_back(next);
+        }
+    }
+    None
+}
+
+/// Checks PDR and BMC on one system against the oracle; returns whether
+/// PDR proved the system.
 fn cross_check(tm: &mut TermManager, ts: &TransitionSystem, context: &str) -> bool {
-    const PROVER_CAP: usize = 12;
-
-    let ind_run = KInduction::new(budgeted_config()).check(tm, ts, PROVER_CAP);
-    if let BmcResult::Proved { .. } = &ind_run.result {
-        let cert = ind_run
-            .certificate
-            .as_ref()
-            .unwrap_or_else(|| panic!("{context}: k-induction proof without certificate"));
-        assert_eq!(
-            verify_certificate(tm, ts, cert),
-            Ok(()),
-            "{context}: k-induction certificate failed the self-check"
-        );
-    }
-    let pdr_run = Pdr::new(budgeted_config()).check(tm, ts, PROVER_CAP);
-    let pdr_proved = pdr_run.result.is_proved();
-    if pdr_proved {
-        let cert = pdr_run
-            .certificate
-            .as_ref()
-            .unwrap_or_else(|| panic!("{context}: PDR proof without certificate"));
-        assert_eq!(
-            verify_certificate(tm, ts, cert),
-            Ok(()),
-            "{context}: PDR certificate failed the self-check"
-        );
-    }
-
-    let outcomes = vec![
-        ("k-induction", distil(ind_run.result, context)),
-        ("pdr", distil(pdr_run.result, context)),
-    ];
-
-    // Conclusive verdicts must not disagree with each other.
-    let falsified = outcomes
-        .iter()
-        .filter_map(|(name, o)| match o {
-            Outcome::Falsified { steps, .. } => Some((*name, *steps)),
-            _ => None,
-        })
-        .collect::<Vec<_>>();
-    let proved = outcomes
-        .iter()
-        .filter_map(|(name, o)| match o {
-            Outcome::Proved { method, depth } => Some((*name, *method, *depth)),
-            _ => None,
-        })
-        .collect::<Vec<_>>();
-    assert!(
-        falsified.is_empty() || proved.is_empty(),
-        "{context}: cross-method disagreement — falsified by {falsified:?}, proved by {proved:?}"
-    );
-
-    // Falsified ⇒ bounded BMC reproduces a trace at most as long.
-    if let Some(&(name, steps)) = falsified.first() {
-        let mut bmc = Bmc::new(BmcConfig {
-            mode: BmcMode::PerDepth,
-            ..budgeted_config()
-        });
-        match bmc.check(tm, ts, steps) {
-            BmcResult::Counterexample(w) => assert!(
-                w.num_steps() <= steps,
-                "{context}: BMC shortest trace ({}) longer than {name}'s ({steps})",
-                w.num_steps()
-            ),
-            other => {
-                panic!("{context}: {name} falsified at depth {steps} but BMC returned {other:?}")
-            }
-        }
-    }
-
-    // Proved ⇒ bounded BMC finds nothing at twice the proof depth.
-    if let Some(&(name, _method, depth)) = proved.first() {
-        let deep = (2 * depth).max(4);
-        let mut bmc = Bmc::new(BmcConfig {
-            mode: BmcMode::PerDepth,
-            ..budgeted_config()
-        });
-        match bmc.check(tm, ts, deep) {
-            BmcResult::NoCounterexample { .. } => {}
-            BmcResult::Unknown { .. } => {} // budget artefact, not a disagreement
-            other => panic!(
-                "{context}: {name} proved at depth {depth} but BMC at bound {deep} \
-                 returned {other:?}"
-            ),
-        }
-    }
-
-    // Every falsifying witness the provers produced is itself a valid
-    // counterexample trace length-wise (non-negative by type; just make
-    // sure the two provers' traces agree on reachability, which the
-    // falsified/proved disjointness above already guarantees).
-    for (name, outcome) in &outcomes {
-        if let Outcome::Falsified { witness, steps } = outcome {
+    let truth = bfs_depth(tm, ts);
+    let run = Pdr::new(budgeted_config()).check(tm, ts, CAP);
+    match (&run.result, truth) {
+        (BmcResult::Proved { .. }, None) => {
+            let cert = run
+                .certificate
+                .as_ref()
+                .unwrap_or_else(|| panic!("{context}: PDR proof without certificate"));
             assert_eq!(
-                witness.num_steps(),
-                *steps,
-                "{context}: {name} witness length is inconsistent"
+                verify_certificate(tm, ts, cert),
+                Ok(()),
+                "{context}: PDR certificate failed the self-check"
             );
         }
+        (BmcResult::Counterexample(w), Some(d)) => assert!(
+            d <= w.num_steps(),
+            "{context}: PDR trace of {} steps is shorter than the oracle's {d}",
+            w.num_steps()
+        ),
+        (other, truth) => panic!(
+            "{context}: PDR returned {other:?} but the oracle's bad-state depth is {truth:?}"
+        ),
     }
-    pdr_proved
+
+    let mut bmc = Bmc::new(budgeted_config());
+    match truth {
+        Some(d) if d <= CAP => match bmc.check(tm, ts, d) {
+            BmcResult::Counterexample(w) => assert_eq!(
+                w.num_steps(),
+                d,
+                "{context}: BMC trace length differs from the oracle's depth"
+            ),
+            other => panic!("{context}: the oracle reaches bad at {d} but BMC returned {other:?}"),
+        },
+        Some(_) => {}
+        None => assert!(
+            matches!(bmc.check(tm, ts, CAP), BmcResult::NoCounterexample { .. }),
+            "{context}: BMC found a trace the oracle says cannot exist"
+        ),
+    }
+    run.result.is_proved()
 }
 
 #[test]
-fn randomized_systems_agree_across_methods() {
+fn randomized_systems_agree_with_the_oracle() {
     let seed = seed_from_env();
     let mut rng = XorShift::new(seed);
-    let mut proved_with_flags = 0;
+    let (mut proved, mut falsified, mut proved_with_flags) = (0, 0, 0);
     for case in 0..24 {
         let mut tm = TermManager::new();
         let ts = random_system(&mut tm, &mut rng);
@@ -360,12 +359,16 @@ fn randomized_systems_agree_across_methods() {
             .state_vars()
             .iter()
             .any(|sv| tm.sort(sv.current).is_bool());
-        if cross_check(&mut tm, &ts, &format!("seed {seed} case {case}")) && has_flag {
-            proved_with_flags += 1;
+        if cross_check(&mut tm, &ts, &format!("seed {seed} case {case}")) {
+            proved += 1;
+            proved_with_flags += usize::from(has_flag);
+        } else {
+            falsified += 1;
         }
     }
-    // PDR's boolean cube literals must actually be cross-checked: some
-    // proof in the population has to range over a boolean state variable.
+    println!("seed {seed}: PDR proved {proved}, falsified {falsified}");
+    // PDR's boolean cube literals must actually be checked: some proof in
+    // the population has to range over a boolean state variable.
     assert!(
         proved_with_flags > 0,
         "seed {seed}: no system with a boolean state variable was proved by PDR"
@@ -374,10 +377,9 @@ fn randomized_systems_agree_across_methods() {
 
 #[test]
 fn handcrafted_safe_and_unsafe_systems_agree() {
-    // A deterministic floor under the randomized sweep: one system each
-    // method *must* prove and one each *must* falsify, independent of the
-    // seed, so a regression that makes every verdict inconclusive (which
-    // the randomized agreement check would silently accept) still fails.
+    // A deterministic floor under the randomized sweep: systems PDR *must*
+    // prove and one it *must* falsify, independent of the seed, each also
+    // held against the oracle.
     let mut tm = TermManager::new();
     let safe = |tm: &mut TermManager, width: u32| {
         // Counter that wraps below its bad value.
@@ -397,6 +399,7 @@ fn handcrafted_safe_and_unsafe_systems_agree() {
     };
     for width in [2u32, 3] {
         let ts = safe(&mut tm, width);
+        assert_eq!(bfs_depth(&tm, &ts), None);
         let run = Pdr::new(budgeted_config()).check(&mut tm, &ts, 1 << width);
         assert!(
             run.result.is_proved(),
@@ -416,6 +419,7 @@ fn handcrafted_safe_and_unsafe_systems_agree() {
     let mut ts = TransitionSystem::new();
     ts.add_state_var(&tm, v, Some(zero), next);
     ts.add_bad(bad);
+    assert_eq!(bfs_depth(&tm, &ts), Some(5));
     let run = Pdr::new(budgeted_config()).check(&mut tm, &ts, 16);
     match &run.result {
         BmcResult::Counterexample(w) => assert_eq!(w.num_steps(), 5),
