@@ -46,25 +46,16 @@
 //! engine-level recovery activity visible at a glance.  Also outside the
 //! regression gate.
 //!
-//! A sixth, **batched** arm answers a twenty-entry mutation catalogue
-//! over one shared unrolling (`sepe_sqed::BatchedDetector`): one
-//! encoding, one persistent solver, one-hot activation-literal flips per
-//! entry and depth.  Its counters are
-//! deterministic, so it *is* gated: the shared encoding's clause count
-//! gets the tight clause gate, and the throughput ratio (per-job total
-//! clauses / batched shared clauses) must clear a hard 5x floor on every
-//! run and hold its baseline value when `--baseline` is given.
-//!
-//! A seventh, **service_cache** arm boots the detection service
+//! A sixth, **service_cache** arm boots the detection service
 //! (`sepe_service`) on a loopback socket with a fresh crash-safe result
-//! cache and submits the same small catalogue twice.  The cold pass
+//! cache and submits the same small mutation list twice.  The cold pass
 //! computes and commits every verdict; the hot pass must be answered
 //! *entirely* from the cache.  That contract is deterministic, so it is a
 //! hard gate on every run (no baseline needed): the hot pass must be 100%
 //! cache hits with zero misses and zero solver encodes, or the run exits
 //! nonzero.  Wall times are recorded for the artifact history only.
 //!
-//! An eighth, **proofs** arm runs the unbounded prover (IC3/PDR) against
+//! A seventh, **proofs** arm runs the unbounded prover (IC3/PDR) against
 //! one clean configuration and one Table-1 mutation.  The clean config must
 //! come back **Proved** — the verdict no bounded sweep can give — with its
 //! inductive invariant re-verified on an independent solver, and the prover
@@ -83,7 +74,6 @@ use sepe_bench::{jobs_from_args, sweep};
 use sepe_smt::SolverReuseStats;
 use sepe_sqed::detect::Method;
 use sepe_sqed::parallel::Engine;
-use sepe_sqed::BatchedDetector;
 use sepe_tsys::BmcMode;
 
 /// Wall-time regression tolerance against the checked-in baseline (loose:
@@ -95,17 +85,6 @@ const REGRESSION_FACTOR: f64 = 1.5;
 /// encoding regression — intentional encoding changes refresh the baseline,
 /// as its `note` describes).
 const CLAUSE_REGRESSION_FACTOR: f64 = 1.05;
-
-/// Minimum batched-throughput ratio (per-job total CNF clauses over the
-/// batched shared encoding's clauses, for the same catalogue).  Both counts
-/// are deterministic on identical code, so this is a hard floor, checked on
-/// every run: the in-solver batched path must answer the catalogue at least
-/// this many times cheaper than one encoding per entry.
-const BATCHED_THROUGHPUT_FLOOR: f64 = 5.0;
-
-/// Catalogue entries of the batched arm (the ISSUE-scale twenty-mutation
-/// catalogue).
-const BATCHED_ENTRIES: usize = 20;
 
 #[derive(Debug, Clone, Serialize)]
 struct ModeResult {
@@ -223,7 +202,7 @@ impl RobustnessResult {
 /// a baseline: 100% hits, zero misses, zero encodes.
 #[derive(Debug, Clone, Serialize)]
 struct ServiceCacheResult {
-    /// Catalogue entries per submit.
+    /// Mutations per submit.
     entries: usize,
     /// Wall time of the cold submit (computes + commits everything).
     cold_wall_ms: f64,
@@ -434,41 +413,6 @@ fn run_proofs() -> ProofsResult {
     ProofsResult { methods }
 }
 
-/// The batched in-solver arm: [`BATCHED_ENTRIES`] identical copies of the
-/// sweep's mutation answered over **one** shared unrolling
-/// (`sepe_sqed::BatchedDetector`).  The
-/// encode-once counters are deterministic, so unlike the parallel arm this
-/// one *is* part of the regression gate: `cnf_clauses` gets the tight
-/// clause gate and `throughput` (per-job total clauses / batched shared
-/// clauses) must clear [`BATCHED_THROUGHPUT_FLOOR`] and hold its baseline.
-#[derive(Debug, Clone, Serialize)]
-struct BatchedResult {
-    /// Catalogue entries answered.
-    entries: usize,
-    /// Wall time of the whole batched run.
-    wall_ms: f64,
-    /// `check_assuming` queries issued on the shared solver.
-    queries: u64,
-    /// Transition-system encodings paid (1 on a healthy run).
-    encodes: u64,
-    /// Entries answered by the per-job fallback path (0 on a healthy run).
-    fallbacks: u64,
-    /// SAT conflicts spent by the shared solver.
-    shared_conflicts: u64,
-    /// CNF variables of the one shared encoding.
-    cnf_vars: u64,
-    /// CNF clauses of the one shared encoding.
-    cnf_clauses: u64,
-    /// What the per-job engine pays for the same catalogue: the measured
-    /// single-job clause count times `entries`.
-    perjob_cnf_clauses: u64,
-    /// `perjob_cnf_clauses / cnf_clauses` — the deterministic form of the
-    /// batched-throughput claim.
-    throughput: f64,
-    /// `entries / encodes` — encodings the batched path avoided.
-    encode_ratio: f64,
-}
-
 #[derive(Debug, Clone, Serialize)]
 struct SmokeReport {
     bound: usize,
@@ -476,7 +420,6 @@ struct SmokeReport {
     modes: Vec<ModeResult>,
     parallel: ParallelResult,
     robustness: RobustnessResult,
-    batched: BatchedResult,
     service_cache: ServiceCacheResult,
     proofs: ProofsResult,
 }
@@ -566,37 +509,6 @@ fn main() {
         assert!(!d.inconclusive, "the smoke batch runs without budgets");
     }
 
-    // Batched in-solver arm: one shared unrolling answers BATCHED_ENTRIES
-    // activation-guarded copies of the same mutation.  The per-job clause
-    // reference comes from the sequential arm above (identical jobs, so any
-    // one of its detections carries the single-encoding clause count).
-    let shared_config = sweep::detector(bound, BmcMode::PerDepth).config().clone();
-    let batched_outcome =
-        BatchedDetector::new(shared_config).run(Method::Sqed, &sweep::catalogue(BATCHED_ENTRIES));
-    for d in &batched_outcome.detections {
-        assert!(!d.detected, "SQED must miss the Table-1 bug");
-        assert!(!d.inconclusive, "the smoke catalogue runs without budgets");
-    }
-    let bstats = &batched_outcome.stats;
-    let perjob_clauses = seq
-        .detections
-        .first()
-        .map(|d| d.solver.cnf_clauses)
-        .unwrap_or(0)
-        * BATCHED_ENTRIES as u64;
-    let batched = BatchedResult {
-        entries: BATCHED_ENTRIES,
-        wall_ms: bstats.wall.as_secs_f64() * 1e3,
-        queries: bstats.queries,
-        encodes: bstats.encodes,
-        fallbacks: bstats.fallbacks,
-        shared_conflicts: bstats.shared_conflicts,
-        cnf_vars: bstats.solver.cnf_vars,
-        cnf_clauses: bstats.solver.cnf_clauses,
-        perjob_cnf_clauses: perjob_clauses,
-        throughput: perjob_clauses as f64 / (bstats.solver.cnf_clauses.max(1)) as f64,
-        encode_ratio: BATCHED_ENTRIES as f64 / (bstats.encodes.max(1)) as f64,
-    };
     let robustness = RobustnessResult::new(&par.stats);
     let parallel = ParallelResult {
         batch_jobs: BATCH_COPIES,
@@ -625,7 +537,6 @@ fn main() {
         ],
         parallel,
         robustness,
-        batched,
         service_cache,
         proofs,
     };
@@ -685,20 +596,6 @@ fn main() {
             + report.robustness.stop_cancelled
             + report.robustness.stop_panicked,
     );
-    println!(
-        "  batched catalogue ({} entries): {:>9.1} ms, {} queries, {} encodes, {} fallbacks, \
-         {} shared clauses vs {} per-job = {:.2}x throughput ({:.0}x fewer encodings)",
-        report.batched.entries,
-        report.batched.wall_ms,
-        report.batched.queries,
-        report.batched.encodes,
-        report.batched.fallbacks,
-        report.batched.cnf_clauses,
-        report.batched.perjob_cnf_clauses,
-        report.batched.throughput,
-        report.batched.encode_ratio,
-    );
-
     println!(
         "  service cache ({} entries): cold {:>8.1} ms ({} computed, {} encodes), \
          hot {:>8.1} ms ({} hits, {} misses, {} encodes, {:.0}% hit rate)",
@@ -762,17 +659,6 @@ fn main() {
         std::process::exit(1);
     }
 
-    // The throughput floor is baseline-free: both clause counts are
-    // deterministic, so falling below the floor means the shared encoding
-    // itself bloated (or the batch fell back to per-job runs).
-    if report.batched.throughput < BATCHED_THROUGHPUT_FLOOR {
-        eprintln!(
-            "bench-smoke: batched throughput {:.2}x is below the {BATCHED_THROUGHPUT_FLOOR}x floor",
-            report.batched.throughput
-        );
-        std::process::exit(1);
-    }
-
     if let Some(path) = baseline_path {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
@@ -822,38 +708,6 @@ fn main() {
                     "  {:<24} {:>9} conflicts vs baseline {:>9.0} {verdict}",
                     m.mode, m.conflicts, expected
                 );
-            }
-        }
-        // Batched arm: the shared encoding's clause count gets the tight
-        // deterministic gate, and the throughput ratio must hold whatever
-        // the baseline recorded (both sides of the ratio are deterministic,
-        // so a drop means the batched path lost ground to per-job).
-        match baseline.get("batched") {
-            None => gate.mark_stale("batched", "was measured but has no baseline entry"),
-            Some(entry) => {
-                if let Some(expected) = gate.expected(entry, "batched", "cnf_clauses") {
-                    let clauses = report.batched.cnf_clauses as f64;
-                    gate.at_most(
-                        "batched",
-                        "clauses",
-                        clauses,
-                        expected,
-                        CLAUSE_REGRESSION_FACTOR,
-                    );
-                }
-                if let Some(expected) = gate.expected(entry, "batched", "throughput") {
-                    let verdict = if report.batched.throughput < expected / CLAUSE_REGRESSION_FACTOR
-                    {
-                        gate.regressed = true;
-                        "REGRESSED"
-                    } else {
-                        "ok"
-                    };
-                    println!(
-                        "  {:<24} {:.2}x throughput vs baseline {expected:.2}x {verdict}",
-                        "batched", report.batched.throughput
-                    );
-                }
             }
         }
         if gate.stale {

@@ -8,7 +8,6 @@ use serde::Serialize;
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_smt::EncodeStats;
-use sepe_sqed::batch::{BatchedDetector, CatalogueEntry};
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::parallel::{BatchStats, DetectionJob, Engine};
 
@@ -234,107 +233,6 @@ pub fn run_with_jobs(profile: Profile, jobs: usize) -> (Vec<Fig4Row>, BatchStats
         })
         .collect();
     (rows, outcome.stats)
-}
-
-/// One entry of the batched Figure-4 arm.
-#[derive(Debug, Clone, Serialize)]
-pub struct BatchedRow {
-    /// Bug number (1–20).
-    pub index: usize,
-    /// Bug identifier.
-    pub bug: String,
-    /// SEPE-SQED detection time in seconds (`None` = not detected).
-    pub sepe_secs: Option<f64>,
-    /// SEPE-SQED counterexample length.
-    pub sepe_len: Option<usize>,
-    /// Bound at which the entry resolved.
-    pub bound_reached: usize,
-}
-
-/// The shared configuration of the batched Figure-4 run: the union of every
-/// profiled bug's opcode universe, so all entries share one unrolling.
-pub fn batched_config(profile: Profile) -> DetectorConfig {
-    let (xlen, max_bound) = match profile {
-        Profile::Quick => (4, 10),
-        Profile::Full => (8, 12),
-    };
-    let mut ops: Vec<Opcode> = bugs(profile).iter().flat_map(universe).collect();
-    ops.sort();
-    ops.dedup();
-    DetectorConfig::builder()
-        .processor(
-            ProcessorConfig {
-                xlen,
-                mem_words: 4,
-                ..ProcessorConfig::default()
-            }
-            .with_opcodes(&ops),
-        )
-        .bound(max_bound)
-        .conflict_limit(2_000_000)
-        .time_limit(match profile {
-            Profile::Quick => Duration::from_secs(60),
-            Profile::Full => Duration::from_secs(1800),
-        })
-        .build()
-}
-
-/// Runs the SEPE-SQED arm of Figure 4 as one batched catalogue over a
-/// shared unrolling (one encoding, one-hot activation flips per entry and
-/// depth on the persistent solver).
-pub fn run_batched(profile: Profile) -> (Vec<BatchedRow>, BatchStats) {
-    let bugs = bugs(profile);
-    let entries: Vec<CatalogueEntry> = bugs
-        .iter()
-        .map(|bug| CatalogueEntry::new(bug.name.clone(), bug.clone()))
-        .collect();
-    let outcome = BatchedDetector::new(batched_config(profile)).run(Method::SepeSqed, &entries);
-    let rows = bugs
-        .iter()
-        .zip(&outcome.detections)
-        .enumerate()
-        .map(|(i, (bug, d))| BatchedRow {
-            index: i + 1,
-            bug: bug.name.clone(),
-            sepe_secs: d.detected.then_some(d.runtime.as_secs_f64()),
-            sepe_len: d.trace_len,
-            bound_reached: d.bound_reached,
-        })
-        .collect();
-    (rows, outcome.stats)
-}
-
-/// Prints the batched arm's data series.
-pub fn print_batched(rows: &[BatchedRow], stats: &BatchStats) {
-    println!(
-        "{:<4} {:<28} {:>10} {:>9} {:>7}",
-        "No.", "bug", "SEPE [s]", "SEPE len", "bound"
-    );
-    for row in rows {
-        println!(
-            "{:<4} {:<28} {:>10} {:>9} {:>7}",
-            row.index,
-            row.bug,
-            row.sepe_secs
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "-".into()),
-            row.sepe_len
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "-".into()),
-            row.bound_reached,
-        );
-    }
-    let detected = rows.iter().filter(|r| r.sepe_secs.is_some()).count();
-    println!(
-        "\nSEPE-SQED detected {detected}/{} bugs over one shared unrolling.",
-        rows.len()
-    );
-    println!("batched: {stats}");
-    println!(
-        "encode economics: {} encoding(s) answered {} entries ({} shared CNF clauses); \
-         the per-job engine pays {} encodings for the same catalogue.",
-        stats.encodes, stats.jobs, stats.solver.cnf_clauses, stats.jobs,
-    );
 }
 
 /// Prints the figure's data series.

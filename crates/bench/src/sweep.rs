@@ -14,7 +14,6 @@ use std::time::{Duration, Instant};
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_smt::SolverReuseStats;
-use sepe_sqed::batch::CatalogueEntry;
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::parallel::DetectionJob;
 use sepe_tsys::BmcMode;
@@ -95,18 +94,5 @@ pub fn batch_jobs(max_bound: usize, copies: usize) -> Vec<DetectionJob> {
                 Some(bug.clone()),
             )
         })
-        .collect()
-}
-
-/// A catalogue of `copies` independent copies of the sweep's bug, for the
-/// batched in-solver arm: every copy becomes an activation-guarded mutation
-/// of one shared transition system, so the whole catalogue is encoded once
-/// and answered by one-hot `check_assuming` flips.  Identical entries make
-/// the encode-once economics exact: the per-job engine pays `copies`
-/// encodings of the same system where the batched detector pays one.
-pub fn catalogue(copies: usize) -> Vec<CatalogueEntry> {
-    let bug = bug();
-    (0..copies)
-        .map(|i| CatalogueEntry::new(format!("sqed-sweep-{i}"), bug.clone()))
         .collect()
 }

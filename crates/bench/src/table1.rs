@@ -8,7 +8,6 @@ use serde::Serialize;
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_smt::EncodeStats;
-use sepe_sqed::batch::{BatchedDetector, CatalogueEntry};
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::parallel::{BatchStats, DetectionJob, Engine};
 
@@ -246,119 +245,6 @@ pub fn run_with_jobs(profile: Profile, jobs: usize) -> (Vec<Table1Row>, BatchSta
         })
         .collect();
     (rows, outcome.stats)
-}
-
-/// One row of the batched-catalogue arm: the same verdict columns as
-/// [`Table1Row`], produced by one shared unrolling instead of one detector
-/// per bug (runtimes are per-entry shares of the shared solver's queries,
-/// so they are not comparable to the per-job wall times row for row).
-#[derive(Debug, Clone, Serialize)]
-pub struct BatchedRow {
-    /// Bug identifier.
-    pub bug: String,
-    /// The targeted instruction.
-    pub opcode: String,
-    /// SEPE-SQED detection time in seconds (`None` means not detected).
-    pub sepe_secs: Option<f64>,
-    /// SEPE-SQED counterexample length.
-    pub sepe_trace_len: Option<usize>,
-    /// Bound at which the entry resolved.
-    pub bound_reached: usize,
-}
-
-/// The shared configuration of the batched-catalogue run: one opcode
-/// universe covering every profiled bug (plus ADDI for operand setup), so
-/// all catalogue entries ride the same unrolling.
-pub fn batched_config(profile: Profile) -> DetectorConfig {
-    let (xlen, max_bound) = match profile {
-        Profile::Quick => (4, 10),
-        Profile::Full => (8, 12),
-    };
-    let mut ops: Vec<Opcode> = bugs(profile)
-        .iter()
-        .filter_map(Mutation::target_opcode)
-        .collect();
-    ops.push(Opcode::Addi);
-    ops.sort();
-    ops.dedup();
-    DetectorConfig::builder()
-        .processor(
-            ProcessorConfig {
-                xlen,
-                mem_words: 4,
-                ..ProcessorConfig::default()
-            }
-            .with_opcodes(&ops),
-        )
-        .bound(max_bound)
-        .conflict_limit(2_000_000)
-        .time_limit(match profile {
-            Profile::Quick => Duration::from_secs(120),
-            Profile::Full => Duration::from_secs(1200),
-        })
-        .build()
-}
-
-/// Runs the SEPE-SQED arm of Table 1 as one batched catalogue: every bug is
-/// an activation-guarded entry of a single transition system, encoded once
-/// and answered by one-hot `check_assuming` flips on the persistent solver
-/// (`stats.encodes` stays at 1 where the per-job engine pays one encoding
-/// per bug).
-pub fn run_batched(profile: Profile) -> (Vec<BatchedRow>, BatchStats) {
-    let bugs = bugs(profile);
-    let entries: Vec<CatalogueEntry> = bugs
-        .iter()
-        .map(|bug| CatalogueEntry::new(bug.name.clone(), bug.clone()))
-        .collect();
-    let outcome = BatchedDetector::new(batched_config(profile)).run(Method::SepeSqed, &entries);
-    let rows = bugs
-        .iter()
-        .zip(&outcome.detections)
-        .map(|(bug, d)| BatchedRow {
-            bug: bug.name.clone(),
-            opcode: bug
-                .target_opcode()
-                .map(|o| o.mnemonic().to_uppercase())
-                .unwrap_or_default(),
-            sepe_secs: d.detected.then_some(d.runtime.as_secs_f64()),
-            sepe_trace_len: d.trace_len,
-            bound_reached: d.bound_reached,
-        })
-        .collect();
-    (rows, outcome.stats)
-}
-
-/// Prints the batched-catalogue arm.
-pub fn print_batched(rows: &[BatchedRow], stats: &BatchStats) {
-    println!(
-        "{:<8} {:<32} {:>12} {:>8} {:>7}",
-        "Type", "Bug", "SEPE-SQED", "len", "bound"
-    );
-    for row in rows {
-        println!(
-            "{:<8} {:<32} {:>12} {:>8} {:>7}",
-            row.opcode,
-            row.bug,
-            row.sepe_secs
-                .map(|s| format!("{s:.2}s"))
-                .unwrap_or_else(|| "-".into()),
-            row.sepe_trace_len
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "-".into()),
-            row.bound_reached,
-        );
-    }
-    let detected = rows.iter().filter(|r| r.sepe_secs.is_some()).count();
-    println!(
-        "\nSEPE-SQED detected {detected}/{} bugs over one shared unrolling.",
-        rows.len()
-    );
-    println!("batched: {stats}");
-    println!(
-        "encode economics: {} encoding(s) answered {} entries ({} shared CNF clauses); \
-         the per-job engine pays {} encodings for the same catalogue.",
-        stats.encodes, stats.jobs, stats.solver.cnf_clauses, stats.jobs,
-    );
 }
 
 /// Prints the table in the paper's layout.

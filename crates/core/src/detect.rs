@@ -72,9 +72,7 @@ pub struct DetectorConfig {
     /// empty).  Raising *any* flag from another thread aborts an in-flight
     /// run with an inconclusive [`Detection`] within a short burst of SAT
     /// conflicts.  Independent cancellation sources chain by each pushing
-    /// their own flag: the [`parallel`](crate::parallel) engine *adds* its
-    /// batch flag to whatever the caller configured, so a caller's flag
-    /// keeps working inside a batch.
+    /// their own flag, so no source replaces another's.
     pub cancel: Vec<CancelFlag>,
     /// Caps the estimated SAT clause-arena + watcher bytes per solver
     /// (`None` = unlimited); a run that exceeds the cap comes back
@@ -421,9 +419,8 @@ impl Detector {
         }
     }
 
-    /// The QED builder and scheme of `method`: the one recipe both the
-    /// direct check and the batched catalogue build their system from.
-    pub(crate) fn qed(&self, method: Method) -> (QedBuilder, Scheme) {
+    /// The QED builder and scheme of `method`.
+    fn qed(&self, method: Method) -> (QedBuilder, Scheme) {
         let scheme = match method {
             Method::Sqed => Scheme::Sqed,
             Method::SepeSqed => Scheme::Sepe(self.equivalence_db()),
@@ -438,7 +435,7 @@ impl Detector {
 
     /// The model checker's configuration: the detector's budgets, knobs,
     /// cancellation flags and fault plan.
-    pub(crate) fn bmc_config(&self) -> BmcConfig {
+    fn bmc_config(&self) -> BmcConfig {
         BmcConfig {
             conflict_limit: self.config.conflict_limit,
             time_limit: self.config.time_limit,
@@ -517,9 +514,7 @@ impl Detector {
             ..Detection::blank(method, mutation.map(|m| m.name.clone()))
         };
         match result {
-            BmcResult::Counterexample(witness) => {
-                self.classify_witness(mutation, self.config.fault, witness, run)
-            }
+            BmcResult::Counterexample(witness) => self.classify_witness(mutation, witness, run),
             BmcResult::Proved {
                 method: prover,
                 depth,
@@ -576,14 +571,13 @@ impl Detector {
     /// deterministically testable; then the witness is replayed on the
     /// concrete twin.  A replay that does not reproduce it is a structured
     /// failure, [`StopReason::WitnessMismatch`], not a bug report.
-    pub(crate) fn classify_witness(
+    fn classify_witness(
         &self,
         mutation: Option<&Mutation>,
-        fault: Option<FaultPlan>,
         witness: Witness,
         run: Detection,
     ) -> Detection {
-        let witness = match fault {
+        let witness = match self.config.fault {
             Some(f) if f.corrupt_witness => crate::selfcheck::corrupt_witness(&witness),
             _ => witness,
         };

@@ -42,7 +42,6 @@
 //! assert!(detection.detected, "SEPE-SQED catches single-instruction bugs");
 //! ```
 
-pub mod batch;
 pub mod detect;
 pub mod eddiv;
 pub mod edsepv;
@@ -53,7 +52,6 @@ pub mod parallel;
 pub mod qed;
 pub mod selfcheck;
 
-pub use batch::{BatchedDetector, CatalogueEntry};
 pub use detect::{Detection, Detector, DetectorConfig, Method};
 pub use eddiv::EddiV;
 pub use edsepv::EdsepV;

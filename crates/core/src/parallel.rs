@@ -9,9 +9,7 @@
 //! work.  With `workers == 1` the batch runs
 //! inline on the calling thread in job order — byte-for-byte the sequential
 //! drivers, which is what the determinism tests and the bench regression
-//! gate rely on.  A mutation catalogue over one shared unrolling is the
-//! other way to answer a sweep ([`BatchedDetector`](crate::batch::BatchedDetector));
-//! both return the same [`BatchOutcome`].
+//! gate rely on.
 //!
 //! Budgets and retries are per job: a job's own `config.time_limit`,
 //! `config.cancel` flags and `config.retry` policy govern it alone, so a
@@ -112,7 +110,7 @@ impl JobOutcome {
     /// and per-solver budget exhaustion are worth a degraded retry, while
     /// deadline expiry and cancellation are verdicts about the job's wall
     /// budget or its caller, so retrying would only burn more of it.
-    pub(crate) fn should_retry(&self) -> bool {
+    fn should_retry(&self) -> bool {
         match self {
             JobOutcome::Completed => false,
             JobOutcome::Failed { .. } => true,
@@ -128,7 +126,7 @@ impl JobOutcome {
 
     /// The stop reason this outcome tallies under (`None` for a conclusive
     /// verdict).
-    pub(crate) fn stop_reason(&self) -> Option<StopReason> {
+    fn stop_reason(&self) -> Option<StopReason> {
         match self {
             JobOutcome::Completed => None,
             JobOutcome::Stopped(reason) => Some(*reason),
@@ -157,7 +155,7 @@ pub enum DegradationRung {
 
 impl DegradationRung {
     /// The next rung down (saturating at the bottom).
-    pub(crate) fn next(self) -> DegradationRung {
+    fn next(self) -> DegradationRung {
         match self {
             DegradationRung::Full => DegradationRung::AigOff,
             DegradationRung::AigOff => DegradationRung::NoRewrite,
@@ -225,8 +223,7 @@ pub struct JobReport {
     pub label: String,
     /// The classified final outcome (after any retries).
     pub outcome: JobOutcome,
-    /// Attempts run, including the first (0 for a catalogue entry whose
-    /// batch stopped before its first query).
+    /// Attempts run, including the first.
     pub attempts: u32,
     /// Attempts that panicked along the way (caught, worker kept alive).
     pub panicked_attempts: u32,
@@ -283,18 +280,12 @@ impl StopReasonTally {
     }
 }
 
-/// Aggregate statistics of one batch: independent jobs ([`Engine::run`]) or
-/// a mutation catalogue ([`BatchedDetector::run`](crate::batch::BatchedDetector::run),
-/// where each entry counts as a job).  Both paths tally their jobs through
-/// the same per-job step; the shared-session counters (`queries`,
-/// `fallbacks`, `deepest_bound`, `shared_conflicts`, `proof_attempts`) stay
-/// zero on a jobs run.
+/// Aggregate statistics of one [`Engine::run`] batch, tallied job by job.
 #[derive(Debug, Clone, Default)]
 pub struct BatchStats {
-    /// Jobs (or catalogue entries) that were scheduled.
+    /// Jobs that were scheduled.
     pub jobs: u64,
-    /// Worker threads the batch ran on (1 for a catalogue: one shared
-    /// solver leaves nothing to steal).
+    /// Worker threads the batch ran on.
     pub workers: usize,
     /// Wall-clock time of the whole batch, queue to last result.
     pub wall: Duration,
@@ -308,10 +299,7 @@ pub struct BatchStats {
     pub cancelled: u64,
     /// Total SAT conflicts across all jobs.
     pub conflicts: u64,
-    /// Transition-system encodings paid for: one per attempt on the jobs
-    /// path; on the catalogue path 1 for the shared session plus one per
-    /// per-job fallback attempt.  The catalogue's `encodes` against its
-    /// `jobs` is the deterministic form of the batched-throughput claim.
+    /// Transition-system encodings paid for: one per attempt.
     pub encodes: u64,
     /// Retry attempts across all jobs (attempts beyond each job's first).
     pub retries: u64,
@@ -338,29 +326,14 @@ pub struct BatchStats {
     /// demoted to [`StopReason::ProofMismatch`] instead of reporting a wrong
     /// proof).
     pub proof_mismatches: u64,
-    /// Queries issued on a catalogue's shared solver (≤ entries × bounds;
-    /// resolved entries stop querying).
-    pub queries: u64,
-    /// Catalogue entries whose final answer came from the per-job fallback
-    /// path (shared-solver poisoning, or a failed entry granted a retry).
-    pub fallbacks: u64,
-    /// Deepest bound a catalogue's shared unrolling was extended to.
-    pub deepest_bound: usize,
-    /// SAT conflicts spent by a catalogue's shared solver (fallback runs not
-    /// included; their conflicts are in the per-entry detections).
-    pub shared_conflicts: u64,
-    /// Per-entry unbounded-prover runs a catalogue dispatched for entries
-    /// that survived the shared bounded phase (prove mode only).
-    pub proof_attempts: u64,
-    /// Solver-reuse counters summed over the batch's solvers (encode,
-    /// rewrite and AIG work, learnt-database reduction, CNF sizes): each
-    /// job's final attempt, and a catalogue's shared session.
+    /// Solver-reuse counters summed over each job's final attempt (encode,
+    /// rewrite and AIG work, learnt-database reduction, CNF sizes).
     pub solver: SolverReuseStats,
 }
 
 impl BatchStats {
     /// Tallies one finished job.
-    pub(crate) fn absorb(&mut self, detection: &Detection, report: &JobReport) {
+    fn absorb(&mut self, detection: &Detection, report: &JobReport) {
         self.jobs += 1;
         self.job_wall_total += detection.runtime;
         self.job_wall_max = self.job_wall_max.max(detection.runtime);
@@ -387,17 +360,13 @@ impl fmt::Display for BatchStats {
         write!(
             f,
             "{} jobs on {} workers in {:.2}s (job wall {:.2}s total / {:.2}s max, \
-             {} encodes, {} shared queries to bound {}, {} fallbacks, {} cancelled, \
-             {} conflicts, {} retries, {} degraded, {} panics)",
+             {} encodes, {} cancelled, {} conflicts, {} retries, {} degraded, {} panics)",
             self.jobs,
             self.workers,
             self.wall.as_secs_f64(),
             self.job_wall_total.as_secs_f64(),
             self.job_wall_max.as_secs_f64(),
             self.encodes,
-            self.queries,
-            self.deepest_bound,
-            self.fallbacks,
             self.cancelled,
             self.conflicts,
             self.retries,
@@ -407,10 +376,8 @@ impl fmt::Display for BatchStats {
     }
 }
 
-/// The result of a batch — [`Engine::run`] over independent jobs, or
-/// [`BatchedDetector::run`](crate::batch::BatchedDetector::run) over a
-/// catalogue: one [`Detection`] per job, in job order, plus the aggregate
-/// counters.
+/// The result of an [`Engine::run`] batch: one [`Detection`] per job, in
+/// job order, plus the aggregate counters.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// Per-job results; `detections[i]` answers `jobs[i]` regardless of
@@ -508,7 +475,7 @@ fn worker_loop(
         if i >= jobs.len() {
             return;
         }
-        let (detection, report) = run_with_retry(&jobs[i], None);
+        let (detection, report) = run_with_retry(&jobs[i]);
         if tx.send((i, detection, report)).is_err() {
             return; // receiver gone — nothing left to report to
         }
@@ -523,35 +490,16 @@ fn worker_loop(
 /// only unless it says otherwise
 /// ([`FaultPlan::every_attempt`](crate::fault::FaultPlan)), so
 /// "failed once, retried clean, succeeded degraded" is itself a
-/// deterministic path.  `deadline` is the wall-clock budget of an enclosing
-/// batch, if it has one.
-pub(crate) fn run_with_retry(
-    job: &DetectionJob,
-    deadline: Option<Instant>,
-) -> (Detection, JobReport) {
-    resume_retry_ladder(job, deadline, DegradationRung::Full, 0, 0)
-}
-
-/// [`run_with_retry`] with the ladder state pre-advanced: `rung` is the rung
-/// of the *next* attempt, `attempts`/`panicked_attempts` count the attempts
-/// already spent elsewhere.  The batched detector
-/// ([`BatchedDetector`](crate::batch::BatchedDetector)) uses this to continue
-/// a job whose first attempt was a shared-solver query that panicked or blew
-/// a budget — that query counts as attempt one at [`DegradationRung::Full`],
-/// and the per-job fallback resumes at the next rung down.
-pub(crate) fn resume_retry_ladder(
-    job: &DetectionJob,
-    deadline: Option<Instant>,
-    mut rung: DegradationRung,
-    mut attempts: u32,
-    mut panicked_attempts: u32,
-) -> (Detection, JobReport) {
+/// deterministic path.
+fn run_with_retry(job: &DetectionJob) -> (Detection, JobReport) {
     let retry = job.config.retry.unwrap_or_default();
+    let mut rung = DegradationRung::Full;
+    let mut attempts = 0;
+    let mut panicked_attempts = 0;
     loop {
         attempts += 1;
         let mut config = job.config.clone();
         rung.apply(&mut config);
-        clamp_time_limit(&mut config, deadline);
         if attempts > 1 && !config.fault.is_some_and(|f| f.every_attempt) {
             config.fault = None; // retries run clean by default
         }
@@ -607,22 +555,13 @@ fn run_isolated(
 
 /// Best-effort extraction of a panic payload's message (`&str` and `String`
 /// payloads cover `panic!` and formatted panics; anything else is opaque).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Tightens a job's own time limit to whatever remains of an enclosing
-/// batch's deadline.
-fn clamp_time_limit(config: &mut DetectorConfig, deadline: Option<Instant>) {
-    if let Some(deadline) = deadline {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        config.time_limit = Some(config.time_limit.map_or(remaining, |t| t.min(remaining)));
     }
 }
 

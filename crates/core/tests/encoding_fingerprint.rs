@@ -17,8 +17,9 @@
 //! run sweeps every depth to the bound.
 //!
 //! A third case builds the same `single-add` detection as a one-entry
-//! mutation catalogue and queries it under the batched detector's one-hot
-//! assumptions.  A lone entry has nothing to share, so it must be the direct
+//! mutation catalogue (`QedBuilder::build_catalogue`) and queries it under
+//! one-hot assumptions, as the benchmark's in-process replica of a service
+//! miss does.  A lone entry has nothing to share, so it must be the direct
 //! encoding: the same fingerprint, field for field.
 
 use sepe_isa::Opcode;

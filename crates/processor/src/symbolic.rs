@@ -234,8 +234,8 @@ impl SymbolicProcessor {
 
         // Guarded effects, in catalogue order.  An entry activated by `true`
         // folds to exactly the classic single-bug terms; guarded entries chain
-        // `ite`s whose conditions are mutually exclusive under the batched
-        // detector's one-hot activation assumptions.
+        // `ite`s whose conditions are mutually exclusive under one-hot
+        // activation assumptions (`sepe_smt::one_hot_assumptions`).
         let guarded: Vec<(TermId, Effect)> = entries
             .iter()
             .map(|&(activation, m)| {

@@ -196,8 +196,8 @@ pub struct SubmitRequest {
     /// Catalogue of mutation names (resolved against
     /// [`mutation_by_name`]); empty checks the clean design.
     pub mutations: Vec<String>,
-    /// Run cache misses as one shared-unrolling catalogue instead of
-    /// independent per-entry jobs.
+    /// Still encoded and decoded, but ignored: the server runs every cache
+    /// miss as its own job.
     pub batched: bool,
     /// Per-request wall-clock budget in milliseconds (the server clamps it
     /// to its own default deadline).
@@ -217,7 +217,7 @@ pub struct SubmitRequest {
 }
 
 impl SubmitRequest {
-    /// A request over defaults: everything on, no budgets, per-entry jobs.
+    /// A request over defaults: everything on, no budgets.
     pub fn new(method: Method, bound: usize, processor: ProcessorConfig) -> Self {
         SubmitRequest {
             method,

@@ -1,9 +1,8 @@
 //! The persistent detection server.
 //!
 //! One process owns a listening socket (Unix or TCP), a bounded admission
-//! queue, a small pool of job workers driving the engine
-//! ([`Engine`]/[`BatchedDetector`]), and the crash-safe
-//! [`ResultCache`].  The failure-containment ladder:
+//! queue, a small pool of job workers driving the engine ([`Engine`]), and
+//! the crash-safe [`ResultCache`].  The failure-containment ladder:
 //!
 //! * **Per connection** — read/write deadlines and the frame-length cap
 //!   mean a stalled, slow-loris or garbage-spewing client costs one
@@ -45,10 +44,7 @@ use std::time::{Duration, Instant};
 
 use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_smt::CancelFlag;
-use sepe_sqed::{
-    BatchStats, BatchedDetector, CatalogueEntry, DetectionJob, DetectorConfig, Engine, FaultPlan,
-    Method, RetryPolicy,
-};
+use sepe_sqed::{BatchStats, DetectionJob, DetectorConfig, Engine, FaultPlan, Method, RetryPolicy};
 use sepe_tsys::ProofMethod;
 use serde::Value;
 
@@ -261,7 +257,6 @@ struct Ticket {
     conflict_limit: Option<u64>,
     memory_limit: Option<usize>,
     deadline: Duration,
-    batched: bool,
     prove: Option<ProofMethod>,
     entries: Vec<MissEntry>,
     cancel: CancelFlag,
@@ -652,7 +647,6 @@ fn handle_submit(
             conflict_limit: submit.conflict_limit,
             memory_limit: submit.memory_limit.or(shared.config.default_memory_limit),
             deadline,
-            batched: submit.batched,
             prove: submit.prove,
             entries: misses,
             cancel: cancel.clone(),
@@ -785,40 +779,9 @@ fn stream_verdict(shared: &Shared, ticket: &Ticket, entry: &MissEntry, verdict: 
 fn run_ticket(shared: &Shared, ticket: Ticket) {
     let started = Instant::now();
     let mut computed = DoneStats::default();
-    let batched: Vec<&MissEntry> = if ticket.batched {
-        ticket
-            .entries
-            .iter()
-            .filter(|e| e.mutation.is_some())
-            .collect()
-    } else {
-        Vec::new()
-    };
-    if !batched.is_empty() {
-        if let Some(delay) = shared.config.job_delay {
-            thread::sleep(delay);
-        }
-        let remaining = ticket.deadline.saturating_sub(started.elapsed());
-        let config = ticket_config(shared, &ticket, remaining);
-        let catalogue: Vec<CatalogueEntry> = batched
-            .iter()
-            .map(|e| CatalogueEntry::new(e.label.clone(), e.mutation.clone().unwrap()))
-            .collect();
-        let outcome = BatchedDetector::new(config).run(ticket.method, &catalogue);
-        for (entry, detection) in batched.iter().zip(&outcome.detections) {
-            let verdict = protocol::verdict_from_detection(&entry.label, detection, false);
-            stream_verdict(shared, &ticket, entry, verdict);
-        }
-        tally(&mut computed, &outcome.stats);
-    }
-    // Per-entry jobs: everything not covered by the batched group.  One
-    // engine run per entry keeps the crash-loss granularity at a single
+    // One engine run per entry keeps the crash-loss granularity at a single
     // job and lets each verdict stream (and commit) as soon as it exists.
-    for entry in ticket
-        .entries
-        .iter()
-        .filter(|e| !ticket.batched || e.mutation.is_none())
-    {
+    for entry in &ticket.entries {
         if let Some(delay) = shared.config.job_delay {
             thread::sleep(delay);
         }
@@ -848,7 +811,7 @@ fn run_ticket(shared: &Shared, ticket: Ticket) {
     let _ = ticket.replies.send(WorkerMsg::Finished(computed));
 }
 
-/// Adds one engine or catalogue run's counters to a request's totals.
+/// Adds one engine run's counters to a request's totals.
 fn tally(computed: &mut DoneStats, stats: &BatchStats) {
     computed.jobs += stats.jobs;
     computed.computed += stats.jobs;

@@ -186,29 +186,59 @@ fn detection_streams_a_validated_witness_and_caches_it() {
 }
 
 #[test]
-fn batched_catalogue_runs_and_caches_per_entry() {
-    let server = start_server("batched", |_| {});
-    let client = server.client();
-    let request = SubmitRequest {
+fn a_multi_mutation_submit_streams_the_frames_of_one_mutation_submits() {
+    // The cache key is per mutation, so a verdict computed inside a
+    // multi-mutation submit is later served to one-mutation submits of the
+    // same entry, and vice versa: each entry must produce the very same
+    // verdict frame (witness and conflicts included) whichever request
+    // computed it.  `batched: true` must not change that.  Each side runs
+    // cold on its own server.
+    let names = ["single-add", "single-sub", "single-xor"];
+    let request = |names: &[&str]| SubmitRequest {
+        mutations: names.iter().map(|n| n.to_string()).collect(),
         batched: true,
-        ..clean_request(&CLEAN_FAST)
+        ..SubmitRequest::new(
+            Method::SepeSqed,
+            3,
+            ProcessorConfig {
+                history_depth: 1,
+                ..tiny_universe()
+            },
+        )
     };
-    let cold = client.submit(&request).unwrap();
-    assert_eq!(cold.done.computed, 4);
-    assert!(cold.verdicts.iter().all(|v| !v.inconclusive));
-    let hot = client.submit(&request).unwrap();
-    assert_eq!(hot.done.from_cache, 4);
-    assert_eq!(hot.done.encodes, 0);
+    let server = start_server("multi", |_| {});
+    let multi = server.client().submit(&request(&names)).unwrap();
+    server.stop();
+    assert_eq!(multi.done.computed, names.len() as u64);
+    assert!(multi.verdicts[0].detected, "SEPE-SQED finds the ADD bug");
+    assert_eq!(multi.raw_verdict_frames.len(), names.len());
+
+    // Frames are JSON text: compare them as strings for a readable diff.
+    let text = |frames: &[Vec<u8>]| -> Vec<String> {
+        frames
+            .iter()
+            .map(|f| String::from_utf8_lossy(f).into_owned())
+            .collect()
+    };
+    let multi_frames = text(&multi.raw_verdict_frames);
+    let server = start_server("single", |_| {});
+    for (name, frame) in names.iter().zip(&multi_frames) {
+        let single = server.client().submit(&request(&[name])).unwrap();
+        assert_eq!(single.done.computed, 1, "{name}: a fresh cache entry");
+        assert_eq!(
+            text(&single.raw_verdict_frames),
+            std::slice::from_ref(frame),
+            "{name}: the multi-mutation submit streamed a different verdict"
+        );
+    }
     server.stop();
 }
 
 #[test]
 fn batched_and_unbatched_paths_agree_on_a_detected_bug() {
-    // The cache key carries no `batched` bit, so either path may fill an
-    // entry the other one later serves: both must report the same verdict,
-    // down to the conflicts and the witness.  A one-entry catalogue is the
-    // direct encoding, so nothing may tell the two apart.  Each path runs
-    // cold on its own server.
+    // The cache key carries no `batched` bit, and the server ignores the
+    // flag: either setting must report the same verdict, down to the
+    // conflicts and the witness.  Each setting runs cold on its own server.
     let request = SubmitRequest {
         mutations: vec!["single-add".to_string()],
         ..SubmitRequest::new(
@@ -240,11 +270,10 @@ fn batched_and_unbatched_paths_agree_on_a_detected_bug() {
 }
 
 #[test]
-fn both_paths_charge_one_encoding_per_attempt() {
+fn a_retried_job_charges_one_encoding_per_attempt() {
     // A one-conflict budget stops the bug's first attempt, so the server's
-    // one-rung retry ladder runs a second one.  The batched path pays the
-    // shared encoding plus the fallback's; the unbatched path pays one per
-    // attempt too, and `done.encodes` must say so on both.
+    // one-rung retry ladder runs a second one, and `done.encodes` must
+    // count both.
     let request = SubmitRequest {
         mutations: vec!["single-add".to_string()],
         conflict_limit: Some(1),
@@ -257,28 +286,16 @@ fn both_paths_charge_one_encoding_per_attempt() {
             },
         )
     };
-    for batched in [true, false] {
-        let server = start_server(if batched { "encodes-on" } else { "encodes-off" }, |_| {});
-        let done = server
-            .client()
-            .submit(&SubmitRequest {
-                batched,
-                ..request.clone()
-            })
-            .unwrap()
-            .done;
-        server.stop();
-        assert_eq!(done.computed, 1, "batched={batched}");
-        assert!(
-            done.retries >= 1,
-            "batched={batched}: the budget forces a retry"
-        );
-        assert_eq!(
-            done.encodes,
-            done.computed + done.retries,
-            "batched={batched}: one encoding per attempt"
-        );
-    }
+    let server = start_server("encodes", |_| {});
+    let done = server.client().submit(&request).unwrap().done;
+    server.stop();
+    assert_eq!(done.computed, 1);
+    assert!(done.retries >= 1, "the budget forces a retry");
+    assert_eq!(
+        done.encodes,
+        done.computed + done.retries,
+        "one encoding per attempt"
+    );
 }
 
 #[test]

@@ -7,10 +7,6 @@
 //! learnt clause.  [`Bmc`](crate::Bmc)'s default
 //! [`BmcMode::PerDepth`](crate::BmcMode::PerDepth) driver is the simplest
 //! such sequence: one query per depth, assuming only that depth's bad state.
-//! The batched multi-bug detector (`sepe_sqed::batch`) is the richer one:
-//! the transition system carries one activation literal per catalogue entry,
-//! and each query selects an entry by assuming its literal true and the
-//! others false on top of the depth's bad state.
 //!
 //! The session inherits the incremental-solving contract wholesale: frames
 //! are asserted append-only (with per-depth cone-of-influence refinement
@@ -101,13 +97,6 @@ impl<'ts> BmcSession<'ts> {
             self.solver.assert_term(tm, t);
         }
         self.extended_to = self.extended_to.max(bound);
-    }
-
-    /// The underlying incremental solver, for arming per-query budgets or
-    /// fault hooks around individual queries (the batched detector arms a
-    /// catalogue entry's injected fault only while that entry's query runs).
-    pub fn solver(&mut self) -> &mut IncrementalSolver {
-        &mut self.solver
     }
 
     /// The bad-state disjunct at `bound` (the usual final retractable
