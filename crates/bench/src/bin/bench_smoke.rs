@@ -1,21 +1,19 @@
-//! CI smoke benchmark: a tiny `incremental_vs_scratch` configuration with a
-//! machine-readable result and a regression gate.
+//! CI smoke benchmark: a tiny Table-1 BMC sweep with a machine-readable
+//! result and a regression gate.
 //!
 //! Runs the shared [`sepe_bench::sweep`] protocol (one Table-1 SQED sweep,
 //! tiny processor, ADD only — the bug is invisible to SQED, so every depth
-//! is explored) in four BMC configurations:
+//! is explored) in three configurations of the one incremental BMC loop:
 //!
-//! * `incremental` — [`BmcMode::PerDepth`] on the persistent solver with
-//!   word-level rewriting + cone-of-influence reduction and the gate-level
-//!   AIG layer on (the default pipeline),
-//! * `aig_off` — the same mode with the AIG reductions off (no structural
-//!   hashing, no local rewriting, biconditional Tseitin): the arm that
-//!   isolates what the gate-level layer buys,
+//! * `incremental` — the persistent per-depth session with word-level
+//!   rewriting + cone-of-influence reduction and the gate-level AIG layer
+//!   on (the default pipeline),
+//! * `aig_off` — the same session with the AIG reductions off (no
+//!   structural hashing, no local rewriting, biconditional Tseitin): the
+//!   arm that isolates what the gate-level layer buys,
 //! * `incremental_norewrite` — the default pipeline with the word-level
 //!   preprocessing off: the rewrite-on-vs-off arm that isolates what the
-//!   simplification pipeline buys,
-//! * `scratch` — [`BmcMode::PerDepthScratch`] with all preprocessing off,
-//!   the PR-1-era re-encoding baseline.
+//!   simplification pipeline buys.
 //!
 //! The measurements (wall time, conflicts, learnt-clause high-water mark,
 //! encodings cached, `RewriteStats`, AIG counters, CNF sizes) are written as
@@ -31,7 +29,7 @@
 //! longer measures, a measured mode without a baseline entry, or a gated
 //! field missing from an entry fails the gate as a stale baseline.
 //!
-//! A fifth, **parallel** arm runs a batch of identical copies of the
+//! A **parallel** arm runs a batch of identical copies of the
 //! `incremental` sweep on the work-stealing detection engine
 //! (`sepe_sqed::parallel`), once with one worker and once with `--jobs N`
 //! workers (default: available parallelism / `SEPE_JOBS`), and records the
@@ -46,7 +44,7 @@
 //! engine-level recovery activity visible at a glance.  Also outside the
 //! regression gate.
 //!
-//! A sixth, **service_cache** arm boots the detection service
+//! A **service_cache** arm boots the detection service
 //! (`sepe_service`) on a loopback socket with a fresh crash-safe result
 //! cache and submits the same small mutation list twice.  The cold pass
 //! computes and commits every verdict; the hot pass must be answered
@@ -55,7 +53,7 @@
 //! cache hits with zero misses and zero solver encodes, or the run exits
 //! nonzero.  Wall times are recorded for the artifact history only.
 //!
-//! A seventh, **proofs** arm runs the unbounded prover (IC3/PDR) against
+//! A **proofs** arm runs the unbounded prover (IC3/PDR) against
 //! one clean configuration and one Table-1 mutation.  The clean config must
 //! come back **Proved** — the verdict no bounded sweep can give — with its
 //! inductive invariant re-verified on an independent solver, and the prover
@@ -74,7 +72,6 @@ use sepe_bench::{jobs_from_args, sweep};
 use sepe_smt::SolverReuseStats;
 use sepe_sqed::detect::Method;
 use sepe_sqed::parallel::Engine;
-use sepe_tsys::BmcMode;
 
 /// Wall-time regression tolerance against the checked-in baseline (loose:
 /// runner hardware varies).
@@ -493,11 +490,9 @@ fn main() {
 
     let bug = sweep::bug(); // ADD off by one
     println!("bench-smoke: SQED sweep, tiny/ADD-only, bound {bound}");
-    let (incr_wall, incr_solver) = sweep::run_with(bound, BmcMode::PerDepth, &bug, true, true);
-    let (noaig_wall, noaig_solver) = sweep::run_with(bound, BmcMode::PerDepth, &bug, true, false);
-    let (raw_wall, raw_solver) = sweep::run_with(bound, BmcMode::PerDepth, &bug, false, true);
-    let (scratch_wall, scratch_solver) =
-        sweep::run_with(bound, BmcMode::PerDepthScratch, &bug, false, false);
+    let (incr_wall, incr_solver) = sweep::run(bound, &bug);
+    let (noaig_wall, noaig_solver) = sweep::run_with(bound, &bug, true, false);
+    let (raw_wall, raw_solver) = sweep::run_with(bound, &bug, false, true);
 
     // Parallel arm: the same sweep × BATCH_COPIES, one worker vs N workers.
     const BATCH_COPIES: usize = 4;
@@ -533,7 +528,6 @@ fn main() {
             ModeResult::new("incremental", incr_wall, incr_solver),
             ModeResult::new("aig_off", noaig_wall, noaig_solver),
             ModeResult::new("incremental_norewrite", raw_wall, raw_solver),
-            ModeResult::new("scratch", scratch_wall, scratch_solver),
         ],
         parallel,
         robustness,

@@ -52,12 +52,10 @@ pub struct DetectorConfig {
     /// Equivalence database for SEPE-SQED (`None` uses the curated database
     /// at the processor's data-path width).
     pub equivalence: Option<EquivalenceDb>,
-    /// Depth-exploration strategy of the model checker.
-    ///
-    /// The default is [`BmcMode::PerDepth`]: one query per depth on one
+    /// Depth-exploration strategy of the model checker:
+    /// [`BmcMode::PerDepth`], the only one (one query per depth on one
     /// persistent session, so the first counterexample found is a shortest
-    /// one.  [`BmcMode::PerDepthScratch`] re-encodes every depth on a fresh
-    /// solver; it is the differential and benchmark reference.
+    /// one).
     pub bmc_mode: BmcMode,
     /// Word-level preprocessing (on by default): rewriting ahead of
     /// bit-blasting plus the BMC cone-of-influence reduction.  Off is the
@@ -316,9 +314,7 @@ pub struct Detection {
     pub bound_reached: usize,
     /// Total SAT conflicts spent by the model checker.
     pub conflicts: u64,
-    /// Solver-reuse counters of the model-checking run (only the encoding
-    /// counters for [`BmcMode::PerDepthScratch`], which builds a fresh
-    /// solver per query).
+    /// Solver-reuse counters of the model-checking run.
     pub solver: sepe_smt::SolverReuseStats,
     /// Per-query solver-work deltas, one entry per SAT query (one per depth)
     /// in issue order.  The cumulative counters above hide how the work is

@@ -49,7 +49,6 @@ use std::time::{Duration, Instant};
 
 use sepe_processor::Mutation;
 use sepe_smt::{SolverReuseStats, StopReason};
-use sepe_tsys::BmcMode;
 
 use crate::detect::{Detection, Detector, DetectorConfig, Method};
 
@@ -136,10 +135,12 @@ impl JobOutcome {
 }
 
 /// One rung of the retry degradation ladder: each retry re-runs the job
-/// under a configuration one step simpler/cheaper than the last: AIG off,
-/// then rewriting off, then scratch solving at half the bound.  A panic or
-/// budget breach tied to a specific optimisation (AIG rewriting, word-level
-/// simplification, solver persistence) clears at the rung that removes it.
+/// with one knob of its own configuration turned off, AIG first, then
+/// rewriting.  Rungs are not cumulative: every attempt starts from the
+/// job's configuration, so the `NoRewrite` rung runs with the AIG layer
+/// back on.  A panic or budget breach tied to one optimisation (AIG
+/// rewriting, word-level simplification) clears at the rung that removes
+/// it.  Every rung answers the bound the job asked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradationRung {
     /// The job's own configuration, untouched (every first attempt).
@@ -148,32 +149,24 @@ pub enum DegradationRung {
     AigOff,
     /// Word-level rewriting + cone-of-influence reduction off.
     NoRewrite,
-    /// Per-depth scratch solving (no persistent solver state at all) with
-    /// the bound halved — the cheapest, most conservative configuration.
-    ScratchHalfBound,
 }
 
 impl DegradationRung {
-    /// The next rung down (saturating at the bottom).
-    fn next(self) -> DegradationRung {
+    /// The next rung down, `None` below the last.
+    fn next(self) -> Option<DegradationRung> {
         match self {
-            DegradationRung::Full => DegradationRung::AigOff,
-            DegradationRung::AigOff => DegradationRung::NoRewrite,
-            DegradationRung::NoRewrite => DegradationRung::ScratchHalfBound,
-            DegradationRung::ScratchHalfBound => DegradationRung::ScratchHalfBound,
+            DegradationRung::Full => Some(DegradationRung::AigOff),
+            DegradationRung::AigOff => Some(DegradationRung::NoRewrite),
+            DegradationRung::NoRewrite => None,
         }
     }
 
-    /// Applies the rung's knobs on top of a job's base configuration.
+    /// Applies the rung's knob to a job's own configuration.
     fn apply(self, config: &mut DetectorConfig) {
         match self {
             DegradationRung::Full => {}
             DegradationRung::AigOff => config.aig = false,
             DegradationRung::NoRewrite => config.simplify = false,
-            DegradationRung::ScratchHalfBound => {
-                config.bmc_mode = BmcMode::PerDepthScratch;
-                config.max_bound = (config.max_bound / 2).max(1);
-            }
         }
     }
 }
@@ -184,7 +177,6 @@ impl fmt::Display for DegradationRung {
             DegradationRung::Full => "full",
             DegradationRung::AigOff => "aig_off",
             DegradationRung::NoRewrite => "norewrite",
-            DegradationRung::ScratchHalfBound => "scratch_half_bound",
         };
         write!(f, "{s}")
     }
@@ -193,7 +185,8 @@ impl fmt::Display for DegradationRung {
 /// How a job that failed or exhausted a per-solver budget is re-run (set
 /// per job through `DetectorConfig::retry`): up to `max_retries` additional
 /// attempts, each one rung further down the [`DegradationRung`] ladder.
-/// The default retries nothing.
+/// The ladder has two rungs below `Full`, so a job runs at most three
+/// times whatever `max_retries` says.  The default retries nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Additional attempts after the first (0 disables retrying).
@@ -208,7 +201,7 @@ impl RetryPolicy {
     }
 
     /// Up to `max_retries` degraded re-runs per failed/budget-exhausted
-    /// job.
+    /// job, and never more than the ladder has rungs.
     pub fn ladder(max_retries: u32) -> RetryPolicy {
         RetryPolicy { max_retries }
     }
@@ -486,11 +479,10 @@ fn worker_loop(
 /// under the job's own configuration, each subsequent attempt — granted
 /// only for panics and per-solver budget exhaustion, see
 /// [`JobOutcome::should_retry`] — one rung further down
-/// [`DegradationRung`].  The job's fault plan applies to the first attempt
-/// only unless it says otherwise
-/// ([`FaultPlan::every_attempt`](crate::fault::FaultPlan)), so
-/// "failed once, retried clean, succeeded degraded" is itself a
-/// deterministic path.
+/// [`DegradationRung`], until the retries or the rungs run out.  The job's
+/// fault plan applies to the first attempt only unless it says otherwise
+/// ([`FaultPlan::every_attempt`](crate::fault::FaultPlan)), so "failed
+/// once, retried clean, succeeded degraded" is itself a deterministic path.
 fn run_with_retry(job: &DetectionJob) -> (Detection, JobReport) {
     let retry = job.config.retry.unwrap_or_default();
     let mut rung = DegradationRung::Full;
@@ -506,17 +498,19 @@ fn run_with_retry(job: &DetectionJob) -> (Detection, JobReport) {
         let (detection, outcome, panicked) =
             run_isolated(config, job.method, job.mutation.as_ref());
         panicked_attempts += u32::from(panicked);
-        if attempts > retry.max_retries || !outcome.should_retry() {
-            let report = JobReport {
-                label: job.label.clone(),
-                outcome,
-                attempts,
-                panicked_attempts,
-                rung,
-            };
-            return (detection, report);
+        match rung.next() {
+            Some(down) if attempts <= retry.max_retries && outcome.should_retry() => rung = down,
+            _ => {
+                let report = JobReport {
+                    label: job.label.clone(),
+                    outcome,
+                    attempts,
+                    panicked_attempts,
+                    rung,
+                };
+                return (detection, report);
+            }
         }
-        rung = rung.next();
     }
 }
 

@@ -10,11 +10,12 @@
 //! least one of these numbers.  Refresh them only for a change meant to
 //! alter the encoding or the search, and say so.
 //!
-//! A second case pins the one-shot path the same way: an SQED
-//! `PerDepthScratch` detection run, where every depth is a fresh solver
-//! that simplifies the whole unrolling prefix in one joint rewrite fixpoint
-//! before encoding it.  SQED cannot see the single-instruction bug, so the
-//! run sweeps every depth to the bound.
+//! A second case pins the one-shot path the same way: one fresh solver
+//! that asserts the whole depth-5 SQED unrolling in one
+//! `IncrementalSolver::assert_all`, so one joint rewrite fixpoint
+//! simplifies it before encoding, as every proof-certificate obligation is
+//! checked.  SQED cannot see the single-instruction bug, so the query is
+//! unsatisfiable.
 //!
 //! A third case builds the same `single-add` detection as a one-entry
 //! mutation catalogue (`QedBuilder::build_catalogue`) and queries it under
@@ -24,15 +25,13 @@
 
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
-use sepe_smt::{one_hot_assumptions, TermManager};
+use sepe_smt::{one_hot_assumptions, IncrementalSolver, SatResult, TermManager};
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::qed::{QedBuilder, Scheme};
-use sepe_tsys::{BmcConfig, BmcMode, BmcSession, QueryOutcome};
+use sepe_tsys::{BmcConfig, BmcSession, QueryOutcome, Unroller};
 
 /// What the encoding of the detection produced, layer by layer.  A run
-/// without a counterexample has `trace_len` 0.  A `PerDepthScratch` run
-/// sums the rewrite, AIG and CNF counters over its fresh per-depth solvers
-/// and reports no propagations.
+/// without a counterexample has `trace_len` 0.
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
     bound: usize,
@@ -73,7 +72,6 @@ fn single_add_fingerprint(catalogue: bool) -> Fingerprint {
     };
     let bmc_config = BmcConfig {
         start_bound: 1,
-        mode: BmcMode::PerDepth,
         simplify: config.simplify,
         aig: config.aig,
         ..BmcConfig::default()
@@ -107,32 +105,48 @@ fn single_add_fingerprint(catalogue: bool) -> Fingerprint {
     panic!("single-add not detected within bound {}", config.max_bound);
 }
 
-/// The fingerprint of an SQED detection run for the first Table-1 bug on
-/// tiny/ADD, bound 5, one fresh solver per depth, rewriting and AIG on.
-fn scratch_fingerprint() -> Fingerprint {
+/// The fingerprint of one fresh solver over the depth-5 SQED unrolling of
+/// the first Table-1 bug on tiny/ADD, rewriting and AIG on: initial state,
+/// every frame's transition and constraints, and the bad state at depth 5,
+/// asserted at once.
+fn one_shot_fingerprint() -> Fingerprint {
+    const DEPTH: usize = 5;
     let bug = Mutation::table1().remove(0);
     let config = DetectorConfig::builder()
         .processor(ProcessorConfig::tiny().with_opcodes(&[Opcode::Add]))
-        .bound(5)
-        .bmc_mode(BmcMode::PerDepthScratch)
-        .simplify(true)
-        .aig(true)
         .build();
-    let detection = Detector::new(config).check(Method::Sqed, Some(&bug));
-    assert!(
-        !detection.inconclusive,
-        "{} gave up: {detection:?}",
+    let builder = QedBuilder {
+        processor: config.processor.clone(),
+        original_opcodes: Detector::new(config.clone()).original_opcodes(Method::Sqed),
+        queue_depth: config.queue_depth,
+    };
+    let mut tm = TermManager::new();
+    let system = builder.build(&mut tm, &Scheme::Sqed, Some(&bug));
+    let mut unroller = Unroller::new(&system.ts);
+    let mut query = vec![unroller.init(&mut tm), unroller.constraints_at(&mut tm, 0)];
+    for k in 0..DEPTH {
+        query.push(unroller.transition(&mut tm, k));
+        query.push(unroller.constraints_at(&mut tm, k + 1));
+    }
+    query.push(unroller.bad_at(&mut tm, DEPTH));
+    let mut solver = IncrementalSolver::new();
+    solver.assert_all(&mut tm, &query);
+    assert_eq!(
+        solver.check(&mut tm),
+        SatResult::Unsat,
+        "SQED must miss {}",
         bug.name
     );
+    let stats = solver.stats();
     Fingerprint {
-        bound: detection.bound_reached,
-        trace_len: detection.trace_len.unwrap_or(0),
-        rewrite_pins: detection.solver.encode.rewrite.pins,
-        aig_nodes: detection.solver.encode.aig.nodes,
-        cnf_vars: detection.solver.cnf_vars,
-        cnf_clauses: detection.solver.cnf_clauses,
-        conflicts: detection.conflicts,
-        propagations: detection.solver.propagations,
+        bound: DEPTH,
+        trace_len: 0,
+        rewrite_pins: stats.encode.rewrite.pins,
+        aig_nodes: stats.encode.aig.nodes,
+        cnf_vars: stats.cnf_vars,
+        cnf_clauses: stats.cnf_clauses,
+        conflicts: stats.conflicts,
+        propagations: stats.propagations,
     }
 }
 
@@ -154,18 +168,18 @@ fn single_add_detection_encoding_is_pinned() {
 }
 
 #[test]
-fn sqed_per_depth_scratch_detection_encoding_is_pinned() {
+fn sqed_one_shot_unrolling_encoding_is_pinned() {
     assert_eq!(
-        scratch_fingerprint(),
+        one_shot_fingerprint(),
         Fingerprint {
             bound: 5,
             trace_len: 0,
-            rewrite_pins: 1605,
-            aig_nodes: 12121,
-            cnf_vars: 6588,
-            cnf_clauses: 25580,
-            conflicts: 1534,
-            propagations: 0,
+            rewrite_pins: 481,
+            aig_nodes: 5201,
+            cnf_vars: 2628,
+            cnf_clauses: 11023,
+            conflicts: 9,
+            propagations: 262,
         }
     );
 }

@@ -19,7 +19,7 @@ use sepe_smt::{CancelFlag, StopReason};
 use sepe_sqed::detect::{DetectorConfig, Method};
 use sepe_sqed::fault::FaultPlan;
 use sepe_sqed::parallel::{DegradationRung, DetectionJob, Engine, JobOutcome, RetryPolicy};
-use sepe_tsys::{BmcMode, ProofMethod};
+use sepe_tsys::ProofMethod;
 
 /// The workhorse configuration: conclusive at bound 2 with ~150 conflicts.
 fn busy_config() -> DetectorConfig {
@@ -49,7 +49,6 @@ fn every_stop_reason_is_exercised_deterministically() {
         // An already-expired wall budget trips the between-depths poll
         // before the first query — deterministic, no timing window.
         deadline.time_limit = Some(Duration::ZERO);
-        deadline.bmc_mode = BmcMode::PerDepth;
         let mut conflict = busy_config();
         conflict.conflict_limit = Some(10);
         vec![
@@ -180,29 +179,72 @@ fn retry_ladder_recovers_a_panicking_job_one_rung_down() {
 }
 
 #[test]
-fn persistent_fault_exhausts_the_ladder_or_is_dodged_by_degradation() {
-    // `every_attempt` keeps the panic armed on every rung.  With one retry
-    // the job dies twice and stays Failed; with the full ladder the bottom
-    // rung (scratch, halved bound) finishes under 5 conflicts, so the fault
-    // never fires and the job legitimately completes degraded.
+fn persistent_fault_exhausts_the_ladder() {
+    // `every_attempt` keeps the panic armed on every rung, and every rung
+    // runs the full bound, so no rung dodges it: the job dies on each rung
+    // it is given and stays Failed.  A policy with more retries than the
+    // ladder has rungs stops at the last rung instead of re-running it.
     let bomb = || busy_job("bomb", Some(FaultPlan::panic_at(5).every_attempt()));
+    for (max_retries, attempts, last) in [
+        (1, 2, DegradationRung::AigOff),
+        (2, 3, DegradationRung::NoRewrite),
+        (3, 3, DegradationRung::NoRewrite),
+        (8, 3, DegradationRung::NoRewrite),
+    ] {
+        let outcome = Engine::new(1).run(vec![retried(bomb(), max_retries)]);
+        let report = &outcome.reports[0];
+        assert!(
+            matches!(report.outcome, JobOutcome::Failed { .. }),
+            "ladder({max_retries}) must end Failed, got {:?}",
+            report.outcome
+        );
+        assert_eq!(report.attempts, attempts, "ladder({max_retries})");
+        assert_eq!(report.panicked_attempts, attempts, "ladder({max_retries})");
+        assert_eq!(report.rung, last, "ladder({max_retries})");
+        assert_eq!(outcome.stats.retries, u64::from(attempts - 1));
+        assert_eq!(outcome.stats.stop_reasons.panicked, 1);
+    }
+}
 
-    let short = Engine::new(1).run(vec![retried(bomb(), 1)]);
-    let report = &short.reports[0];
-    assert!(matches!(report.outcome, JobOutcome::Failed { .. }));
-    assert_eq!(report.attempts, 2);
-    assert_eq!(report.panicked_attempts, 2);
-    assert_eq!(report.rung, DegradationRung::AigOff);
-    assert_eq!(short.stats.stop_reasons.panicked, 1);
-
-    let full = Engine::new(1).run(vec![retried(bomb(), 3)]);
-    let report = &full.reports[0];
-    assert_eq!(report.outcome, JobOutcome::Completed);
-    assert_eq!(report.attempts, 4);
-    assert_eq!(report.panicked_attempts, 3);
-    assert_eq!(report.rung, DegradationRung::ScratchHalfBound);
-    assert_eq!(full.stats.retries, 3);
-    assert_eq!(full.stats.degraded_runs, 1);
+#[test]
+fn every_rung_answers_the_bound_that_was_asked() {
+    // Jobs that end on every rung, conclusive or not: a clean verdict is
+    // only ever reported for the whole requested bound.
+    let mut jobs = Vec::new();
+    for max_retries in 0..=3 {
+        jobs.push(retried(busy_job("clean", None), max_retries));
+        jobs.push(retried(
+            busy_job("once", Some(FaultPlan::panic_at(5))),
+            max_retries,
+        ));
+        jobs.push(retried(
+            busy_job("every", Some(FaultPlan::panic_at(5).every_attempt())),
+            max_retries,
+        ));
+        jobs.push(retried(
+            busy_job("oom", Some(FaultPlan::memory_breach_at(3))),
+            max_retries,
+        ));
+    }
+    let outcome = Engine::new(2).run(jobs);
+    for (d, r) in outcome.detections.iter().zip(&outcome.reports) {
+        if !d.detected && !d.inconclusive {
+            assert_eq!(
+                d.bound_reached,
+                busy_config().max_bound,
+                "job {} on rung {} reported clean below the requested bound",
+                r.label,
+                r.rung
+            );
+        }
+    }
+    // The retried one-shot faults conclude one rung down.
+    let recovered = outcome
+        .reports
+        .iter()
+        .filter(|r| r.outcome == JobOutcome::Completed && r.rung == DegradationRung::AigOff)
+        .count();
+    assert_eq!(recovered, 6, "once/oom jobs with 1..=3 retries");
 }
 
 #[test]

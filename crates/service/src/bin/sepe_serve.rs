@@ -7,8 +7,12 @@
 //!
 //! On startup it prints one `ready` line (endpoint + cache recovery
 //! counts) and flushes it, so a supervisor or test can wait for it before
-//! connecting.  Test-only flags (`--crash-after-jobs`, `--job-delay-ms`)
-//! arm the crash-safety and overload scenarios of the integration suite.
+//! connecting.  `--retries N` (default 1) re-runs a job that panicked, ran
+//! out of a per-solver budget or failed its self-check down the engine's
+//! degradation ladder: AIG off, then word-level rewriting off, each at the
+//! requested bound.  The ladder has two rungs, so values above 2 retry no
+//! further.  Test-only flags (`--crash-after-jobs`, `--job-delay-ms`) arm
+//! the crash-safety and overload scenarios of the integration suite.
 
 use std::io::Write as _;
 use std::process::ExitCode;

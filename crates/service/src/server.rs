@@ -168,7 +168,8 @@ pub struct ServerConfig {
     /// Grace period between drain start and the watchdog raising the
     /// cancel flag on stragglers.
     pub drain_grace: Duration,
-    /// Retry ladder applied to computed jobs.
+    /// Retry ladder applied to computed jobs (at most two retries, each
+    /// at the requested bound; see [`RetryPolicy`]).
     pub retry: RetryPolicy,
     /// Protocol-layer fault plan applied to every connection's frame I/O
     /// (test machinery; `None` in production).

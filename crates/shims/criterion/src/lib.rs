@@ -6,8 +6,7 @@
 //! `Bencher::iter`, `black_box` and the `criterion_group!`/`criterion_main!`
 //! macros.  Timing is a straightforward best/mean-of-samples measurement —
 //! no warm-up modelling or statistics, but the output format (one line per
-//! benchmark with mean and best sample) is stable and greppable, which is
-//! what the `incremental_vs_scratch` speedup check consumes.
+//! benchmark with mean and best sample) is stable and greppable.
 
 use std::time::{Duration, Instant};
 

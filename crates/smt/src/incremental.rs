@@ -189,8 +189,9 @@ impl IncrementalSolver {
     }
 
     /// Attaches a *set* of cancellation flags: any raised flag cancels the
-    /// check.  Independent cancellation sources (a caller's own flag, a
-    /// batch's global flag) chain this way instead of replacing each other.
+    /// check.  Independent cancellation sources (a caller's own flag, the
+    /// detection service's request and drain flags) chain this way instead
+    /// of replacing each other.
     /// Replaces previously attached flags; an empty set detaches.
     pub fn set_cancel_flags(&mut self, cancel: Vec<CancelFlag>) {
         self.sat.set_cancel_flags(cancel);

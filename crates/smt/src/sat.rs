@@ -461,7 +461,8 @@ pub struct SatSolver {
     /// check point as the deadline; any raised flag yields
     /// [`SolveOutcome::Unknown`] and leaves the solver reusable.  A `Vec`
     /// so independent cancellation sources chain instead of replacing each
-    /// other (a caller's private flag plus a batch's global flag).
+    /// other (a caller's own flag plus the detection service's request and
+    /// drain flags).
     cancel: Vec<CancelFlag>,
     /// Byte budget for the clause arena + watcher estimate; exceeding it at
     /// the sampled check point yields [`SolveOutcome::Unknown`] with
@@ -597,9 +598,9 @@ impl SatSolver {
     /// returns [`SolveOutcome::Unknown`] at its next check point (the same
     /// 1-in-64 conflict sampling as the deadline, so cancellation lands
     /// within a short burst of conflicts).  Independent cancellation sources
-    /// chain by each contributing a flag — e.g. a caller's private flag plus
-    /// the parallel engine's batch flag — instead of one silently replacing
-    /// the other.  The solver state stays valid: lower the flags and solve
+    /// chain by each contributing a flag — e.g. a caller's own flag plus
+    /// the detection service's request and drain flags — instead of one
+    /// silently replacing the other.  The solver state stays valid: lower the flags and solve
     /// again to continue.  Replaces any previously attached flags; an empty
     /// set detaches.
     pub fn set_cancel_flags(&mut self, cancel: Vec<CancelFlag>) {

@@ -4,8 +4,7 @@ use std::time::{Duration, Instant};
 
 use sepe_smt::concrete::{self, Assignment};
 use sepe_smt::{
-    CancelFlag, FaultHooks, IncrementalSolver, Model, SatResult, SolverReuseStats, StopReason,
-    TermId, TermManager,
+    CancelFlag, FaultHooks, IncrementalSolver, Model, SolverReuseStats, StopReason, TermManager,
 };
 
 use crate::prove::ProofMethod;
@@ -14,7 +13,8 @@ use crate::ts::{CoiInfo, TransitionSystem};
 use crate::unroll::Unroller;
 use crate::witness::{Frame, Witness};
 
-/// How the checker explores depths.
+/// How the checker explores depths.  [`BmcMode::PerDepth`] is the only
+/// mode; the type stays so that configurations naming it keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BmcMode {
     /// One SAT query per depth on a single persistent [`BmcSession`]: the
@@ -24,12 +24,6 @@ pub enum BmcMode {
     /// shortest one.
     #[default]
     PerDepth,
-    /// One SAT query per depth, each on a fresh [`IncrementalSolver`] that
-    /// asserts the whole unrolling prefix in one
-    /// [`assert_all`](IncrementalSolver::assert_all) (the pre-incremental
-    /// behavior, kept as the reference of the differential tests and the
-    /// bottom rung of the parallel engine's retry ladder).
-    PerDepthScratch,
 }
 
 /// Configuration of a BMC run.
@@ -44,7 +38,7 @@ pub struct BmcConfig {
     pub time_limit: Option<Duration>,
     /// First depth to check (0 checks the initial state itself).
     pub start_bound: usize,
-    /// Depth-exploration strategy.
+    /// Depth-exploration strategy ([`BmcMode::PerDepth`], the only one).
     pub mode: BmcMode,
     /// Word-level preprocessing (on by default): the solvers run the
     /// `sepe_smt` rewriting pass ahead of bit-blasting, and the unrolling
@@ -52,9 +46,7 @@ pub struct BmcConfig {
     /// bad-state properties before frames are asserted
     /// ([`TransitionSystem::cone_of_influence`]).  Witnesses are identical
     /// either way — dropped state variables are reconstructed by forward
-    /// evaluation.  [`BmcMode::PerDepthScratch`] honors the flag for the
-    /// rewriting pass but never applies the cone-of-influence reduction, so
-    /// it stays a faithful differential baseline for the unrolling itself.
+    /// evaluation.
     pub simplify: bool,
     /// Gate-level AIG reductions in the solvers (on by default): structural
     /// hashing, local rewriting and polarity-aware Tseitin below the word
@@ -139,92 +131,6 @@ impl BmcConfig {
         solver.set_fault_hooks(self.fault.sat);
         solver
     }
-
-    /// Starts a builder over the default configuration.  The struct fields
-    /// stay public — the builder is sugar for the common
-    /// construct-and-override flow, not a new representation:
-    ///
-    /// ```
-    /// use sepe_tsys::{BmcConfig, BmcMode};
-    /// let config = BmcConfig::builder()
-    ///     .mode(BmcMode::PerDepth)
-    ///     .conflict_limit(100_000)
-    ///     .aig(false)
-    ///     .build();
-    /// assert!(config.simplify);
-    /// ```
-    pub fn builder() -> BmcConfigBuilder {
-        BmcConfigBuilder {
-            config: BmcConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`BmcConfig`]; see [`BmcConfig::builder`].
-#[derive(Debug, Clone, Default)]
-pub struct BmcConfigBuilder {
-    config: BmcConfig,
-}
-
-impl BmcConfigBuilder {
-    /// Conflict budget per SAT call.
-    pub fn conflict_limit(mut self, limit: u64) -> Self {
-        self.config.conflict_limit = Some(limit);
-        self
-    }
-
-    /// Wall-clock budget for the whole run.
-    pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.config.time_limit = Some(limit);
-        self
-    }
-
-    /// First depth to check.
-    pub fn start_bound(mut self, bound: usize) -> Self {
-        self.config.start_bound = bound;
-        self
-    }
-
-    /// Depth-exploration strategy.
-    pub fn mode(mut self, mode: BmcMode) -> Self {
-        self.config.mode = mode;
-        self
-    }
-
-    /// Word-level preprocessing on or off.
-    pub fn simplify(mut self, on: bool) -> Self {
-        self.config.simplify = on;
-        self
-    }
-
-    /// Gate-level AIG reductions on or off.
-    pub fn aig(mut self, on: bool) -> Self {
-        self.config.aig = on;
-        self
-    }
-
-    /// Chains one more cancellation flag (never replaces existing ones).
-    pub fn cancel(mut self, flag: CancelFlag) -> Self {
-        self.config.cancel.push(flag);
-        self
-    }
-
-    /// Caps the estimated SAT memory per solver.
-    pub fn memory_limit(mut self, bytes: usize) -> Self {
-        self.config.memory_limit = Some(bytes);
-        self
-    }
-
-    /// Arms a deterministic fault plan.
-    pub fn fault(mut self, fault: BmcFaultPlan) -> Self {
-        self.config.fault = fault;
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> BmcConfig {
-        self.config
-    }
 }
 
 /// Per-query solver-work deltas: what one depth's query added and cost on
@@ -262,10 +168,7 @@ pub struct BmcStats {
     pub deepest_bound: usize,
     /// Solver-reuse counters (term encodings cached/reused, word-level
     /// rewriting and cone-of-influence work, learnt clauses retained across
-    /// depths, learnt-database reduction work).  In
-    /// [`BmcMode::PerDepthScratch`], which builds a fresh solver per depth,
-    /// only the rewrite, AIG and CNF counters are populated, summed over the
-    /// depths.
+    /// depths, learnt-database reduction work).
     pub solver: SolverReuseStats,
     /// Per-query deltas, one entry per SAT query (one per depth) in issue
     /// order.
@@ -370,24 +273,12 @@ impl Bmc {
 
     /// Checks whether any bad state of `ts` is reachable within `max_bound`
     /// transition steps, searching depth by depth so that the first
-    /// counterexample found is a shortest one.
+    /// counterexample found is a shortest one.  All depths run on one
+    /// [`BmcSession`]: the unrolling prefix is asserted exactly once (each
+    /// depth adds only the new frame's transition and constraints), the
+    /// depth's bad state is a retractable assumption, and all SAT-level
+    /// learning carries over.
     pub fn check(
-        &mut self,
-        tm: &mut TermManager,
-        ts: &TransitionSystem,
-        max_bound: usize,
-    ) -> BmcResult {
-        match self.config.mode {
-            BmcMode::PerDepth => self.check_per_depth(tm, ts, max_bound),
-            BmcMode::PerDepthScratch => self.check_per_depth_scratch(tm, ts, max_bound),
-        }
-    }
-
-    /// Per-depth exploration on one [`BmcSession`]: the unrolling prefix is
-    /// asserted exactly once (each depth adds only the new frame's
-    /// transition and constraints), the depth's bad state is a retractable
-    /// assumption, and all SAT-level learning carries over.
-    fn check_per_depth(
         &mut self,
         tm: &mut TermManager,
         ts: &TransitionSystem,
@@ -421,85 +312,6 @@ impl Bmc {
         self.stats.deepest_bound = self.stats.depths.last().map_or(0, |d| d.bound);
         self.stats.duration = start.elapsed();
         result
-    }
-
-    /// Per-depth exploration with a fresh solver per depth that re-encodes
-    /// the whole prefix — the pre-incremental code path, kept as the
-    /// differential-testing and benchmarking baseline for
-    /// [`Self::check_per_depth`].
-    fn check_per_depth_scratch(
-        &mut self,
-        tm: &mut TermManager,
-        ts: &TransitionSystem,
-        max_bound: usize,
-    ) -> BmcResult {
-        let start = Instant::now();
-        self.stats = BmcStats::default();
-        let mut unroller = Unroller::new(ts);
-
-        // Path constraints accumulated across depths so that each depth only
-        // adds the new frame's transition and constraints.
-        let mut path: Vec<TermId> = vec![unroller.init(tm)];
-        path.push(unroller.constraints_at(tm, 0));
-
-        for bound in self.config.start_bound..=max_bound {
-            while path.len() < bound + 2 {
-                // path[k+1] covers transition k->k+1 plus constraints at k+1
-                let k = path.len() - 2;
-                let tr = unroller.transition(tm, k);
-                let cs = unroller.constraints_at(tm, k + 1);
-                let both = tm.and(tr, cs);
-                path.push(both);
-            }
-            if let Some(reason) = self.stop_before(start, bound) {
-                self.stats.duration = start.elapsed();
-                return BmcResult::Unknown { bound, reason };
-            }
-            let bad = unroller.bad_at(tm, bound);
-            let query_start = Instant::now();
-            let mut query: Vec<TermId> = path[..bound + 2].to_vec();
-            query.push(bad);
-            let mut solver = self.config.solver(start);
-            solver.assert_all(tm, &query);
-            let result = solver.check(tm);
-            let solved = solver.stats();
-            self.stats.queries += 1;
-            self.stats.conflicts += solved.conflicts;
-            // A fresh solver re-encodes the whole prefix per depth; sum the
-            // emissions so the sweep's total encoding cost is readable.
-            self.stats
-                .solver
-                .encode
-                .rewrite
-                .absorb(&solved.encode.rewrite);
-            self.stats.solver.encode.aig.absorb(&solved.encode.aig);
-            self.stats.solver.cnf_vars += solved.cnf_vars;
-            self.stats.solver.cnf_clauses += solved.cnf_clauses;
-            self.stats.deepest_bound = bound;
-            self.stats.depths.push(DepthStats {
-                bound,
-                conflicts: solved.conflicts,
-                clauses_added: 0, // a fresh solver re-encodes everything
-                learnt_retained: 0,
-                duration: query_start.elapsed(),
-            });
-            match result {
-                SatResult::Sat => {
-                    let model = solver.model(tm).clone();
-                    let witness = extract_witness(tm, ts, &mut unroller, &model, bound, None);
-                    self.stats.duration = start.elapsed();
-                    return BmcResult::Counterexample(witness);
-                }
-                SatResult::Unsat => {}
-                SatResult::Unknown => {
-                    self.stats.duration = start.elapsed();
-                    let reason = solver.stop_reason().unwrap_or(StopReason::ConflictBudget);
-                    return BmcResult::Unknown { bound, reason };
-                }
-            }
-        }
-        self.stats.duration = start.elapsed();
-        BmcResult::NoCounterexample { bound: max_bound }
     }
 }
 
@@ -673,34 +485,36 @@ mod tests {
         }
     }
 
+    /// The shortest counterexample length of a run, `None` when the bad
+    /// state is unreachable within the bound.
+    fn shortest_depth(result: &BmcResult, max_bound: usize) -> Option<usize> {
+        match result {
+            BmcResult::Counterexample(w) => Some(w.num_steps()),
+            BmcResult::NoCounterexample { bound } => {
+                assert_eq!(*bound, max_bound);
+                None
+            }
+            other => panic!("expected a verdict, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn incremental_per_depth_matches_scratch_per_depth() {
-        // Same systems, both verdict polarities, depth by depth.
-        for (target, constrain) in [(5u64, true), (50, true), (200, false), (3, true)] {
+    fn per_depth_finds_the_analytic_shortest_depths() {
+        // Both verdict polarities: a constrained counter reaches its target
+        // in exactly `target` steps, a free one reaches 200 in one.
+        for (target, constrain, want) in [
+            (5u64, true, Some(5)),
+            (50, true, None),
+            (200, false, Some(1)),
+            (3, true, Some(3)),
+        ] {
             let mut tm = TermManager::new();
             let ts = counter_system(&mut tm, 8, target, constrain);
-            let mut incremental = Bmc::new(BmcConfig::default());
-            let inc_result = incremental.check(&mut tm, &ts, 8);
-            let mut tm2 = TermManager::new();
-            let ts2 = counter_system(&mut tm2, 8, target, constrain);
-            let mut scratch = Bmc::new(BmcConfig {
-                mode: BmcMode::PerDepthScratch,
-                ..BmcConfig::default()
-            });
-            let scr_result = scratch.check(&mut tm2, &ts2, 8);
-            match (&inc_result, &scr_result) {
-                (BmcResult::Counterexample(a), BmcResult::Counterexample(b)) => {
-                    assert_eq!(a.num_steps(), b.num_steps(), "target {target}");
-                }
-                (
-                    BmcResult::NoCounterexample { bound: a },
-                    BmcResult::NoCounterexample { bound: b },
-                ) => {
-                    assert_eq!(a, b);
-                }
-                other => panic!("verdicts diverge for target {target}: {other:?}"),
-            }
-            assert_eq!(incremental.stats().queries, scratch.stats().queries);
+            let mut bmc = Bmc::new(BmcConfig::default());
+            let result = bmc.check(&mut tm, &ts, 8);
+            assert_eq!(shortest_depth(&result, 8), want, "target {target}");
+            // One query per depth from 0 to the verdict's depth.
+            assert_eq!(bmc.stats().queries, want.unwrap_or(8) as u64 + 1);
         }
     }
 
@@ -790,9 +604,10 @@ mod tests {
 
     #[test]
     fn coi_reduction_matches_the_full_unrolling() {
-        // Both verdict polarities, simplify+COI on vs the scratch baseline
-        // with everything off.
-        for target in [4u64, 50] {
+        // Both verdict polarities, simplify+COI on against the same session
+        // with simplify (and so COI) off.  The shadow never slows the
+        // counter: target 4 takes 4 steps, 50 is out of reach within 6.
+        for (target, want) in [(4u64, Some(4)), (50, None)] {
             let mut tm = TermManager::new();
             let ts = counter_with_shadow(&mut tm, target);
             let mut reduced = Bmc::new(BmcConfig::default());
@@ -804,21 +619,13 @@ mod tests {
             let mut tm2 = TermManager::new();
             let ts2 = counter_with_shadow(&mut tm2, target);
             let mut full = Bmc::new(BmcConfig {
-                mode: BmcMode::PerDepthScratch,
                 simplify: false,
                 ..BmcConfig::default()
             });
-            let want = full.check(&mut tm2, &ts2, 6);
-            match (&got, &want) {
-                (BmcResult::Counterexample(a), BmcResult::Counterexample(b)) => {
-                    assert_eq!(a.num_steps(), b.num_steps(), "target {target}");
-                }
-                (
-                    BmcResult::NoCounterexample { bound: a },
-                    BmcResult::NoCounterexample { bound: b },
-                ) => assert_eq!(a, b),
-                other => panic!("verdicts diverge for target {target}: {other:?}"),
-            }
+            let reference = full.check(&mut tm2, &ts2, 6);
+            assert_eq!(full.stats().solver.encode.rewrite.coi_dropped_updates, 0);
+            assert_eq!(shortest_depth(&got, 6), want, "target {target}");
+            assert_eq!(shortest_depth(&reference, 6), want, "target {target}");
         }
     }
 
@@ -866,8 +673,8 @@ mod tests {
     fn per_depth_refinement_drops_beyond_the_static_cone() {
         // Every variable is in the static cone (static dropped == 0), yet
         // the per-depth refinement drops the tail frames' b/c updates; the
-        // verdicts must match the unreduced scratch baseline either way.
-        for target in [4u64, 3] {
+        // verdicts must match the unreduced session either way.
+        for (target, want) in [(4u64, Some(4)), (3, None)] {
             // a reaches 4 at depth 4; it never equals 3
             let mut tm = TermManager::new();
             let ts = chain_system(&mut tm, target);
@@ -881,21 +688,13 @@ mod tests {
             let mut tm2 = TermManager::new();
             let ts2 = chain_system(&mut tm2, target);
             let mut full = Bmc::new(BmcConfig {
-                mode: BmcMode::PerDepthScratch,
                 simplify: false,
                 ..BmcConfig::default()
             });
-            let want = full.check(&mut tm2, &ts2, 6);
-            match (&got, &want) {
-                (BmcResult::Counterexample(a), BmcResult::Counterexample(b)) => {
-                    assert_eq!(a.num_steps(), b.num_steps(), "target {target}");
-                }
-                (
-                    BmcResult::NoCounterexample { bound: a },
-                    BmcResult::NoCounterexample { bound: b },
-                ) => assert_eq!(a, b),
-                other => panic!("verdicts diverge for target {target}: {other:?}"),
-            }
+            let reference = full.check(&mut tm2, &ts2, 6);
+            assert_eq!(full.stats().solver.encode.rewrite.coi_dropped_updates, 0);
+            assert_eq!(shortest_depth(&got, 6), want, "target {target}");
+            assert_eq!(shortest_depth(&reference, 6), want, "target {target}");
         }
     }
 

@@ -42,9 +42,7 @@ pub mod ts;
 pub mod unroll;
 pub mod witness;
 
-pub use bmc::{
-    Bmc, BmcConfig, BmcConfigBuilder, BmcFaultPlan, BmcMode, BmcResult, BmcStats, DepthStats,
-};
+pub use bmc::{Bmc, BmcConfig, BmcFaultPlan, BmcMode, BmcResult, BmcStats, DepthStats};
 pub use pdr::Pdr;
 pub use prove::{
     corrupt_certificate, verify_certificate, CertificateError, ProofCertificate, ProofMethod,

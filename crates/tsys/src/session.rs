@@ -4,9 +4,8 @@
 //! state and one persistent [`IncrementalSolver`] open so a *caller-directed*
 //! sequence of queries — each a `check_assuming` call with its own
 //! retractable assumption set — can share every encoded frame and every
-//! learnt clause.  [`Bmc`](crate::Bmc)'s default
-//! [`BmcMode::PerDepth`](crate::BmcMode::PerDepth) driver is the simplest
-//! such sequence: one query per depth, assuming only that depth's bad state.
+//! learnt clause.  [`Bmc::check`](crate::Bmc::check) is the simplest such
+//! sequence: one query per depth, assuming only that depth's bad state.
 //!
 //! The session inherits the incremental-solving contract wholesale: frames
 //! are asserted append-only (with per-depth cone-of-influence refinement
