@@ -1,9 +1,9 @@
 //! CI smoke benchmark: a tiny Table-1 BMC sweep with a machine-readable
 //! result and a regression gate.
 //!
-//! Runs the shared [`sepe_bench::sweep`] protocol (one Table-1 SQED sweep,
-//! tiny processor, ADD only — the bug is invisible to SQED, so every depth
-//! is explored) in three configurations of the one incremental BMC loop:
+//! Runs one Table-1 SQED sweep (tiny processor, ADD only, the ADD
+//! off-by-one bug — invisible to SQED, so every depth is explored) in three
+//! configurations of the one incremental BMC loop:
 //!
 //! * `incremental` — the persistent per-depth session with word-level
 //!   rewriting + cone-of-influence reduction and the gate-level AIG layer
@@ -29,20 +29,15 @@
 //! longer measures, a measured mode without a baseline entry, or a gated
 //! field missing from an entry fails the gate as a stale baseline.
 //!
-//! A **parallel** arm runs a batch of identical copies of the
-//! `incremental` sweep on the work-stealing detection engine
-//! (`sepe_sqed::parallel`), once with one worker and once with `--jobs N`
-//! workers (default: available parallelism / `SEPE_JOBS`), and records the
-//! realised speedup.  The regression gate deliberately ignores the parallel
-//! numbers — they depend on the runner's core count — and keeps judging the
-//! deterministic single-worker modes only.
-//!
-//! The parallel batch also feeds a `robustness` entry — retries taken,
-//! degraded re-runs, panics absorbed, and stopped-job tallies by stop
-//! reason, straight from the engine's `BatchStats`.  A healthy run reports
-//! all zeros; the entry exists so the CI artifact history makes any
-//! engine-level recovery activity visible at a glance.  Also outside the
-//! regression gate.
+//! The three modes run as one single-worker batch on the detection engine
+//! (`sepe_sqed::parallel`); each mode's row is its job's `Detection` (the
+//! model-checking run's wall time and solver counters).  Every mode must
+//! miss the bug and finish conclusively.  The batch also feeds a
+//! `robustness` entry — retries taken, degraded re-runs, panics absorbed,
+//! and stopped-job tallies by stop reason, straight from the engine's
+//! `BatchStats`.  A healthy run reports all zeros; the entry exists so the
+//! CI artifact history makes any engine-level recovery activity visible at
+//! a glance.  It is outside the regression gate.
 //!
 //! A **service_cache** arm boots the detection service
 //! (`sepe_service`) on a loopback socket with a fresh crash-safe result
@@ -64,14 +59,14 @@
 //! artifact history only.
 //!
 //! Usage:
-//!   bench_smoke [--bound N] [--jobs N] [--out BENCH_smoke.json] [--baseline BENCH_baseline.json]
+//!   bench_smoke [--bound N] [--out BENCH_smoke.json] [--baseline BENCH_baseline.json]
 
 use serde::{Serialize, Value};
 
-use sepe_bench::{jobs_from_args, sweep};
-use sepe_smt::SolverReuseStats;
-use sepe_sqed::detect::Method;
-use sepe_sqed::parallel::Engine;
+use sepe_isa::Opcode;
+use sepe_processor::{Mutation, ProcessorConfig};
+use sepe_sqed::detect::{Detection, DetectorConfig, Method};
+use sepe_sqed::parallel::{DetectionJob, Engine};
 
 /// Wall-time regression tolerance against the checked-in baseline (loose:
 /// runner hardware varies).
@@ -82,6 +77,33 @@ const REGRESSION_FACTOR: f64 = 1.5;
 /// encoding regression — intentional encoding changes refresh the baseline,
 /// as its `note` describes).
 const CLAUSE_REGRESSION_FACTOR: f64 = 1.05;
+
+/// The gated modes of the sweep: name, word-level preprocessing (rewriting
+/// and cone-of-influence reduction), gate-level AIG reductions (structural
+/// hashing, local rewriting, polarity-aware Tseitin).
+const MODES: [(&str, bool, bool); 3] = [
+    ("incremental", true, true),
+    ("aig_off", true, false),
+    ("incremental_norewrite", false, true),
+];
+
+/// One SQED sweep job per mode, in [`MODES`] order.
+fn sweep_jobs(bound: usize) -> Vec<DetectionJob> {
+    let bug = Mutation::table1()[0].clone(); // ADD off by one
+    MODES
+        .iter()
+        .map(|&(mode, simplify, aig)| {
+            let config = DetectorConfig {
+                processor: ProcessorConfig::tiny().with_opcodes(&[Opcode::Add]),
+                max_bound: bound,
+                simplify,
+                aig,
+                ..DetectorConfig::default()
+            };
+            DetectionJob::new(mode, config, Method::Sqed, Some(bug.clone()))
+        })
+        .collect()
+}
 
 #[derive(Debug, Clone, Serialize)]
 struct ModeResult {
@@ -107,10 +129,11 @@ struct ModeResult {
 }
 
 impl ModeResult {
-    fn new(mode: &str, wall: std::time::Duration, solver: SolverReuseStats) -> ModeResult {
+    fn new(mode: &str, detection: &Detection) -> ModeResult {
+        let solver = &detection.solver;
         ModeResult {
             mode: mode.to_string(),
-            wall_ms: wall.as_secs_f64() * 1e3,
+            wall_ms: detection.runtime.as_secs_f64() * 1e3,
             conflicts: solver.conflicts,
             learnt_high_water: solver.learnt_high_water,
             learnt_deleted: solver.learnt_deleted,
@@ -132,26 +155,7 @@ impl ModeResult {
     }
 }
 
-/// The parallel-engine arm: the same batch of identical sweep jobs timed
-/// with one worker and with `workers` workers.  Not part of the regression
-/// gate (the speedup depends on the runner's core count); recorded so the
-/// uploaded artifact tracks engine scaling over time.
-#[derive(Debug, Clone, Serialize)]
-struct ParallelResult {
-    /// Identical sweep copies in the batch.
-    batch_jobs: usize,
-    /// Worker threads of the parallel run.
-    workers: usize,
-    /// Batch wall time with one worker (the sequential reference).
-    wall_ms_jobs1: f64,
-    /// Batch wall time with `workers` workers.
-    wall_ms_jobsn: f64,
-    /// `wall_ms_jobs1 / wall_ms_jobsn` — bounded above by `workers` and by
-    /// the machine's core count.
-    speedup: f64,
-}
-
-/// Robustness counters of the parallel batch, straight out of
+/// Robustness counters of the sweep batch, straight out of
 /// [`BatchStats`](sepe_sqed::BatchStats): retries taken, degraded re-runs,
 /// panics absorbed, and the per-reason tally of stopped jobs.  On a healthy
 /// smoke run every counter is zero — the entry exists so the uploaded
@@ -299,6 +303,9 @@ struct ProofMethodResult {
     /// Length of the falsifying trace (0 if none).
     bug_trace_len: u64,
     bug_wall_ms: f64,
+    /// PDR frontier the mutated run reached (its cap is 1).
+    bug_frontier: u64,
+    bug_queries: u64,
 }
 
 /// The `proofs` arm: PDR against one clean configuration (which it must
@@ -367,15 +374,14 @@ fn run_proofs() -> ProofsResult {
     );
 
     // PDR is a prover, not a bug-finder — its one-cube-at-a-time
-    // enumeration is hopeless on a QED-sized state space — so it runs
-    // under a short deadline and is gated only on never contradicting: no
-    // proof on a buggy design, and any trace it does find must match the
-    // baseline's length.
+    // enumeration is hopeless on a QED-sized state space — so it runs with
+    // its frontier capped at 1 (a deterministic bound, unlike a deadline)
+    // and is gated only on never contradicting: no proof on a buggy design,
+    // and any trace it does find must match the baseline's length.
     let bug_config = DetectorConfig::builder()
         .processor(bug_processor)
-        .bound(3)
+        .bound(1)
         .prove(ProofMethod::Pdr)
-        .time_limit(std::time::Duration::from_secs(10))
         .build();
     println!("bench-smoke:   Pdr / mutated (falsify)");
     let faulty = Detector::new(bug_config).check(Method::SepeSqed, Some(&bug));
@@ -392,6 +398,7 @@ fn run_proofs() -> ProofsResult {
     }
 
     let work = clean.proof_work.clone().unwrap_or_default();
+    let bug_work = faulty.proof_work.clone().unwrap_or_default();
     let methods = vec![ProofMethodResult {
         prover: ProofMethod::Pdr.to_string(),
         clean_proved: clean.proved,
@@ -406,6 +413,8 @@ fn run_proofs() -> ProofsResult {
         bug_detected: faulty.detected,
         bug_trace_len: faulty.trace_len.unwrap_or(0) as u64,
         bug_wall_ms: faulty.runtime.as_secs_f64() * 1e3,
+        bug_frontier: faulty.bound_reached as u64,
+        bug_queries: bug_work.queries,
     }];
     ProofsResult { methods }
 }
@@ -415,7 +424,6 @@ struct SmokeReport {
     bound: usize,
     opcode: String,
     modes: Vec<ModeResult>,
-    parallel: ParallelResult,
     robustness: RobustnessResult,
     service_cache: ServiceCacheResult,
     proofs: ProofsResult,
@@ -488,32 +496,12 @@ fn main() {
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_smoke.json".to_string());
     let baseline_path = arg_value(&args, "--baseline");
 
-    let bug = sweep::bug(); // ADD off by one
     println!("bench-smoke: SQED sweep, tiny/ADD-only, bound {bound}");
-    let (incr_wall, incr_solver) = sweep::run(bound, &bug);
-    let (noaig_wall, noaig_solver) = sweep::run_with(bound, &bug, true, false);
-    let (raw_wall, raw_solver) = sweep::run_with(bound, &bug, false, true);
-
-    // Parallel arm: the same sweep × BATCH_COPIES, one worker vs N workers.
-    const BATCH_COPIES: usize = 4;
-    let workers = jobs_from_args();
-    let seq = Engine::new(1).run(sweep::batch_jobs(bound, BATCH_COPIES));
-    let par = Engine::new(workers).run(sweep::batch_jobs(bound, BATCH_COPIES));
-    for d in seq.detections.iter().chain(&par.detections) {
+    let sweep = Engine::new(1).run(sweep_jobs(bound));
+    for d in &sweep.detections {
         assert!(!d.detected, "SQED must miss the Table-1 bug");
-        assert!(!d.inconclusive, "the smoke batch runs without budgets");
+        assert!(!d.inconclusive, "the smoke sweep runs without budgets");
     }
-
-    let robustness = RobustnessResult::new(&par.stats);
-    let parallel = ParallelResult {
-        batch_jobs: BATCH_COPIES,
-        // The effective count (the engine clamps to the batch size), not
-        // the requested one — this is the scaling denominator.
-        workers: par.stats.workers,
-        wall_ms_jobs1: seq.stats.wall.as_secs_f64() * 1e3,
-        wall_ms_jobsn: par.stats.wall.as_secs_f64() * 1e3,
-        speedup: seq.stats.wall.as_secs_f64() / par.stats.wall.as_secs_f64().max(1e-9),
-    };
 
     println!("bench-smoke: service cache arm (cold vs hot submit)");
     let service_cache = run_service_cache();
@@ -524,13 +512,12 @@ fn main() {
     let report = SmokeReport {
         bound,
         opcode: "ADD".to_string(),
-        modes: vec![
-            ModeResult::new("incremental", incr_wall, incr_solver),
-            ModeResult::new("aig_off", noaig_wall, noaig_solver),
-            ModeResult::new("incremental_norewrite", raw_wall, raw_solver),
-        ],
-        parallel,
-        robustness,
+        modes: MODES
+            .iter()
+            .zip(&sweep.detections)
+            .map(|(&(mode, ..), d)| ModeResult::new(mode, d))
+            .collect(),
+        robustness: RobustnessResult::new(&sweep.stats),
         service_cache,
         proofs,
     };
@@ -572,14 +559,6 @@ fn main() {
         );
     }
     println!(
-        "  parallel batch ({} jobs): {:>9.1} ms on 1 worker, {:>9.1} ms on {} workers = {:.2}x speedup",
-        report.parallel.batch_jobs,
-        report.parallel.wall_ms_jobs1,
-        report.parallel.wall_ms_jobsn,
-        report.parallel.workers,
-        report.parallel.speedup,
-    );
-    println!(
         "  robustness: {} retries, {} degraded, {} panics, {} stopped jobs",
         report.robustness.retries,
         report.robustness.degraded_runs,
@@ -607,7 +586,8 @@ fn main() {
     for m in &report.proofs.methods {
         println!(
             "  proofs/{:<12} clean: {} in {:>8.1} ms (depth {}, {} queries, {} cnf vars, \
-             {} props, {} cubes, {} pushed)  bug: {} in {:>8.1} ms (trace {})",
+             {} props, {} cubes, {} pushed)  bug: {} in {:>8.1} ms (trace {}, frontier {}, \
+             {} queries)",
             m.prover,
             if m.clean_proved {
                 "PROVED"
@@ -628,6 +608,8 @@ fn main() {
             },
             m.bug_wall_ms,
             m.bug_trace_len,
+            m.bug_frontier,
+            m.bug_queries,
         );
     }
 

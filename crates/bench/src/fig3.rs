@@ -117,7 +117,6 @@ pub fn synthesis_config(profile: Profile) -> SynthesisConfig {
             synth_conflict_limit: Some(50_000),
             verify_conflict_limit: Some(50_000),
             time_limit: Some(Duration::from_secs(20)),
-            ..SynthesisConfig::default()
         },
         Profile::Full => SynthesisConfig {
             width: 16,
@@ -128,7 +127,6 @@ pub fn synthesis_config(profile: Profile) -> SynthesisConfig {
             synth_conflict_limit: Some(200_000),
             verify_conflict_limit: Some(200_000),
             time_limit: Some(Duration::from_secs(240)),
-            ..SynthesisConfig::default()
         },
     }
 }

@@ -164,11 +164,6 @@ pub fn detector_for(bug: &Mutation, profile: Profile) -> Detector {
     })
 }
 
-/// Runs the Figure-4 experiment sequentially (one worker).
-pub fn run(profile: Profile) -> Vec<Fig4Row> {
-    run_with_jobs(profile, 1).0
-}
-
 /// The two detection jobs of one Figure-4 bug.  Both methods explore depth
 /// by depth on the persistent incremental solver (the default):
 /// counterexamples are genuinely shortest, so the length-ratio curve
@@ -193,8 +188,7 @@ fn jobs_for(bug: &Mutation, profile: Profile) -> [DetectionJob; 2] {
 }
 
 /// Runs the Figure-4 experiment on the parallel detection engine with the
-/// given worker count; `jobs = 1` runs inline in the sequential driver's
-/// order, so its rows are bit-identical to [`run`]'s.
+/// given worker count; `jobs = 1` runs the jobs inline, one after another.
 pub fn run_with_jobs(profile: Profile, jobs: usize) -> (Vec<Fig4Row>, BatchStats) {
     let bugs = bugs(profile);
     let batch: Vec<DetectionJob> = bugs.iter().flat_map(|bug| jobs_for(bug, profile)).collect();

@@ -8,14 +8,12 @@
 //! * [`fig4`] — injected multiple-instruction bugs: detection time and
 //!   counterexample length for both methods, plus the SQED/SEPE ratios.
 //!
-//! Each module exposes a `run` function returning serializable row structs
-//! and a `print` function producing the paper-style table.  The
-//! `fig3`/`table1`/`fig4` binaries are thin wrappers; the Criterion benches
-//! in `benches/` time representative slices of the same runners.  The
-//! detection experiments additionally expose a `run_with_jobs` variant that
-//! schedules the per-bug checks on the parallel engine
-//! (`sepe_sqed::parallel`); `--jobs N` / `SEPE_JOBS` select the worker
-//! count and `jobs = 1` reproduces the sequential runs exactly.
+//! Each module exposes a runner returning serializable row structs and a
+//! `print` function producing the paper-style table; the
+//! `fig3`/`table1`/`fig4` binaries are thin wrappers.  The detection
+//! experiments' runner, `run_with_jobs`, schedules the per-bug checks on the
+//! parallel engine (`sepe_sqed::parallel`); `--jobs N` / `SEPE_JOBS` select
+//! the worker count and `jobs = 1` runs the checks one after another.
 //!
 //! # Example
 //!
@@ -33,7 +31,6 @@
 pub mod fig3;
 pub mod fig4;
 pub mod report;
-pub mod sweep;
 pub mod table1;
 
 use std::time::Duration;

@@ -163,11 +163,6 @@ pub fn bugs(profile: Profile) -> Vec<Mutation> {
     }
 }
 
-/// Runs the Table-1 experiment sequentially (one worker).
-pub fn run(profile: Profile) -> Vec<Table1Row> {
-    run_with_jobs(profile, 1).0
-}
-
 /// The two detection jobs of one Table-1 bug: the SQED run (shallower
 /// bound — the point of the row is that it finds nothing no matter how long
 /// it looks) and the SEPE-SQED run.  Both explore per depth on the
@@ -200,9 +195,7 @@ fn jobs_for(bug: &Mutation, profile: Profile) -> [DetectionJob; 2] {
 
 /// Runs the Table-1 experiment on the parallel detection engine with the
 /// given worker count.  Every bug contributes two independent jobs (SQED +
-/// SEPE-SQED); `jobs = 1` runs them inline in the same order as the
-/// sequential driver always has, so its rows are bit-identical to
-/// [`run`]'s.
+/// SEPE-SQED); `jobs = 1` runs them inline, one after another.
 pub fn run_with_jobs(profile: Profile, jobs: usize) -> (Vec<Table1Row>, BatchStats) {
     let bugs = bugs(profile);
     let batch: Vec<DetectionJob> = bugs.iter().flat_map(|bug| jobs_for(bug, profile)).collect();

@@ -85,23 +85,12 @@ pub struct DetectorConfig {
     /// a batch climb the degradation ladder further (or not at all) than
     /// its batchmates.
     pub retry: Option<RetryPolicy>,
-    /// Replay every counterexample on the concrete processor twin before
-    /// reporting it (on by default); a replay that does not reproduce the
-    /// inconsistency demotes the verdict to an inconclusive
-    /// [`StopReason::WitnessMismatch`] instead of a silently wrong `Bug`.
-    pub validate_witness: bool,
     /// Run the IC3/PDR prover instead of plain bounded model checking
     /// (default `None`: bounded BMC up to `max_bound`).  With a method set,
     /// the prover alone runs — no bounded sweep first — and `max_bound`
     /// becomes its frontier cap; a run may now end `Proved` — a conclusive
     /// "no bug at *any* depth" the bounded checker can never give.
     pub prove: Option<ProofMethod>,
-    /// Re-check every `Proved` verdict's certificate on an independent
-    /// fresh solver before it leaves the detector (on by default); a
-    /// certificate that fails demotes the verdict to an inconclusive
-    /// [`StopReason::ProofMismatch`] — the proof-side twin of the witness
-    /// self-check.
-    pub validate_proof: bool,
 }
 
 impl Default for DetectorConfig {
@@ -120,9 +109,7 @@ impl Default for DetectorConfig {
             memory_limit: None,
             fault: None,
             retry: None,
-            validate_witness: true,
             prove: None,
-            validate_proof: true,
         }
     }
 }
@@ -239,22 +226,10 @@ impl DetectorConfigBuilder {
         self
     }
 
-    /// Turns the concrete witness self-check on or off.
-    pub fn validate_witness(mut self, validate: bool) -> Self {
-        self.config.validate_witness = validate;
-        self
-    }
-
     /// Runs the unbounded prover (IC3/PDR) instead of plain bounded model
     /// checking.
     pub fn prove(mut self, method: ProofMethod) -> Self {
         self.config.prove = Some(method);
-        self
-    }
-
-    /// Turns the independent-solver certificate self-check on or off.
-    pub fn validate_proof(mut self, validate: bool) -> Self {
-        self.config.validate_proof = validate;
         self
     }
 
@@ -290,7 +265,7 @@ pub struct Detection {
     /// counterexample replayed and reproduced the inconsistency,
     /// `Some(false)` when it did not (the verdict was demoted to
     /// [`StopReason::WitnessMismatch`]), `None` when no counterexample was
-    /// found or validation was disabled.
+    /// found.
     pub witness_validated: Option<bool>,
     /// Whether the property was *proved* for all depths (an unbounded
     /// prover converged).  Strictly stronger than `!detected &&
@@ -303,8 +278,7 @@ pub struct Detection {
     /// Result of the independent-solver certificate self-check:
     /// `Some(true)` when the invariant re-verified, `Some(false)` when it
     /// did not (the verdict was demoted to
-    /// [`StopReason::ProofMismatch`]), `None` when nothing was proved or
-    /// validation was disabled.
+    /// [`StopReason::ProofMismatch`]), `None` when nothing was proved.
     pub proof_checked: Option<bool>,
     /// Work counters of the prover run (`None` when no prover was
     /// configured): queries, cubes blocked, clauses pushed — what the bench
@@ -523,18 +497,16 @@ impl Detector {
                         .map(|cert| corrupt_certificate(tm, cert)),
                     _ => certificate,
                 };
-                let checked = self.config.validate_proof.then(|| {
-                    certificate
-                        .as_ref()
-                        .is_some_and(|cert| verify_certificate(tm, ts, cert).is_ok())
-                });
+                let checked = certificate
+                    .as_ref()
+                    .is_some_and(|cert| verify_certificate(tm, ts, cert).is_ok());
                 let proof = Detection {
                     proof_method: Some(prover),
                     proof_depth: Some(depth),
-                    proof_checked: checked,
+                    proof_checked: Some(checked),
                     ..run
                 };
-                if checked == Some(false) {
+                if !checked {
                     // The prover's certificate does not re-verify on a fresh
                     // solver: a structured failure, not a proof.
                     return Detection {
@@ -577,15 +549,13 @@ impl Detector {
             Some(f) if f.corrupt_witness => crate::selfcheck::corrupt_witness(&witness),
             _ => witness,
         };
-        let validated = self.config.validate_witness.then(|| {
-            crate::selfcheck::replay_confirms(
-                &self.config.processor,
-                mutation,
-                run.method,
-                &witness,
-            )
-        });
-        if validated == Some(false) {
+        let validated = crate::selfcheck::replay_confirms(
+            &self.config.processor,
+            mutation,
+            run.method,
+            &witness,
+        );
+        if !validated {
             return Detection {
                 inconclusive: true,
                 stop_reason: Some(StopReason::WitnessMismatch),
@@ -598,7 +568,7 @@ impl Detector {
             detected: true,
             trace_len: Some(witness.num_steps()),
             witness: Some(witness),
-            witness_validated: validated,
+            witness_validated: Some(true),
             ..run
         }
     }

@@ -307,7 +307,7 @@ pub struct BatchStats {
     /// tallied).
     pub stop_reasons: StopReasonTally,
     /// Concrete witness replays performed on final counterexamples (the
-    /// self-check of [`DetectorConfig::validate_witness`]).
+    /// detector's witness self-check).
     pub witness_validations: u64,
     /// Replays whose final verdict was a mismatch — the counterexample did
     /// not reproduce and the job was demoted.

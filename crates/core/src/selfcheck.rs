@@ -21,9 +21,7 @@
 //! immediates, in-range shift amounts, page-aligned upper immediates).  The
 //! reconstruction in [`committed_stream`] therefore round-trips exactly.
 //!
-//! This check runs by default on every [`Detector`] counterexample;
-//! `DetectorConfig::validate_witness` turns it off for callers that want raw
-//! solver output.
+//! This check runs on every [`Detector`] counterexample.
 //!
 //! [`Detector`]: crate::detect::Detector
 //! [`StopReason::WitnessMismatch`]: sepe_smt::StopReason::WitnessMismatch

@@ -95,12 +95,6 @@ impl MutantCore {
         self.mem[index % self.config.mem_words]
     }
 
-    /// Writes a data-memory word by index.
-    pub fn set_mem_word(&mut self, index: usize, value: u64) {
-        let idx = index % self.config.mem_words;
-        self.mem[idx] = mask(value, self.config.xlen);
-    }
-
     /// The full register file (with `x0` forced to zero).
     pub fn regs(&self) -> Vec<u64> {
         let mut out = self.regs.clone();

@@ -2,7 +2,7 @@
 //! modules: opcode selectors, register-file muxes and the ALU result mux.
 
 use sepe_isa::{semantics, Opcode};
-use sepe_smt::{Sort, TermId, TermManager};
+use sepe_smt::{TermId, TermManager};
 
 /// Width of the opcode selector field on the symbolic instruction port.
 pub const OPCODE_BITS: u32 = 5;
@@ -129,19 +129,10 @@ pub fn opcode_result(
     }
 }
 
-/// Creates the instruction-port field sorts for a given data-path width.
-pub fn port_sorts(xlen: u32) -> (Sort, Sort, Sort) {
-    (
-        Sort::BitVec(OPCODE_BITS),
-        Sort::BitVec(REG_BITS),
-        Sort::BitVec(xlen),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sepe_smt::concrete;
+    use sepe_smt::{concrete, Sort};
     use std::collections::HashMap;
 
     #[test]

@@ -28,11 +28,6 @@ pub struct Model {
 }
 
 impl Model {
-    /// Creates a model from raw variable values.
-    pub fn from_values(values: Assignment) -> Self {
-        Model { values }
-    }
-
     /// Value of a variable term (0 for variables absent from the model).
     pub fn value(&self, var: TermId) -> u64 {
         self.values.get(&var).copied().unwrap_or(0)

@@ -775,11 +775,6 @@ impl TermManager {
         self.bv_ult(b, a)
     }
 
-    /// Signed greater-than.
-    pub fn bv_sgt(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_slt(b, a)
-    }
-
     /// Concatenation; `hi` supplies the high bits.
     pub fn bv_concat(&mut self, hi: TermId, lo: TermId) -> TermId {
         let wh = self.width(hi);
@@ -860,18 +855,6 @@ impl TermManager {
         let one = self.one(width);
         let zero = self.zero(width);
         self.ite(b, one, zero)
-    }
-
-    /// Resizes a bit-vector to `width` by zero extension or truncation.
-    pub fn bv_resize_zero(&mut self, arg: TermId, width: u32) -> TermId {
-        let w = self.width(arg);
-        if width == w {
-            arg
-        } else if width > w {
-            self.bv_zero_ext(arg, width - w)
-        } else {
-            self.bv_extract(arg, width - 1, 0)
-        }
     }
 
     /// All variables reachable from `roots`, in deterministic order.

@@ -61,20 +61,8 @@ pub struct SynthesisConfig {
     pub synth_conflict_limit: Option<u64>,
     /// SAT conflict budget per verification query.
     pub verify_conflict_limit: Option<u64>,
-    /// The HPF influencing factor α.
-    pub alpha: i64,
-    /// Weight increment applied on every HPF update.
-    pub weight_increment: u64,
-    /// Initial choice/exclusion weights.
-    pub initial_weight: u64,
     /// Wall-clock budget for a whole driver run on one specification.
     pub time_limit: Option<Duration>,
-    /// Seed for the multiset shuffling used by the iterative driver.
-    pub seed: u64,
-    /// Word-level simplification ahead of bit-blasting in both CEGIS
-    /// solvers (on by default; off is the pre-rewrite baseline used by the
-    /// differential tests).
-    pub simplify: bool,
 }
 
 impl Default for SynthesisConfig {
@@ -87,12 +75,7 @@ impl Default for SynthesisConfig {
             max_cegis_iterations: 16,
             synth_conflict_limit: Some(200_000),
             verify_conflict_limit: Some(200_000),
-            alpha: 1,
-            weight_increment: 1,
-            initial_weight: 1,
             time_limit: None,
-            seed: 0x5e9e,
-            simplify: true,
         }
     }
 }
@@ -183,7 +166,6 @@ impl CegisEngine {
         // ----------------------------------------------------------
         let mut tm = TermManager::new();
         let mut solver = IncrementalSolver::new();
-        solver.set_simplify(self.config.simplify);
         solver.set_conflict_limit(self.config.synth_conflict_limit);
 
         let outputs: Vec<TermId> = (0..n)
@@ -267,7 +249,6 @@ impl CegisEngine {
         // ----------------------------------------------------------
         let mut vtm = TermManager::new();
         let mut verifier = IncrementalSolver::new();
-        verifier.set_simplify(self.config.simplify);
         verifier.set_conflict_limit(self.config.verify_conflict_limit);
         let vinputs = spec.fresh_inputs(&mut vtm, "v");
         let constraint = spec.input_constraint(&mut vtm, &vinputs);

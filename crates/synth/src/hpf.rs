@@ -24,6 +24,13 @@ use crate::library::Library;
 use crate::spec::Spec;
 use crate::SynthesisResult;
 
+/// The influencing factor α of the priority formula.
+const ALPHA: f64 = 1.0;
+/// What every weight starts at.
+const INITIAL_WEIGHT: u64 = 1;
+/// What a weight grows by on every update.
+const WEIGHT_INCREMENT: u64 = 1;
+
 /// Per-component priority weights `[c_j, e_j]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Weights {
@@ -43,11 +50,11 @@ pub struct HpfCegis {
 }
 
 impl HpfCegis {
-    /// Creates a driver with all weights initialised to the configured value.
+    /// Creates a driver with all weights at their initial value.
     pub fn new(config: SynthesisConfig, library: Library) -> Self {
         let initial = Weights {
-            choice: config.initial_weight,
-            exclusion: config.initial_weight,
+            choice: INITIAL_WEIGHT,
+            exclusion: INITIAL_WEIGHT,
         };
         let weights = vec![initial; library.len()];
         HpfCegis {
@@ -70,20 +77,20 @@ impl HpfCegis {
     /// The priority of a multiset of component indices for a given spec.
     pub fn priority(&self, multiset: &[usize], spec: &Spec) -> f64 {
         let components = self.library.components();
-        priority_of(multiset, &self.weights, self.config.alpha as f64, |idx| {
+        priority_of(multiset, &self.weights, ALPHA, |idx| {
             chi(&components[idx], spec)
         })
     }
 
     fn bump_choice(&mut self, multiset: &[usize]) {
         for &idx in multiset {
-            self.weights[idx].choice += self.config.weight_increment;
+            self.weights[idx].choice += WEIGHT_INCREMENT;
         }
     }
 
     fn bump_exclusion(&mut self, multiset: &[usize]) {
         for &idx in multiset {
-            self.weights[idx].exclusion += self.config.weight_increment;
+            self.weights[idx].exclusion += WEIGHT_INCREMENT;
         }
     }
 
@@ -102,7 +109,7 @@ impl HpfCegis {
                     break;
                 }
             }
-            let Some(multiset) = ranking.pop_best(&self.weights, self.config.alpha as f64) else {
+            let Some(multiset) = ranking.pop_best(&self.weights, ALPHA) else {
                 break;
             };
             let components: Vec<&Component> = multiset
@@ -228,7 +235,6 @@ mod tests {
             synth_conflict_limit: Some(20_000),
             verify_conflict_limit: Some(20_000),
             time_limit: Some(Duration::from_secs(60)),
-            ..SynthesisConfig::default()
         }
     }
 
@@ -292,11 +298,22 @@ mod tests {
     }
 
     /// The ranking before keys were cached: a stable sort that recomputes
-    /// `priority` on every comparison, then the head.
-    fn reference_pop(hpf: &HpfCegis, multisets: &mut Vec<Vec<usize>>, spec: &Spec) -> Vec<usize> {
+    /// the priority (χ included) on every comparison, then the head.
+    fn reference_pop(
+        library: &Library,
+        weights: &[Weights],
+        alpha: f64,
+        multisets: &mut Vec<Vec<usize>>,
+        spec: &Spec,
+    ) -> Vec<usize> {
+        let priority = |multiset: &[usize]| {
+            priority_of(multiset, weights, alpha, |idx| {
+                chi(&library.components()[idx], spec)
+            })
+        };
         multisets.sort_by(|a, b| {
-            hpf.priority(b, spec)
-                .partial_cmp(&hpf.priority(a, spec))
+            priority(b)
+                .partial_cmp(&priority(a))
                 .unwrap_or(Ordering::Equal)
         });
         multisets.remove(0)
@@ -310,33 +327,31 @@ mod tests {
         let library = Library::standard();
         // ADD: χ = 1 for the ADD and ADDI components.
         let spec = Spec::for_opcode(Opcode::Add, 4);
-        for (seed, (alpha, increment)) in [0, 1, 4]
+        for (seed, (alpha, increment)) in [0.0, 1.0, 4.0]
             .into_iter()
             .flat_map(|a| [1, 4].map(|i| (a, i)))
             .enumerate()
         {
-            let config = SynthesisConfig {
-                alpha,
-                weight_increment: increment,
-                ..SynthesisConfig::default()
-            };
-            let mut hpf = HpfCegis::new(config, library.clone());
+            let mut weights = HpfCegis::new(SynthesisConfig::default(), library.clone()).weights;
             let mut reference = library.multisets(3);
             assert_eq!(reference.len(), 4_495);
             let mut ranking = Ranking::new(&library, 3, &spec);
             let mut rng = StdRng::seed_from_u64(seed as u64);
             for round in 0..60 {
-                let want = reference_pop(&hpf, &mut reference, &spec);
-                let got = ranking.pop_best(&hpf.weights, alpha as f64).unwrap();
+                let want = reference_pop(&library, &weights, alpha, &mut reference, &spec);
+                let got = ranking.pop_best(&weights, alpha).unwrap();
                 assert_eq!(got, want, "α={alpha} +{increment} round {round}: pick");
                 assert!(
                     ranking.entries.iter().map(|e| &e.1).eq(reference.iter()),
                     "α={alpha} +{increment} round {round}: remaining order"
                 );
-                if rng.gen_bool(0.3) {
-                    hpf.bump_choice(&got);
-                } else {
-                    hpf.bump_exclusion(&got);
+                let success = rng.gen_bool(0.3);
+                for &idx in &got {
+                    if success {
+                        weights[idx].choice += increment;
+                    } else {
+                        weights[idx].exclusion += increment;
+                    }
                 }
             }
         }
@@ -353,7 +368,6 @@ mod tests {
             synth_conflict_limit: Some(50_000),
             verify_conflict_limit: Some(50_000),
             time_limit: None,
-            ..SynthesisConfig::default()
         }
     }
 

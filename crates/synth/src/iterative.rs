@@ -17,6 +17,9 @@ use crate::library::Library;
 use crate::spec::Spec;
 use crate::SynthesisResult;
 
+/// Seed of the multiset shuffle.
+const SEED: u64 = 0x5e9e;
+
 /// The iterative CEGIS driver.
 #[derive(Debug, Clone)]
 pub struct IterativeCegis {
@@ -35,7 +38,7 @@ impl IterativeCegis {
     pub fn synthesize(&self, spec: &Spec) -> SynthesisResult {
         let start = Instant::now();
         let engine = CegisEngine::new(self.config.clone());
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mut programs = Vec::new();
         let mut tried = 0;
         let mut successful = 0;
@@ -96,7 +99,6 @@ mod tests {
             synth_conflict_limit: Some(20_000),
             verify_conflict_limit: Some(20_000),
             time_limit: Some(Duration::from_secs(60)),
-            ..SynthesisConfig::default()
         };
         let driver = IterativeCegis::new(config, Library::minimal());
         let spec = Spec::for_opcode(Opcode::Sub, 8);

@@ -209,11 +209,6 @@ pub enum BmcResult {
 }
 
 impl BmcResult {
-    /// Whether a counterexample was found.
-    pub fn is_counterexample(&self) -> bool {
-        matches!(self, BmcResult::Counterexample(_))
-    }
-
     /// Whether an unbounded proof was closed.
     pub fn is_proved(&self) -> bool {
         matches!(self, BmcResult::Proved { .. })

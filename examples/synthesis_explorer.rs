@@ -22,7 +22,6 @@ fn main() {
         synth_conflict_limit: Some(50_000),
         verify_conflict_limit: Some(50_000),
         time_limit: Some(std::time::Duration::from_secs(30)),
-        ..SynthesisConfig::default()
     };
     let library = Library::standard();
     println!(

@@ -12,7 +12,7 @@ use sepe_synth::spec::Spec;
 use sepe_synth::SynthesisConfig;
 
 #[test]
-#[ignore = "deeper formal check (~minutes); run with cargo test -- --ignored"]
+#[ignore = "release-speed check (about two seconds optimised); run with cargo test --release -- --ignored"]
 fn synthesized_program_drives_bug_detection() {
     let width = 8; // synthesis and verification share the same data-path width
 
