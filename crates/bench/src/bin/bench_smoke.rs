@@ -52,14 +52,20 @@
 //! one clean configuration and one Table-1 mutation.  The clean config must
 //! come back **Proved** — the verdict no bounded sweep can give — with its
 //! inductive invariant re-verified on an independent solver, and the prover
-//! may never contradict the bounded baseline.  Those contracts are
-//! deterministic, so they are hard gates on every run; the proof work
-//! counters (frontier depth, queries, the prover solver's CNF variables and
-//! propagations, cubes blocked, clauses pushed) are recorded for the
-//! artifact history only.
+//! may never contradict the bounded baseline.  When the mutated run ends
+//! without a trace, the trace-length comparison has nothing to check: the
+//! run prints a `SKIPPED` line and records `bug_trace_gate: "SKIPPED"`.
+//! Those contracts are deterministic, so they are hard gates on every
+//! run; the proof work counters (frontier depth, queries, the prover
+//! solver's CNF variables and propagations, cubes blocked, clauses pushed)
+//! are recorded for the artifact history only.
 //!
 //! Usage:
 //!   bench_smoke [--bound N] [--out BENCH_smoke.json] [--baseline BENCH_baseline.json]
+//!
+//! An unknown argument or a flag without its value exits with code 2 and
+//! the usage line before anything runs, so a misspelt `--baseline` cannot
+//! silently turn the regression gate off.
 
 use serde::{Serialize, Value};
 
@@ -302,6 +308,10 @@ struct ProofMethodResult {
     bug_detected: bool,
     /// Length of the falsifying trace (0 if none).
     bug_trace_len: u64,
+    /// The trace-length agreement gate: `"checked"` when PDR found a trace
+    /// and its length was compared with the baseline's, `"SKIPPED"` when
+    /// the run ended without a trace and the gate had nothing to compare.
+    bug_trace_gate: String,
     bug_wall_ms: f64,
     /// PDR frontier the mutated run reached (its cap is 1).
     bug_frontier: u64,
@@ -389,13 +399,21 @@ fn run_proofs() -> ProofsResult {
         !faulty.proved,
         "proofs arm: PDR proved a buggy design: {faulty:?}"
     );
-    if faulty.detected {
+    let bug_trace_gate = if faulty.detected {
         assert_eq!(
             faulty.trace_len, reference.trace_len,
             "proofs arm: PDR and the bounded baseline disagree on the shortest trace for {}",
             bug.name
         );
-    }
+        "checked"
+    } else {
+        println!(
+            "bench-smoke:   SKIPPED trace-length agreement gate: PDR found no trace \
+             (frontier {})",
+            faulty.bound_reached
+        );
+        "SKIPPED"
+    };
 
     let work = clean.proof_work.clone().unwrap_or_default();
     let bug_work = faulty.proof_work.clone().unwrap_or_default();
@@ -412,6 +430,7 @@ fn run_proofs() -> ProofsResult {
         clean_clauses_pushed: work.clauses_pushed,
         bug_detected: faulty.detected,
         bug_trace_len: faulty.trace_len.unwrap_or(0) as u64,
+        bug_trace_gate: bug_trace_gate.to_string(),
         bug_wall_ms: faulty.runtime.as_secs_f64() * 1e3,
         bug_frontier: faulty.bound_reached as u64,
         bug_queries: bug_work.queries,
@@ -479,22 +498,58 @@ fn mode_of(entry: &Value) -> &str {
     entry.get("mode").and_then(Value::as_str).unwrap_or("")
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+const USAGE: &str = "usage: bench_smoke [--bound N] [--out PATH] [--baseline PATH]";
+
+/// The parsed command line.
+struct Options {
+    bound: usize,
+    out_path: String,
+    baseline_path: Option<String>,
+}
+
+/// Parses the command line; an unknown argument, a flag without a value or
+/// a non-numeric bound is an error.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut options = Options {
+        // Bound 6 is the first depth where the SQED consistency query is
+        // hard (bound 5 finishes in milliseconds): small enough for a CI
+        // smoke run, big enough that learnt-database reduction fires.
+        bound: 6,
+        out_path: "BENCH_smoke.json".to_string(),
+        baseline_path: None,
+    };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let value = args
+            .next()
+            .filter(|v| !v.starts_with("--"))
+            .cloned()
+            .ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--bound" => {
+                let value = value?;
+                options.bound = value
+                    .parse()
+                    .map_err(|_| format!("--bound takes a number, got {value}"))?;
+            }
+            "--out" => options.out_path = value?,
+            "--baseline" => options.baseline_path = Some(value?),
+            _ => return Err(format!("unknown argument {flag}")),
+        }
+    }
+    Ok(options)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Bound 6 is the first depth where the SQED consistency query is hard
-    // (bound 5 finishes in milliseconds): small enough for a CI smoke run,
-    // big enough that learnt-database reduction actually fires.
-    let bound: usize = arg_value(&args, "--bound")
-        .map(|v| v.parse().expect("--bound takes a number"))
-        .unwrap_or(6);
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_smoke.json".to_string());
-    let baseline_path = arg_value(&args, "--baseline");
+    let Options {
+        bound,
+        out_path,
+        baseline_path,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("bench_smoke: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
 
     println!("bench-smoke: SQED sweep, tiny/ADD-only, bound {bound}");
     let sweep = Engine::new(1).run(sweep_jobs(bound));
@@ -704,6 +759,40 @@ fn main() {
         }
         if gate.stale || gate.search_changed || gate.regressed {
             std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn known_flags_parse() {
+        let options =
+            parse(&["--bound", "4", "--baseline", "base.json", "--out", "o.json"]).unwrap();
+        assert_eq!(options.bound, 4);
+        assert_eq!(options.out_path, "o.json");
+        assert_eq!(options.baseline_path.as_deref(), Some("base.json"));
+        let defaults = parse(&[]).unwrap();
+        assert_eq!((defaults.bound, defaults.baseline_path), (6, None));
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_errors() {
+        for args in [
+            &["--basline", "BENCH_baseline.json"][..],
+            &["--jobs", "2"],
+            &["stray"],
+            &["--baseline"],
+            &["--out", "--baseline", "b.json"],
+            &["--bound", "six"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} must be rejected");
         }
     }
 }

@@ -7,15 +7,14 @@
 //! without first running synthesis, and it covers the multiply instructions
 //! that the paper routes around the synthesizer via CIC components.
 
-use std::collections::HashMap;
-
 use sepe_isa::Opcode;
+use sepe_smt::FastMap;
 use sepe_synth::program::{EquivTemplate, ImmSlot, Slot, TemplateInstr};
 
 /// Maps opcodes to their chosen semantically equivalent program.
 #[derive(Debug, Clone, Default)]
 pub struct EquivalenceDb {
-    templates: HashMap<Opcode, EquivTemplate>,
+    templates: FastMap<Opcode, EquivTemplate>,
 }
 
 fn rr(opcode: Opcode, dest: Slot, src1: Slot, src2: Slot) -> TemplateInstr {

@@ -575,7 +575,7 @@ mod tests {
     use super::*;
     use sepe_isa::{Instr, Reg};
     use sepe_processor::MutantCore;
-    use std::collections::HashMap;
+    use sepe_smt::concrete::Assignment;
 
     fn builder(opcodes: &[Opcode]) -> QedBuilder {
         QedBuilder {
@@ -598,15 +598,18 @@ mod tests {
         system: &QedSystem,
         steps: &[Option<Instr>],
         xlen: u32,
-    ) -> Vec<HashMap<TermId, u64>> {
+    ) -> Vec<Assignment> {
         use sepe_smt::concrete::eval;
         // initial state
-        let mut state: HashMap<TermId, u64> = system
+        let mut state: Assignment = system
             .ts
             .state_vars()
             .iter()
             .map(|sv| {
-                let v = sv.init.map(|t| eval(tm, t, &HashMap::new())).unwrap_or(0);
+                let v = sv
+                    .init
+                    .map(|t| eval(tm, t, &Assignment::default()))
+                    .unwrap_or(0);
                 (sv.current, v)
             })
             .collect();
@@ -648,7 +651,7 @@ mod tests {
                     env.insert(port.imm, state[&queue_head[4]]);
                 }
             }
-            let next: HashMap<TermId, u64> = system
+            let next: Assignment = system
                 .ts
                 .state_vars()
                 .iter()

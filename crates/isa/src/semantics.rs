@@ -143,8 +143,8 @@ mod tests {
     use super::*;
     use crate::exec::alu_value;
     use crate::reg::Reg;
+    use sepe_smt::concrete::Assignment;
     use sepe_smt::{concrete, IncrementalSolver, SatResult, Sort};
-    use std::collections::HashMap;
 
     /// Cross-checks the symbolic semantics against the concrete golden model
     /// on random operand values for every ALU opcode at 32 bits.
@@ -177,7 +177,7 @@ mod tests {
                 let a = tm.var("a", Sort::BitVec(32));
                 let b = tm.var("b", Sort::BitVec(32));
                 let r = alu_result(&mut tm, op, a, b);
-                let env: HashMap<_, _> = [(a, u64::from(av)), (b, u64::from(bv))]
+                let env: Assignment = [(a, u64::from(av)), (b, u64::from(bv))]
                     .into_iter()
                     .collect();
                 let got = concrete::eval(&tm, r, &env) as u32;
@@ -195,7 +195,7 @@ mod tests {
         let mut tm = TermManager::new();
         let a = tm.var("a", Sort::BitVec(32));
         let b = tm.var("b", Sort::BitVec(32));
-        let env: HashMap<_, _> = [(a, 100u64), (b, 7u64)].into_iter().collect();
+        let env: Assignment = [(a, 100u64), (b, 7u64)].into_iter().collect();
 
         let addi = Instr::addi(Reg(1), Reg(2), -1);
         let r = instr_result(&mut tm, &addi, a, b, 32);
@@ -216,7 +216,7 @@ mod tests {
         let a = tm.var("a", Sort::BitVec(32));
         let b = tm.var("b", Sort::BitVec(32));
         let r = alu_result(&mut tm, Opcode::Sll, a, b);
-        let env: HashMap<_, _> = [(a, 1u64), (b, 33u64)].into_iter().collect();
+        let env: Assignment = [(a, 1u64), (b, 33u64)].into_iter().collect();
         assert_eq!(concrete::eval(&tm, r, &env), 2);
     }
 
@@ -247,7 +247,7 @@ mod tests {
         let r = mul_high(&mut tm, a, b, true, true);
         for av in 0..=255u64 {
             for bv in (0..=255u64).step_by(17) {
-                let env: HashMap<_, _> = [(a, av), (b, bv)].into_iter().collect();
+                let env: Assignment = [(a, av), (b, bv)].into_iter().collect();
                 let expect = (((av as i8 as i16) * (bv as i8 as i16)) as u16 >> 8) as u64 & 0xff;
                 assert_eq!(concrete::eval(&tm, r, &env), expect);
             }

@@ -216,8 +216,8 @@ mod tests {
     use crate::symbolic::SymbolicProcessor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use sepe_smt::concrete::Assignment;
     use sepe_smt::TermManager;
-    use std::collections::HashMap;
 
     #[test]
     fn reduced_width_alu_matches_full_width_at_32_bits() {
@@ -297,8 +297,7 @@ mod tests {
 
                 let mut tm = TermManager::new();
                 let proc = SymbolicProcessor::build(&mut tm, &config, mutation.as_ref());
-                let inputs: Vec<HashMap<_, _>> =
-                    program.iter().map(|i| proc.port_inputs(i)).collect();
+                let inputs: Vec<Assignment> = program.iter().map(|i| proc.port_inputs(i)).collect();
                 let trace = proc.ts.simulate(&tm, &inputs);
                 let last = trace.last().expect("trace");
 

@@ -132,8 +132,8 @@ pub fn opcode_result(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sepe_smt::concrete::Assignment;
     use sepe_smt::{concrete, Sort};
-    use std::collections::HashMap;
 
     #[test]
     fn opcode_indices_roundtrip() {
@@ -151,8 +151,8 @@ mod tests {
         let op = tm.var("op", Sort::BitVec(OPCODE_BITS));
         let is_add = opcode_is(&mut tm, op, Opcode::Add);
         let in_set = opcode_in(&mut tm, op, &[Opcode::Add, Opcode::Sub]);
-        let env_add: HashMap<_, _> = [(op, opcode_index(Opcode::Add))].into_iter().collect();
-        let env_xor: HashMap<_, _> = [(op, opcode_index(Opcode::Xor))].into_iter().collect();
+        let env_add: Assignment = [(op, opcode_index(Opcode::Add))].into_iter().collect();
+        let env_xor: Assignment = [(op, opcode_index(Opcode::Xor))].into_iter().collect();
         assert_eq!(concrete::eval(&tm, is_add, &env_add), 1);
         assert_eq!(concrete::eval(&tm, is_add, &env_xor), 0);
         assert_eq!(concrete::eval(&tm, in_set, &env_add), 1);
@@ -167,7 +167,7 @@ mod tests {
             .collect();
         let idx = tm.var("idx", Sort::BitVec(REG_BITS));
         let sel = select_reg(&mut tm, &regs, idx);
-        let mut env: HashMap<_, _> = regs
+        let mut env: Assignment = regs
             .iter()
             .enumerate()
             .map(|(i, &r)| (r, i as u64))
@@ -183,8 +183,8 @@ mod tests {
         let mut tm = TermManager::new();
         let op = tm.var("op", Sort::BitVec(OPCODE_BITS));
         let w = writes_rd_term(&mut tm, op, &Opcode::ALL);
-        let env_sw: HashMap<_, _> = [(op, opcode_index(Opcode::Sw))].into_iter().collect();
-        let env_lw: HashMap<_, _> = [(op, opcode_index(Opcode::Lw))].into_iter().collect();
+        let env_sw: Assignment = [(op, opcode_index(Opcode::Sw))].into_iter().collect();
+        let env_lw: Assignment = [(op, opcode_index(Opcode::Lw))].into_iter().collect();
         assert_eq!(concrete::eval(&tm, w, &env_sw), 0);
         assert_eq!(concrete::eval(&tm, w, &env_lw), 1);
     }
@@ -205,10 +205,10 @@ mod tests {
             Opcode::Lui,
         ];
         let mux = result_mux(&mut tm, &allowed, op, a, b, imm, mr);
-        let base: HashMap<_, _> = [(a, 100u64), (b, 7u64), (imm, 0xff00u64), (mr, 0xabcdu64)]
+        let base: Assignment = [(a, 100u64), (b, 7u64), (imm, 0xff00u64), (mr, 0xabcdu64)]
             .into_iter()
             .collect();
-        let with_op = |env: &HashMap<_, _>, o: Opcode| {
+        let with_op = |env: &Assignment, o: Opcode| {
             let mut e = env.clone();
             e.insert(op, opcode_index(o));
             e

@@ -12,9 +12,8 @@
 //! property, and constrain the [`InstrPort`] inputs to legal QED instruction
 //! streams.
 
-use std::collections::HashMap;
-
 use sepe_isa::{Instr, Opcode, OperandKind};
+use sepe_smt::concrete::Assignment;
 use sepe_smt::{Sort, TermId, TermManager};
 use sepe_tsys::TransitionSystem;
 
@@ -401,14 +400,14 @@ impl SymbolicProcessor {
 
     /// The port input assignment encoding one concrete instruction (for
     /// simulation and witness replay).
-    pub fn port_inputs(&self, instr: &Instr) -> HashMap<TermId, u64> {
+    pub fn port_inputs(&self, instr: &Instr) -> Assignment {
         self.port_inputs_banked(instr, false)
     }
 
     /// The port input assignment for one instruction routed to the given
     /// memory bank.
-    pub fn port_inputs_banked(&self, instr: &Instr, bank: bool) -> HashMap<TermId, u64> {
-        HashMap::from([
+    pub fn port_inputs_banked(&self, instr: &Instr, bank: bool) -> Assignment {
+        Assignment::from_iter([
             (self.port.valid, 1),
             (self.port.op, opcode_index(instr.opcode)),
             (self.port.rd, u64::from(instr.rd.0)),
@@ -420,8 +419,8 @@ impl SymbolicProcessor {
     }
 
     /// The port input assignment for an idle (no-commit) cycle.
-    pub fn idle_inputs(&self) -> HashMap<TermId, u64> {
-        HashMap::from([
+    pub fn idle_inputs(&self) -> Assignment {
+        Assignment::from_iter([
             (self.port.valid, 0),
             (self.port.op, 0),
             (self.port.rd, 0),
@@ -501,11 +500,10 @@ mod tests {
         config: &ProcessorConfig,
         mutation: Option<&Mutation>,
         program: &[Instr],
-    ) -> (TermManager, SymbolicProcessor, Vec<HashMap<TermId, u64>>) {
+    ) -> (TermManager, SymbolicProcessor, Vec<Assignment>) {
         let mut tm = TermManager::new();
         let proc = SymbolicProcessor::build(&mut tm, config, mutation);
-        let inputs: Vec<HashMap<TermId, u64>> =
-            program.iter().map(|i| proc.port_inputs(i)).collect();
+        let inputs: Vec<Assignment> = program.iter().map(|i| proc.port_inputs(i)).collect();
         let trace = proc.ts.simulate(&tm, &inputs);
         (tm, proc, trace)
     }

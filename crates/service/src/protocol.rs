@@ -27,13 +27,13 @@
 //! counter-indexed (never wall-clock), so the hostile-input soak test
 //! reproduces bit-identically from a seed.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
+use sepe_smt::FastMap;
 use sepe_sqed::detect::{Detection, Method};
 use sepe_sqed::fault::FaultPlan;
 use sepe_tsys::{ProofMethod, Witness};
@@ -633,7 +633,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtocolError> {
 /// Serializes a witness with sorted keys — deterministic bytes for a
 /// deterministic trace, so cached and fresh replies compare equal.
 pub fn witness_to_value(witness: &Witness) -> Value {
-    fn sorted(map: &HashMap<String, u64>) -> Value {
+    fn sorted(map: &FastMap<String, u64>) -> Value {
         let mut pairs: Vec<(&String, &u64)> = map.iter().collect();
         pairs.sort_by(|a, b| a.0.cmp(b.0));
         Value::Object(

@@ -29,11 +29,11 @@
 //! the strash table shares their internal products too: `xor(a, b)` and
 //! `eq(a, b)` differ by one complement edge and cost one node set.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Not;
 
 use crate::cnf::{Cnf, Lit, Var};
+use crate::fast::FastMap;
 
 /// An edge into the graph: a node index plus a complement flag, encoded as
 /// `node * 2 + complemented` (mirroring [`Lit`]).
@@ -155,7 +155,7 @@ impl AigStats {
 pub struct Aig {
     nodes: Vec<AigNode>,
     /// `(smaller edge, larger edge) -> node index` for existing AND nodes.
-    strash: HashMap<(u32, u32), u32>,
+    strash: FastMap<(u32, u32), u32>,
     reduce: bool,
     stats: AigStats,
 }
@@ -171,7 +171,7 @@ impl Aig {
     pub fn new() -> Self {
         Aig {
             nodes: vec![AigNode::Const],
-            strash: HashMap::new(),
+            strash: FastMap::default(),
             reduce: true,
             stats: AigStats::default(),
         }
@@ -421,7 +421,7 @@ impl Aig {
     /// Evaluates a literal under an assignment of the inputs (used by the
     /// unit tests; missing inputs default to false).
     #[cfg(test)]
-    fn eval(&self, l: AigLit, inputs: &HashMap<u32, bool>) -> bool {
+    fn eval(&self, l: AigLit, inputs: &FastMap<u32, bool>) -> bool {
         let v = match self.nodes[l.node() as usize] {
             AigNode::Const => true,
             AigNode::Input => *inputs.get(&l.node()).unwrap_or(&false),
@@ -747,7 +747,7 @@ mod tests {
         ];
         for bits in 0..8u32 {
             let (av, bv, cv) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
-            let env: HashMap<u32, bool> = [(a.node(), av), (b.node(), bv), (c.node(), cv)].into();
+            let env = FastMap::from_iter([(a.node(), av), (b.node(), bv), (c.node(), cv)]);
             let want = [
                 av && bv,
                 av || bv,
@@ -893,7 +893,7 @@ mod tests {
                 if cv { lc } else { !lc },
             ];
             assert_eq!(sat.solve_under_assumptions(&assumps), SolveOutcome::Sat);
-            let env: HashMap<u32, bool> = [(a.node(), av), (b.node(), bv), (c.node(), cv)].into();
+            let env = FastMap::from_iter([(a.node(), av), (b.node(), bv), (c.node(), cv)]);
             for (&root, &l) in roots.iter().zip(&root_lits) {
                 let got = sat.value_of(l.var()) == l.is_positive();
                 assert_eq!(got, g.eval(root, &env), "{root} on {bits:03b}");

@@ -13,10 +13,9 @@
 //! through the polarity-aware Tseitin pass ([`AigCnf`]): shared nodes get
 //! one definition, and each polarity pays only the implications it needs.
 
-use std::collections::HashMap;
-
 use crate::aig::{Aig, AigCnf, AigLit, AigStats};
 use crate::cnf::{Cnf, Lit};
+use crate::fast::FastMap;
 use crate::term::{Op, TermId, TermManager};
 
 /// Bit-blaster: converts terms to AIG literals and emits CNF on demand over
@@ -36,9 +35,9 @@ pub struct BitBlaster {
     emit: AigCnf,
     cnf: Cnf,
     true_lit: Lit,
-    bool_cache: HashMap<TermId, AigLit>,
-    bits_cache: HashMap<TermId, Vec<AigLit>>,
-    var_bits: HashMap<TermId, Vec<Lit>>,
+    bool_cache: FastMap<TermId, AigLit>,
+    bits_cache: FastMap<TermId, Vec<AigLit>>,
+    var_bits: FastMap<TermId, Vec<Lit>>,
     cache_hits: u64,
 }
 
@@ -61,9 +60,9 @@ impl BitBlaster {
             emit: AigCnf::new(tv),
             cnf,
             true_lit: t,
-            bool_cache: HashMap::new(),
-            bits_cache: HashMap::new(),
-            var_bits: HashMap::new(),
+            bool_cache: FastMap::default(),
+            bits_cache: FastMap::default(),
+            var_bits: FastMap::default(),
             cache_hits: 0,
         }
     }
@@ -133,7 +132,7 @@ impl BitBlaster {
     }
 
     /// CNF literals of every *variable* term encountered, for model read-back.
-    pub fn var_encodings(&self) -> &HashMap<TermId, Vec<Lit>> {
+    pub fn var_encodings(&self) -> &FastMap<TermId, Vec<Lit>> {
         &self.var_bits
     }
 
@@ -565,7 +564,7 @@ mod tests {
         let mut sat = SatSolver::from_cnf(bb.cnf().clone());
         match sat.solve() {
             SolveOutcome::Sat => {
-                let mut env = Assignment::new();
+                let mut env = Assignment::default();
                 for (&term, bits) in bb.var_encodings() {
                     let mut v = 0u64;
                     for (i, &l) in bits.iter().enumerate() {

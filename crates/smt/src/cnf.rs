@@ -85,16 +85,19 @@ impl fmt::Display for Lit {
     }
 }
 
-/// A disjunction of literals.
-pub type Clause = Vec<Lit>;
-
 /// A CNF formula under construction.
 ///
 /// The bit-blaster appends clauses here; the SAT solver consumes them.
+/// Clauses are stored flat: every literal in one buffer, plus the end
+/// offset of each clause, so adding a clause allocates nothing once the
+/// buffers have grown and [`drain_clauses`](Self::drain_clauses) hands them
+/// over as slices.
 #[derive(Debug, Default, Clone)]
 pub struct Cnf {
     num_vars: u32,
-    clauses: Vec<Clause>,
+    lits: Vec<Lit>,
+    /// One past the last literal of each clause, in `lits`.
+    ends: Vec<usize>,
 }
 
 impl Cnf {
@@ -117,31 +120,38 @@ impl Cnf {
 
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
     /// Adds a clause.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        self.clauses.push(lits.into_iter().collect());
+        self.lits.extend(lits);
+        self.ends.push(self.lits.len());
     }
 
-    /// Iterates over the clauses.
-    pub fn clauses(&self) -> impl Iterator<Item = &Clause> {
-        self.clauses.iter()
+    /// Iterates over the clauses, in the order they were added.
+    pub fn clauses(&self) -> impl Iterator<Item = &[Lit]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(self.ends.iter().copied())
+            .map(|(start, end)| &self.lits[start..end])
     }
 
-    /// Consumes the formula, returning its clauses.
-    pub fn into_clauses(self) -> Vec<Clause> {
-        self.clauses
-    }
-
-    /// Drains the accumulated clauses, keeping the variable counter.
+    /// Hands every clause to `f` in the order they were added, then
+    /// empties the formula, keeping the variable counter and the buffers'
+    /// capacity.
     ///
     /// This is the hand-off primitive of the incremental pipeline: the
     /// bit-blaster keeps appending to the same `Cnf` while the SAT solver
-    /// periodically takes ownership of everything new.
-    pub fn take_clauses(&mut self) -> Vec<Clause> {
-        std::mem::take(&mut self.clauses)
+    /// periodically takes everything new.
+    pub fn drain_clauses(&mut self, mut f: impl FnMut(&[Lit])) {
+        let mut start = 0;
+        for &end in &self.ends {
+            f(&self.lits[start..end]);
+            start = end;
+        }
+        self.lits.clear();
+        self.ends.clear();
     }
 }
 
@@ -180,5 +190,45 @@ mod tests {
         assert_eq!(cnf.num_vars(), 2);
         assert_eq!(cnf.num_clauses(), 2);
         assert_eq!(cnf.clauses().next().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn drain_hands_over_clauses_in_order_and_keeps_vars_and_capacity() {
+        let mut cnf = Cnf::new();
+        let v: Vec<Var> = (0..4).map(|_| cnf.fresh_var()).collect();
+        let first = vec![
+            vec![Lit::neg(v[2]), Lit::pos(v[0])],
+            vec![Lit::pos(v[3])],
+            vec![],
+            vec![Lit::pos(v[1]), Lit::neg(v[1]), Lit::pos(v[1])],
+        ];
+        for clause in &first {
+            cnf.add_clause(clause.iter().copied());
+        }
+        assert!(cnf.clauses().eq(first.iter().map(Vec::as_slice)));
+        let mut drained = Vec::new();
+        cnf.drain_clauses(|clause| drained.push(clause.to_vec()));
+        assert_eq!(drained, first, "clause and literal order survive");
+        assert_eq!((cnf.num_clauses(), cnf.clauses().count()), (0, 0));
+        assert_eq!(cnf.num_vars(), 4, "the variable counter is kept");
+        assert_eq!(cnf.fresh_var(), Var(4));
+
+        let capacity = (cnf.lits.capacity(), cnf.ends.capacity());
+        assert!(capacity.0 >= 6 && capacity.1 >= 4);
+        let second = vec![
+            vec![Lit::pos(Var(4)), Lit::neg(v[0])],
+            vec![Lit::neg(Var(4))],
+        ];
+        for clause in &second {
+            cnf.add_clause(clause.iter().copied());
+        }
+        drained.clear();
+        cnf.drain_clauses(|clause| drained.push(clause.to_vec()));
+        assert_eq!(drained, second);
+        assert_eq!(
+            (cnf.lits.capacity(), cnf.ends.capacity()),
+            capacity,
+            "the second drain reuses the first one's buffers"
+        );
     }
 }

@@ -6,8 +6,7 @@
 //! workhorse of the CEGIS loop, which repeatedly evaluates candidate programs
 //! on accumulated counterexample inputs.
 
-use std::collections::HashMap;
-
+use crate::fast::FastMap;
 use crate::sort::{mask, sign_extend};
 use crate::term::{Op, TermId, TermManager};
 
@@ -15,7 +14,7 @@ use crate::term::{Op, TermId, TermManager};
 ///
 /// Boolean variables use 0/1.  Missing variables default to 0, which keeps
 /// witness handling total.
-pub type Assignment = HashMap<TermId, u64>;
+pub type Assignment = FastMap<TermId, u64>;
 
 /// Evaluates `root` under `env`.
 ///
@@ -26,13 +25,13 @@ pub type Assignment = HashMap<TermId, u64>;
 /// Panics if the term graph is malformed (impossible for terms produced by
 /// [`TermManager`]).
 pub fn eval(tm: &TermManager, root: TermId, env: &Assignment) -> u64 {
-    let mut cache: HashMap<TermId, u64> = HashMap::new();
+    let mut cache: FastMap<TermId, u64> = FastMap::default();
     eval_cached(tm, root, env, &mut cache)
 }
 
 /// Evaluates several roots sharing one cache.
 pub fn eval_many(tm: &TermManager, roots: &[TermId], env: &Assignment) -> Vec<u64> {
-    let mut cache: HashMap<TermId, u64> = HashMap::new();
+    let mut cache: FastMap<TermId, u64> = FastMap::default();
     roots
         .iter()
         .map(|&r| eval_cached(tm, r, env, &mut cache))
@@ -43,7 +42,7 @@ fn eval_cached(
     tm: &TermManager,
     root: TermId,
     env: &Assignment,
-    cache: &mut HashMap<TermId, u64>,
+    cache: &mut FastMap<TermId, u64>,
 ) -> u64 {
     // Explicit work-list to avoid recursion depth limits on deep terms
     // (BMC unrollings can nest thousands of ites).
@@ -67,7 +66,7 @@ fn eval_cached(
     cache[&root]
 }
 
-fn eval_node(tm: &TermManager, t: TermId, env: &Assignment, cache: &HashMap<TermId, u64>) -> u64 {
+fn eval_node(tm: &TermManager, t: TermId, env: &Assignment, cache: &FastMap<TermId, u64>) -> u64 {
     let term = tm.term(t);
     let width = term.sort.width();
     let get = |id: TermId| -> u64 { cache[&id] };
@@ -214,7 +213,7 @@ mod tests {
         let x = tm.var("x", Sort::BitVec(8));
         let one = tm.one(8);
         let e = tm.bv_add(x, one);
-        assert_eq!(eval(&tm, e, &Assignment::new()), 1);
+        assert_eq!(eval(&tm, e, &Assignment::default()), 1);
     }
 
     #[test]

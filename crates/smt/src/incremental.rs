@@ -403,13 +403,13 @@ impl IncrementalSolver {
         let num_vars = self.blaster.cnf().num_vars();
         self.sat.reserve_vars(num_vars);
         self.stats.cnf_vars = u64::from(num_vars);
-        let new = self.blaster.cnf_mut().take_clauses();
-        let count = new.len() as u64;
-        for clause in new {
+        let count = self.blaster.cnf().num_clauses() as u64;
+        let sat = &mut self.sat;
+        self.blaster.cnf_mut().drain_clauses(|clause| {
             // A `false` return marks permanent unsatisfiability; the solver
             // itself remembers, so no separate flag is needed here.
-            let _ = self.sat.add_clause(clause);
-        }
+            let _ = sat.add_clause(clause);
+        });
         self.stats.cnf_clauses += count;
         count
     }

@@ -106,6 +106,7 @@ pub mod aig;
 pub mod bitblast;
 pub mod cnf;
 pub mod concrete;
+pub mod fast;
 pub mod incremental;
 pub mod rewrite;
 pub mod sat;
@@ -116,7 +117,8 @@ pub mod subst;
 pub mod term;
 
 pub use aig::{Aig, AigCnf, AigLit, AigNode, AigStats, GateKind};
-pub use cnf::{Clause, Cnf, Lit, Var};
+pub use cnf::{Cnf, Lit, Var};
+pub use fast::{FastHasher, FastMap, FastSet};
 pub use incremental::{one_hot_assumptions, IncrementalSolver, SolverReuseStats};
 pub use rewrite::{EncodeStats, RewriteStats, Rewriter};
 pub use sat::{CancelFlag, FaultHooks, ReduceStats, SatSolver, SolveOutcome, StopReason};

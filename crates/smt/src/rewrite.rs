@@ -41,10 +41,10 @@
 //! it with the bit-blaster's cache counters into the one reuse block that
 //! the benches and experiment binaries print.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::concrete::{eval_many, Assignment};
+use crate::fast::{FastMap, FastSet};
 use crate::sort::mask;
 use crate::subst::rebuild_with;
 use crate::term::{Op, TermId, TermManager};
@@ -215,24 +215,24 @@ pub struct Rewriter {
     /// pin value contains a pinned variable (values are re-normalised
     /// whenever a pin is added), which keeps leaf substitution O(1) and
     /// model completion a single evaluation pass.
-    pins: HashMap<TermId, Pin>,
+    pins: FastMap<TermId, Pin>,
     /// Pinned variables in insertion order.
     pin_order: Vec<TermId>,
     /// Rewrite cache.  An entry is valid iff no variable pinned after it
     /// was computed is below its `var_bound` (see [`PinLog`]); entries are
     /// re-checked on lookup, and the whole cache is cleared only when a
     /// stored pin value changes.
-    cache: HashMap<TermId, Cached>,
+    cache: FastMap<TermId, Cached>,
     /// Pins since the last cache clear, for the validity rule.
     log: PinLog,
     /// Variables occurring in at least one stored pin value.  Lets pin
     /// insertion skip the invariant-restore pass in the common case where
     /// the new variable is fresher than every stored value (every BMC frame
     /// pin), avoiding a quadratic re-rewrite over long assertion sequences.
-    value_vars: HashSet<TermId>,
+    value_vars: FastSet<TermId>,
     /// Subterms of stored pin values already scanned into `value_vars`
     /// (reset with it), so each shared subterm is scanned once.
-    value_seen: HashSet<TermId>,
+    value_seen: FastSet<TermId>,
     stats: RewriteStats,
 }
 
@@ -568,7 +568,7 @@ fn collect_conjuncts(tm: &TermManager, t: TermId, out: &mut Vec<TermId>) {
 /// Whether `var` occurs anywhere in `t`.
 fn occurs(tm: &TermManager, var: TermId, t: TermId) -> bool {
     let mut stack = vec![t];
-    let mut seen: HashSet<TermId> = HashSet::new();
+    let mut seen: FastSet<TermId> = FastSet::default();
     while let Some(t) = stack.pop() {
         if t == var {
             return true;
@@ -1239,7 +1239,7 @@ mod tests {
         assert_eq!(stats.pins, 2);
         assert!(stats.assertions_dropped >= 2);
         // model completion restores both pinned variables
-        let mut values = Assignment::new();
+        let mut values = Assignment::default();
         rw.complete_model(&tm, &mut values);
         assert_eq!(values.get(&x), Some(&5));
         assert_eq!(values.get(&y), Some(&4));
@@ -1277,7 +1277,7 @@ mod tests {
         let mut rw = Rewriter::new();
         let out = rw.assert_simplify(&mut tm, &[d1, d2, d3], &|_| false);
         assert!(out.is_empty(), "all three are definitions: {out:?}");
-        let mut values = Assignment::new();
+        let mut values = Assignment::default();
         rw.complete_model(&tm, &mut values);
         assert_eq!(values.get(&a), Some(&1));
         assert_eq!(values.get(&b), Some(&1));
@@ -1294,7 +1294,7 @@ mod tests {
         let mut rw = Rewriter::new();
         let out = rw.assert_simplify(&mut tm, &[both], &|_| false);
         assert!(out.is_empty());
-        let mut values = Assignment::new();
+        let mut values = Assignment::default();
         rw.complete_model(&tm, &mut values);
         assert_eq!(values.get(&p), Some(&1));
         assert_eq!(values.get(&q), Some(&0));
@@ -1417,7 +1417,7 @@ mod tests {
             let mut bools = vec![tm.var("p0", Sort::Bool)];
             let mut vars = vec![tm.var("v0", Sort::BitVec(w))];
             let mut terms = vec![vars[0], tm.bv_const(rng.gen_range(0..16), w)];
-            let mut encoded: HashSet<TermId> = HashSet::new();
+            let mut encoded: FastSet<TermId> = FastSet::default();
             for step in 0..60 {
                 match rng.gen_range(0..10) {
                     0 => {

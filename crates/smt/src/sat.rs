@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::cnf::{Clause, Cnf, Lit, Var};
+use crate::cnf::{Cnf, Lit, Var};
 
 /// A shared cancellation flag: set it from any thread and every solver
 /// holding a clone abandons its in-flight search with
@@ -423,6 +423,9 @@ pub struct SatSolver {
     seen: Vec<bool>,
     /// Learnt clause under construction (reused across conflicts).
     learnt: Vec<Lit>,
+    /// Clause being normalised by [`add_clause`](Self::add_clause) (reused
+    /// across calls).
+    added: Vec<Lit>,
     /// Per-decision-level flags of [`compute_lbd`](Self::compute_lbd),
     /// all `false` between calls.
     level_seen: Vec<bool>,
@@ -504,6 +507,7 @@ impl SatSolver {
             phase: Vec::new(),
             seen: Vec::new(),
             learnt: Vec::new(),
+            added: Vec::new(),
             level_seen: Vec::new(),
             ok: true,
             num_vars: 0,
@@ -529,13 +533,10 @@ impl SatSolver {
     }
 
     /// Builds a solver pre-loaded with the clauses of `cnf`.
-    ///
-    /// Takes the formula by value so the clause storage moves straight into
-    /// the solver; callers that need to keep their `Cnf` clone explicitly.
     pub fn from_cnf(cnf: Cnf) -> Self {
         let mut s = Self::new();
         s.reserve_vars(cnf.num_vars());
-        for clause in cnf.into_clauses() {
+        for clause in cnf.clauses() {
             s.add_clause(clause);
         }
         s
@@ -707,14 +708,30 @@ impl SatSolver {
 
     /// Adds a clause.  Returns `false` if the solver became trivially
     /// unsatisfiable (empty clause or conflicting units).
-    pub fn add_clause(&mut self, mut lits: Clause) -> bool {
+    ///
+    /// The literals are sorted and deduplicated in a buffer the solver
+    /// keeps, then simplified against the level-0 assignment: a tautology
+    /// or an already satisfied clause is dropped, falsified literals are
+    /// removed, and a remaining unit is propagated at once.
+    pub fn add_clause(&mut self, clause: &[Lit]) -> bool {
         if !self.ok {
             return false;
         }
         debug_assert_eq!(self.decision_level(), 0, "clauses must be added at level 0");
-        for l in &lits {
-            self.reserve_vars(l.var().0 + 1);
+        if let Some(max) = clause.iter().map(|l| l.var().0).max() {
+            self.reserve_vars(max + 1);
         }
+        let mut lits = std::mem::take(&mut self.added);
+        lits.clear();
+        lits.extend_from_slice(clause);
+        let ok = self.add_normalised(&mut lits);
+        self.added = lits;
+        ok
+    }
+
+    /// [`add_clause`](Self::add_clause) after the copy into the reused
+    /// buffer.
+    fn add_normalised(&mut self, lits: &mut Vec<Lit>) -> bool {
         lits.sort();
         lits.dedup();
         // Tautology / falsified-literal simplification at level 0, in place.
@@ -749,7 +766,7 @@ impl SatSolver {
                 self.ok
             }
             _ => {
-                self.attach(&lits, false, 0, 0.0);
+                self.attach(lits, false, 0, 0.0);
                 true
             }
         }
@@ -1473,7 +1490,7 @@ mod tests {
     fn solver_with(clauses: &[Vec<i32>]) -> SatSolver {
         let mut s = SatSolver::new();
         for c in clauses {
-            s.add_clause(c.iter().map(|&v| lit(v)).collect());
+            s.add_clause(&c.iter().map(|&v| lit(v)).collect::<Vec<_>>());
         }
         s
     }
@@ -1509,7 +1526,42 @@ mod tests {
     #[test]
     fn empty_clause_is_unsat() {
         let mut s = SatSolver::new();
-        assert!(!s.add_clause(vec![]));
+        assert!(!s.add_clause(&[]));
+        assert_eq!(s.solve(), SolveOutcome::Unsat);
+    }
+
+    /// `add_clause` normalises a clause before storing it: a tautology or a
+    /// clause already satisfied at level 0 is dropped, duplicate and
+    /// level-0-false literals are removed, and a unit is assigned and
+    /// propagated at once instead of stored.
+    #[test]
+    fn add_clause_drops_tautologies_duplicates_and_level_zero_literals() {
+        let mut s = SatSolver::new();
+        assert!(s.add_clause(&[lit(1), lit(2), lit(-1)]), "tautology");
+        assert_eq!(s.num_clauses(), 0);
+        assert!(s.add_clause(&[lit(3), lit(2), lit(2)]), "duplicate literal");
+        assert_eq!(s.num_clauses(), 1);
+        let stored = |s: &SatSolver, first: Lit| {
+            let c = s.watches[first.index()][0].cref;
+            (0..s.arena.len(c))
+                .map(|k| s.arena.lit(c, k))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(stored(&s, lit(2)), [lit(2), lit(3)], "sorted, deduplicated");
+        // A duplicated unit is a unit: ¬x3 holds at level 0 and forces x2
+        // through (x2 ∨ x3).
+        assert!(s.add_clause(&[lit(-3), lit(-3)]));
+        assert_eq!(s.num_clauses(), 1);
+        assert!(s.add_clause(&[lit(4), lit(2), lit(5)]), "satisfied");
+        assert_eq!(s.num_clauses(), 1);
+        // x3 is false at level 0, so (x3 ∨ x4 ∨ x5) is stored as (x4 ∨ x5).
+        assert!(s.add_clause(&[lit(3), lit(5), lit(4)]));
+        assert_eq!(s.num_clauses(), 2);
+        assert_eq!(stored(&s, lit(4)), [lit(4), lit(5)]);
+        // Every literal false at level 0: the empty clause, unsatisfiable
+        // for good.
+        assert!(!s.add_clause(&[lit(3), lit(-2)]));
+        assert!(!s.add_clause(&[lit(6)]));
         assert_eq!(s.solve(), SolveOutcome::Unsat);
     }
 
@@ -1696,12 +1748,12 @@ mod tests {
     fn clauses_can_be_added_between_solves() {
         let mut s = solver_with(&[vec![1, 2]]);
         assert_eq!(s.solve(), SolveOutcome::Sat);
-        assert!(s.add_clause(vec![lit(-1)]));
+        assert!(s.add_clause(&[lit(-1)]));
         assert_eq!(s.solve(), SolveOutcome::Sat);
         assert!(s.value_of(Var(1)));
         // ¬x2 contradicts the level-0 consequence x2: add_clause reports the
         // trivial inconsistency immediately.
-        assert!(!s.add_clause(vec![lit(-2)]));
+        assert!(!s.add_clause(&[lit(-2)]));
         assert_eq!(s.solve(), SolveOutcome::Unsat);
         assert!(
             s.unsat_assumptions().is_empty(),
@@ -1810,7 +1862,7 @@ mod tests {
             let with_assumps = incremental.solve_under_assumptions(&a_lits);
             let mut scratch = solver_with(&clauses);
             for &v in &assumps {
-                scratch.add_clause(vec![lit(v)]);
+                scratch.add_clause(&[lit(v)]);
             }
             let with_units = scratch.solve();
             assert_eq!(

@@ -2,10 +2,9 @@
 //! [`is_valid`] helper.  The solver itself is
 //! [`IncrementalSolver`].
 
-use std::collections::HashMap;
-
 use crate::cnf::Lit;
 use crate::concrete::{eval, Assignment};
+use crate::fast::FastMap;
 use crate::incremental::IncrementalSolver;
 use crate::sat::SatSolver;
 use crate::term::{TermId, TermManager};
@@ -51,8 +50,8 @@ impl Model {
 
     /// Reassembles variable values from a satisfying SAT assignment using
     /// the bit-blaster's per-variable literal encodings (LSB first).
-    pub(crate) fn read_back(encodings: &HashMap<TermId, Vec<Lit>>, sat: &SatSolver) -> Model {
-        let mut values = Assignment::new();
+    pub(crate) fn read_back(encodings: &FastMap<TermId, Vec<Lit>>, sat: &SatSolver) -> Model {
+        let mut values = Assignment::default();
         for (&term, bits) in encodings {
             let mut v = 0u64;
             for (i, &l) in bits.iter().enumerate() {

@@ -1,7 +1,6 @@
 //! Term substitution (used by the transition-system unroller).
 
-use std::collections::HashMap;
-
+use crate::fast::FastMap;
 use crate::term::{Op, TermId, TermManager};
 
 /// Rebuilds `root` with every occurrence of a key of `map` replaced by the
@@ -11,8 +10,8 @@ use crate::term::{Op, TermId, TermManager};
 pub fn substitute(
     tm: &mut TermManager,
     root: TermId,
-    map: &HashMap<TermId, TermId>,
-    cache: &mut HashMap<TermId, TermId>,
+    map: &FastMap<TermId, TermId>,
+    cache: &mut FastMap<TermId, TermId>,
 ) -> TermId {
     // Iterative post-order rewrite to keep deep BMC unrollings off the call
     // stack.
@@ -45,7 +44,7 @@ pub fn substitute(
     cache[&root]
 }
 
-fn lookup(t: TermId, map: &HashMap<TermId, TermId>, cache: &HashMap<TermId, TermId>) -> TermId {
+fn lookup(t: TermId, map: &FastMap<TermId, TermId>, cache: &FastMap<TermId, TermId>) -> TermId {
     if let Some(&r) = map.get(&t) {
         r
     } else {
@@ -56,8 +55,8 @@ fn lookup(t: TermId, map: &HashMap<TermId, TermId>, cache: &HashMap<TermId, Term
 fn rebuild(
     tm: &mut TermManager,
     t: TermId,
-    map: &HashMap<TermId, TermId>,
-    cache: &HashMap<TermId, TermId>,
+    map: &FastMap<TermId, TermId>,
+    cache: &FastMap<TermId, TermId>,
 ) -> TermId {
     let op = tm.term(t).op.clone();
     rebuild_with(tm, t, &op, |id| lookup(id, map, cache))
@@ -203,8 +202,8 @@ mod tests {
         let y = tm.var("y", Sort::BitVec(8));
         let z = tm.var("z", Sort::BitVec(8));
         let e = tm.bv_add(x, y);
-        let map = HashMap::from([(x, z)]);
-        let r = substitute(&mut tm, e, &map, &mut HashMap::new());
+        let map = FastMap::from_iter([(x, z)]);
+        let r = substitute(&mut tm, e, &map, &mut FastMap::default());
         let expected = tm.bv_add(z, y);
         assert_eq!(r, expected);
     }
@@ -216,8 +215,8 @@ mod tests {
         let y = tm.var("y", Sort::BitVec(8));
         let e = tm.bv_sub(x, y);
         // swap x and y
-        let map = HashMap::from([(x, y), (y, x)]);
-        let r = substitute(&mut tm, e, &map, &mut HashMap::new());
+        let map = FastMap::from_iter([(x, y), (y, x)]);
+        let r = substitute(&mut tm, e, &map, &mut FastMap::default());
         let expected = tm.bv_sub(y, x);
         assert_eq!(r, expected);
     }
@@ -230,8 +229,8 @@ mod tests {
         let e = tm.bv_add(x, y);
         let c3 = tm.bv_const(3, 8);
         let c4 = tm.bv_const(4, 8);
-        let map = HashMap::from([(x, c3), (y, c4)]);
-        let r = substitute(&mut tm, e, &map, &mut HashMap::new());
+        let map = FastMap::from_iter([(x, c3), (y, c4)]);
+        let r = substitute(&mut tm, e, &map, &mut FastMap::default());
         assert_eq!(tm.const_value(r), Some(7));
     }
 
@@ -246,10 +245,10 @@ mod tests {
         let e1 = tm.bv_xor(e0, x);
         let lt = tm.bv_slt(e1, y);
         let e = tm.ite(lt, e0, e1);
-        let map = HashMap::from([(x, a), (y, b)]);
-        let r = substitute(&mut tm, e, &map, &mut HashMap::new());
-        let env_orig = HashMap::from([(x, 123u64), (y, 45u64)]);
-        let env_new = HashMap::from([(a, 123u64), (b, 45u64)]);
+        let map = FastMap::from_iter([(x, a), (y, b)]);
+        let r = substitute(&mut tm, e, &map, &mut FastMap::default());
+        let env_orig = FastMap::from_iter([(x, 123u64), (y, 45u64)]);
+        let env_new = FastMap::from_iter([(a, 123u64), (b, 45u64)]);
         assert_eq!(eval(&tm, e, &env_orig), eval(&tm, r, &env_new));
     }
 }

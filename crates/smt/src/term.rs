@@ -7,9 +7,9 @@
 //! before interning, so structurally equal and trivially equivalent terms
 //! share a single node.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::fast::FastMap;
 use crate::sort::{mask, sign_extend, Sort};
 
 /// Handle to a term inside a [`TermManager`].
@@ -147,8 +147,8 @@ impl Op {
 #[derive(Debug, Default, Clone)]
 pub struct TermManager {
     terms: Vec<Term>,
-    interned: HashMap<Term, TermId>,
-    vars_by_name: HashMap<String, TermId>,
+    interned: FastMap<Term, TermId>,
+    vars_by_name: FastMap<String, TermId>,
     fresh_counter: u64,
 }
 

@@ -99,7 +99,7 @@ fn sat_core_agrees_with_truth_tables() {
         let mut solver = SatSolver::new();
         solver.reserve_vars(num_vars);
         for c in &clauses {
-            solver.add_clause(c.clone());
+            solver.add_clause(c);
         }
         let reduce_hard = round % 2 == 1;
         for query in 0..QUERIES {

@@ -37,7 +37,9 @@ use std::cell::Cell;
 use std::time::Duration;
 
 use sepe_isa::{Opcode, OperandKind};
-use sepe_smt::{IncrementalSolver, SatResult, SolverReuseStats, Sort, TermId, TermManager};
+use sepe_smt::{
+    FastMap, IncrementalSolver, SatResult, SolverReuseStats, Sort, TermId, TermManager,
+};
 
 use crate::component::{AttrResolution, Component};
 use crate::program::{EquivTemplate, ImmSlot, Slot, TemplateInstr};
@@ -503,10 +505,10 @@ pub fn template_result_term(
     let width = spec.width;
     let imm_input = spec.imm_input_index().map(|i| spec_inputs[i]);
     let zero = tm.zero(width);
-    let mut temps: std::collections::HashMap<u8, TermId> = std::collections::HashMap::new();
+    let mut temps: FastMap<u8, TermId> = FastMap::default();
     let mut dest = zero;
     let read = |tm: &mut TermManager,
-                temps: &std::collections::HashMap<u8, TermId>,
+                temps: &FastMap<u8, TermId>,
                 dest: TermId,
                 slot: Slot,
                 spec_inputs: &[TermId]| {

@@ -395,8 +395,8 @@ impl Component {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sepe_smt::concrete::Assignment;
     use sepe_smt::{concrete, Sort};
-    use std::collections::HashMap;
 
     fn eval_component(c: &Component, inputs: &[u64], attr: Option<u64>, width: u32) -> u64 {
         let mut tm = TermManager::new();
@@ -407,7 +407,7 @@ mod tests {
             .collect();
         let attr_term = attr.map(|_| tm.var("attr", Sort::BitVec(width)));
         let out = c.semantics(&mut tm, &in_terms, attr_term);
-        let mut env: HashMap<TermId, u64> = in_terms
+        let mut env: Assignment = in_terms
             .iter()
             .copied()
             .zip(inputs.iter().copied())
@@ -472,22 +472,22 @@ mod tests {
         let attr = tm.var("a", Sort::BitVec(32));
         let addi = Component::new(ComponentClass::Dic, ComponentKind::Derived(Opcode::Addi));
         let c = addi.attr_constraint(&mut tm, attr);
-        let ok: HashMap<_, _> = [(attr, 0xffff_ffffu64)].into_iter().collect(); // -1
-        let bad: HashMap<_, _> = [(attr, 0x8000u64)].into_iter().collect(); // 32768 not sext12
+        let ok: Assignment = [(attr, 0xffff_ffffu64)].into_iter().collect(); // -1
+        let bad: Assignment = [(attr, 0x8000u64)].into_iter().collect(); // 32768 not sext12
         assert_eq!(concrete::eval(&tm, c, &ok), 1);
         assert_eq!(concrete::eval(&tm, c, &bad), 0);
 
         let slli = Component::new(ComponentClass::Dic, ComponentKind::Derived(Opcode::Slli));
         let c = slli.attr_constraint(&mut tm, attr);
-        let ok: HashMap<_, _> = [(attr, 31u64)].into_iter().collect();
-        let bad: HashMap<_, _> = [(attr, 32u64)].into_iter().collect();
+        let ok: Assignment = [(attr, 31u64)].into_iter().collect();
+        let bad: Assignment = [(attr, 32u64)].into_iter().collect();
         assert_eq!(concrete::eval(&tm, c, &ok), 1);
         assert_eq!(concrete::eval(&tm, c, &bad), 0);
 
         let lui = Component::new(ComponentClass::Dic, ComponentKind::Derived(Opcode::Lui));
         let c = lui.attr_constraint(&mut tm, attr);
-        let ok: HashMap<_, _> = [(attr, 0x1234_5000u64)].into_iter().collect();
-        let bad: HashMap<_, _> = [(attr, 0x1234_5001u64)].into_iter().collect();
+        let ok: Assignment = [(attr, 0x1234_5000u64)].into_iter().collect();
+        let bad: Assignment = [(attr, 0x1234_5001u64)].into_iter().collect();
         assert_eq!(concrete::eval(&tm, c, &ok), 1);
         assert_eq!(concrete::eval(&tm, c, &bad), 0);
     }

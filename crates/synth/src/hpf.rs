@@ -98,7 +98,7 @@ impl HpfCegis {
     pub fn synthesize(&mut self, spec: &Spec) -> SynthesisResult {
         let start = Instant::now();
         let engine = CegisEngine::new(self.config.clone());
-        let mut ranking = Ranking::new(&self.library, self.config.multiset_size, spec);
+        let mut ranking = Ranking::new(&self.library, self.config.multiset_size, spec, ALPHA);
         let mut programs = Vec::new();
         let mut tried = 0;
         let mut successful = 0;
@@ -109,7 +109,7 @@ impl HpfCegis {
                     break;
                 }
             }
-            let Some(multiset) = ranking.pop_best(&self.weights, ALPHA) else {
+            let Some(multiset) = ranking.pop_best(&self.weights) else {
                 break;
             };
             let components: Vec<&Component> = multiset
@@ -120,13 +120,13 @@ impl HpfCegis {
             match engine.synthesize_with_multiset(spec, &components) {
                 CegisOutcome::Program(program) => {
                     successful += 1;
-                    self.bump_choice(&multiset);
+                    self.bump_choice(multiset);
                     if self.config.counts_towards_k(&program) {
                         programs.push(program);
                     }
                 }
                 CegisOutcome::NoProgram | CegisOutcome::ResourceOut => {
-                    self.bump_exclusion(&multiset);
+                    self.bump_exclusion(multiset);
                 }
             }
         }
@@ -170,46 +170,155 @@ fn chi(component: &Component, spec: &Spec) -> f64 {
     }
 }
 
-/// The multisets not yet tried for one spec, each with its priority key.
+/// The multisets not yet tried for one spec, best first.
 ///
-/// Every round rewrites each key in place from the current weights and
-/// stable-sorts on the keys, best first.  A stable sort's result depends
-/// only on its comparison outcomes, and a key equals what
-/// [`HpfCegis::priority`] returns for its multiset, so the order (ties
-/// included, which carry the history of earlier rounds' sorts) is exactly
-/// that of sorting with `priority` recomputed on every comparison.
+/// The order is that of a stable sort on the priority, redone before every
+/// pop over the previous order: by key, descending, then by position in
+/// the previous order.  A key depends only on the weights of its own
+/// components, so after the first pop (which keys and sorts everything) a
+/// pop re-keys only the multisets that contain a component whose weight
+/// changed since the last pop, stable-sorts those, and merges them back
+/// into the rest (whose keys and relative order stand) under that same
+/// comparison.  Every key equals what [`HpfCegis::priority`] returns for its
+/// multiset, so the order, ties included, is exactly that of a stable sort
+/// recomputing the priority on every comparison.
 #[derive(Debug)]
 struct Ranking {
-    entries: Vec<(f64, Vec<usize>)>,
+    /// Every multiset of the spec, `size` component indices each.
+    table: Vec<usize>,
+    size: usize,
+    /// The untried multisets from `next` on, best first: the key, the
+    /// multiset's index in `table` and, during a merge, its previous
+    /// position.
+    entries: Vec<Entry>,
+    next: usize,
+    /// The weights the keys were computed from (`None` before the first
+    /// pop).
+    keyed_with: Option<Vec<Weights>>,
+    alpha: f64,
     /// χ_j of every library component for the spec.
     chi: Vec<f64>,
+    /// Per component: did its weight change since the last pop?
+    dirty: Vec<bool>,
+    /// The re-keyed entries of a merge.
+    rekeyed: Vec<Entry>,
 }
 
+/// A ranking entry: key, table index, previous position.
+type Entry = (f64, u32, u32);
+
 impl Ranking {
-    fn new(library: &Library, multiset_size: usize, spec: &Spec) -> Self {
+    fn new(library: &Library, size: usize, spec: &Spec, alpha: f64) -> Self {
+        let mut table = Vec::new();
+        let mut count = 0u32;
+        library.for_each_multiset(size, |multiset| {
+            table.extend_from_slice(multiset);
+            count += 1;
+        });
         Ranking {
-            entries: library
-                .multisets(multiset_size)
-                .into_iter()
-                .map(|multiset| (0.0, multiset))
-                .collect(),
+            table,
+            size,
+            entries: (0..count).map(|idx| (0.0, idx, 0)).collect(),
+            next: 0,
+            keyed_with: None,
+            alpha,
             chi: library.components().iter().map(|c| chi(c, spec)).collect(),
+            dirty: vec![false; library.len()],
+            rekeyed: Vec::new(),
         }
+    }
+
+    fn multiset(&self, idx: u32) -> &[usize] {
+        let start = idx as usize * self.size;
+        &self.table[start..start + self.size]
+    }
+
+    fn key(&self, idx: u32, weights: &[Weights]) -> f64 {
+        priority_of(self.multiset(idx), weights, self.alpha, |j| self.chi[j])
     }
 
     /// Removes and returns the highest-priority multiset under `weights`.
-    fn pop_best(&mut self, weights: &[Weights], alpha: f64) -> Option<Vec<usize>> {
-        if self.entries.is_empty() {
+    fn pop_best(&mut self, weights: &[Weights]) -> Option<&[usize]> {
+        if self.next == self.entries.len() {
             return None;
         }
-        let chi = &self.chi;
-        for (key, multiset) in &mut self.entries {
-            *key = priority_of(multiset, weights, alpha, |idx| chi[idx]);
+        match &self.keyed_with {
+            None => {
+                for i in 0..self.entries.len() {
+                    self.entries[i].0 = self.key(self.entries[i].1, weights);
+                }
+                self.entries.sort_by(by_key);
+            }
+            Some(keyed_with) => {
+                let mut any_dirty = false;
+                for (j, dirty) in self.dirty.iter_mut().enumerate() {
+                    *dirty = keyed_with[j] != weights[j];
+                    any_dirty |= *dirty;
+                }
+                if any_dirty {
+                    self.merge_rekeyed(weights);
+                }
+            }
         }
-        self.entries
-            .sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal));
-        Some(self.entries.remove(0).1)
+        self.keyed_with = Some(weights.to_vec());
+        let idx = self.entries[self.next].1;
+        self.next += 1;
+        Some(self.multiset(idx))
     }
+
+    /// Re-keys the untried multisets with a dirty component and merges them
+    /// back into the others, in place.
+    fn merge_rekeyed(&mut self, weights: &[Weights]) {
+        let mut rekeyed = std::mem::take(&mut self.rekeyed);
+        rekeyed.clear();
+        // The kept entries move to the front, in order, with their position.
+        let mut kept = 0;
+        for pos in self.next..self.entries.len() {
+            let (key, idx, _) = self.entries[pos];
+            let prev = u32::try_from(pos - self.next).expect("position fits u32");
+            if self.multiset(idx).iter().any(|&j| self.dirty[j]) {
+                rekeyed.push((self.key(idx, weights), idx, prev));
+            } else {
+                self.entries[kept] = (key, idx, prev);
+                kept += 1;
+            }
+        }
+        rekeyed.sort_by(by_key);
+        // Merge from the back: each step places whichever tail comes last.
+        let (mut i, mut j) = (kept, rekeyed.len());
+        self.entries.truncate(kept);
+        self.entries.resize(kept + j, (0.0, 0, 0));
+        while j > 0 {
+            if i > 0 && precedes(&rekeyed[j - 1], &self.entries[i - 1]) {
+                self.entries[i + j - 1] = self.entries[i - 1];
+                i -= 1;
+            } else {
+                self.entries[i + j - 1] = rekeyed[j - 1];
+                j -= 1;
+            }
+        }
+        self.next = 0;
+        self.rekeyed = rekeyed;
+    }
+
+    /// The untried multisets, best first.
+    #[cfg(test)]
+    fn remaining(&self) -> impl Iterator<Item = &[usize]> {
+        self.entries[self.next..]
+            .iter()
+            .map(|&(_, idx, _)| self.multiset(idx))
+    }
+}
+
+/// The ranking's sort comparison: the higher key first.
+fn by_key(a: &Entry, b: &Entry) -> Ordering {
+    b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal)
+}
+
+/// Whether entry `a` goes before `b` in a merge: the higher key first, then
+/// the earlier previous position (the stable sort's order).
+fn precedes(a: &Entry, b: &Entry) -> bool {
+    by_key(a, b).then(a.2.cmp(&b.2)) == Ordering::Less
 }
 
 /// χ_j: does the component share its base operation with the original
@@ -319,39 +428,68 @@ mod tests {
         multisets.remove(0)
     }
 
+    /// The incremental ranking against [`reference_pop`] on both libraries
+    /// and multiset sizes 2 to 4, checking the pick and the whole remaining
+    /// order after every pop.  Besides the popped multiset's own bumps,
+    /// some rounds also bump a component outside it (the ranking must
+    /// re-key by changed weight, not by popped multiset) and some bump
+    /// nothing (no re-key at all).
     #[test]
     fn cached_key_ranking_matches_the_recomputing_sort() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        let library = Library::standard();
-        // ADD: χ = 1 for the ADD and ADDI components.
+        // ADD: χ = 1 for the ADD and ADDI components of both libraries.
         let spec = Spec::for_opcode(Opcode::Add, 4);
-        for (seed, (alpha, increment)) in [0.0, 1.0, 4.0]
-            .into_iter()
-            .flat_map(|a| [1, 4].map(|i| (a, i)))
-            .enumerate()
-        {
-            let mut weights = HpfCegis::new(SynthesisConfig::default(), library.clone()).weights;
-            let mut reference = library.multisets(3);
-            assert_eq!(reference.len(), 4_495);
-            let mut ranking = Ranking::new(&library, 3, &spec);
-            let mut rng = StdRng::seed_from_u64(seed as u64);
-            for round in 0..60 {
-                let want = reference_pop(&library, &weights, alpha, &mut reference, &spec);
-                let got = ranking.pop_best(&weights, alpha).unwrap();
-                assert_eq!(got, want, "α={alpha} +{increment} round {round}: pick");
-                assert!(
-                    ranking.entries.iter().map(|e| &e.1).eq(reference.iter()),
-                    "α={alpha} +{increment} round {round}: remaining order"
-                );
-                let success = rng.gen_bool(0.3);
-                for &idx in &got {
-                    if success {
-                        weights[idx].choice += increment;
-                    } else {
-                        weights[idx].exclusion += increment;
+        let cases = [
+            (Library::standard(), 2, 435, 60),
+            (Library::standard(), 3, 4_495, 60),
+            (Library::standard(), 4, 35_960, 6),
+            (Library::minimal(), 2, 45, 45),
+            (Library::minimal(), 3, 165, 60),
+            (Library::minimal(), 4, 495, 60),
+        ];
+        let mut seed = 0;
+        for (library, size, count, rounds) in cases {
+            let n = library.len();
+            for (alpha, increment) in [0.0, 1.0, 4.0]
+                .into_iter()
+                .flat_map(|a| [1, 4].map(|i| (a, i)))
+            {
+                seed += 1;
+                let case = format!("{n} components, size {size}, α={alpha} +{increment}");
+                let mut weights =
+                    HpfCegis::new(SynthesisConfig::default(), library.clone()).weights;
+                let mut reference = library.multisets(size);
+                assert_eq!(reference.len(), count, "{case}");
+                let mut ranking = Ranking::new(&library, size, &spec, alpha);
+                let mut rng = StdRng::seed_from_u64(seed);
+                for round in 0..rounds {
+                    let want = reference_pop(&library, &weights, alpha, &mut reference, &spec);
+                    let got = ranking.pop_best(&weights).unwrap().to_vec();
+                    assert_eq!(got, want, "{case} round {round}: pick");
+                    assert!(
+                        ranking.remaining().eq(reference.iter().map(Vec::as_slice)),
+                        "{case} round {round}: remaining order"
+                    );
+                    if rng.gen_bool(0.1) {
+                        continue;
                     }
+                    let success = rng.gen_bool(0.3);
+                    let mut bumped = got;
+                    if rng.gen_bool(0.2) {
+                        bumped.push(rng.gen_range(0..n));
+                    }
+                    for idx in bumped {
+                        if success {
+                            weights[idx].choice += increment;
+                        } else {
+                            weights[idx].exclusion += increment;
+                        }
+                    }
+                }
+                if rounds == count {
+                    assert!(ranking.pop_best(&weights).is_none(), "{case}: exhausted");
                 }
             }
         }

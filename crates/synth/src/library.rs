@@ -122,26 +122,32 @@ impl Library {
     pub fn multisets(&self, size: usize) -> Vec<Vec<usize>> {
         let count = multiset_count(self.components.len(), size);
         let mut out = Vec::with_capacity(usize::try_from(count).unwrap_or(0));
-        let mut current = Vec::with_capacity(size);
-        combinations_with_replacement(self.components.len(), size, 0, &mut current, &mut out);
+        self.for_each_multiset(size, |multiset| out.push(multiset.to_vec()));
         out
+    }
+
+    /// Calls `f` on every multiset of `size` component indices, in the
+    /// order of [`multisets`](Self::multisets), without collecting them.
+    pub(crate) fn for_each_multiset(&self, size: usize, mut f: impl FnMut(&[usize])) {
+        let mut current = Vec::with_capacity(size);
+        combinations_with_replacement(self.components.len(), size, 0, &mut current, &mut f);
     }
 }
 
-fn combinations_with_replacement(
+fn combinations_with_replacement<F: FnMut(&[usize])>(
     n: usize,
     size: usize,
     start: usize,
     current: &mut Vec<usize>,
-    out: &mut Vec<Vec<usize>>,
+    f: &mut F,
 ) {
     if current.len() == size {
-        out.push(current.clone());
+        f(current);
         return;
     }
     for i in start..n {
         current.push(i);
-        combinations_with_replacement(n, size, i, current, out);
+        combinations_with_replacement(n, size, i, current, f);
         current.pop();
     }
 }

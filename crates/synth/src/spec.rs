@@ -210,8 +210,7 @@ impl SynthesisCase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sepe_smt::concrete;
-    use std::collections::HashMap;
+    use sepe_smt::concrete::{self, Assignment};
 
     #[test]
     fn regreg_spec_semantics() {
@@ -221,7 +220,7 @@ mod tests {
         assert_eq!(spec.imm_input_index(), None);
         let inputs = spec.fresh_inputs(&mut tm, "t");
         let out = spec.result(&mut tm, &inputs);
-        let env: HashMap<_, _> = [(inputs[0], 10u64), (inputs[1], 4u64)]
+        let env: Assignment = [(inputs[0], 10u64), (inputs[1], 4u64)]
             .into_iter()
             .collect();
         assert_eq!(concrete::eval(&tm, out, &env), 6);
@@ -237,7 +236,7 @@ mod tests {
         assert_eq!(spec.imm_input_index(), Some(1));
         let inputs = spec.fresh_inputs(&mut tm, "x");
         let out = spec.result(&mut tm, &inputs);
-        let env: HashMap<_, _> = [(inputs[0], 0xffu64), (inputs[1], 0xffff_ffffu64)]
+        let env: Assignment = [(inputs[0], 0xffu64), (inputs[1], 0xffff_ffffu64)]
             .into_iter()
             .collect();
         assert_eq!(concrete::eval(&tm, out, &env), 0xffff_ff00);
@@ -247,7 +246,7 @@ mod tests {
             1,
             "-1 is a legal 12-bit immediate"
         );
-        let bad: HashMap<_, _> = [(inputs[0], 0u64), (inputs[1], 0x10_0000u64)]
+        let bad: Assignment = [(inputs[0], 0u64), (inputs[1], 0x10_0000u64)]
             .into_iter()
             .collect();
         assert_eq!(
@@ -263,8 +262,8 @@ mod tests {
         let spec = Spec::for_opcode(Opcode::Slli, 32);
         let inputs = spec.fresh_inputs(&mut tm, "s");
         let c = spec.input_constraint(&mut tm, &inputs);
-        let ok: HashMap<_, _> = [(inputs[1], 31u64)].into_iter().collect();
-        let bad: HashMap<_, _> = [(inputs[1], 32u64)].into_iter().collect();
+        let ok: Assignment = [(inputs[1], 31u64)].into_iter().collect();
+        let bad: Assignment = [(inputs[1], 32u64)].into_iter().collect();
         assert_eq!(concrete::eval(&tm, c, &ok), 1);
         assert_eq!(concrete::eval(&tm, c, &bad), 0);
     }
@@ -276,7 +275,7 @@ mod tests {
         assert_eq!(spec.num_inputs(), 1);
         let inputs = spec.fresh_inputs(&mut tm, "n");
         let out = spec.result(&mut tm, &inputs);
-        let env: HashMap<_, _> = [(inputs[0], 0x0f0fu64)].into_iter().collect();
+        let env: Assignment = [(inputs[0], 0x0f0fu64)].into_iter().collect();
         assert_eq!(concrete::eval(&tm, out, &env), 0xffff_f0f0);
     }
 
@@ -289,8 +288,8 @@ mod tests {
         let out = spec.result(&mut tm, &inputs);
         assert_eq!(out, inputs[0]);
         let c = spec.input_constraint(&mut tm, &inputs);
-        let ok: HashMap<_, _> = [(inputs[0], 0xabcd_e000u64)].into_iter().collect();
-        let bad: HashMap<_, _> = [(inputs[0], 0xabcd_e001u64)].into_iter().collect();
+        let ok: Assignment = [(inputs[0], 0xabcd_e000u64)].into_iter().collect();
+        let bad: Assignment = [(inputs[0], 0xabcd_e001u64)].into_iter().collect();
         assert_eq!(concrete::eval(&tm, c, &ok), 1);
         assert_eq!(concrete::eval(&tm, c, &bad), 0);
     }

@@ -377,7 +377,6 @@ pub(crate) fn extract_witness(
 mod tests {
     use super::*;
     use sepe_smt::Sort;
-    use std::collections::HashMap;
 
     /// Counter with symbolic increment input; bad state: counter == target.
     fn counter_system(
@@ -460,9 +459,9 @@ mod tests {
         // replay the witness inputs through TransitionSystem::simulate
         let inc = tm.find_var("inc").expect("input exists");
         let count = tm.find_var("count").expect("state exists");
-        let inputs: Vec<HashMap<_, _>> = witness.frames()[..witness.num_steps()]
+        let inputs: Vec<Assignment> = witness.frames()[..witness.num_steps()]
             .iter()
-            .map(|f| HashMap::from([(inc, f.input("inc"))]))
+            .map(|f| Assignment::from_iter([(inc, f.input("inc"))]))
             .collect();
         let trace = ts.simulate(&tm, &inputs);
         assert_eq!(trace.last().expect("trace non-empty")[&count], 42);

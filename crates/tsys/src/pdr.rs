@@ -55,10 +55,9 @@
 //! dropped would float unconstrained inside them.  Word-level rewriting and
 //! the AIG layer stay on (equisatisfiability-preserving).
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use sepe_smt::{IncrementalSolver, SatResult, Sort, StopReason, TermId, TermManager};
+use sepe_smt::{FastMap, IncrementalSolver, SatResult, Sort, StopReason, TermId, TermManager};
 
 use crate::bmc::{Bmc, BmcConfig, BmcMode, BmcResult};
 use crate::prove::{ProofCertificate, ProofMethod, ProofRun, ProveStats};
@@ -180,7 +179,7 @@ struct PdrEngine<'ts> {
     /// The bad-state predicate at frame 0.
     bad0: TermId,
     /// Every state bit `(var, bit)` with its literal at frames 0 and 1.
-    bits: HashMap<(TermId, u32), [TermId; 2]>,
+    bits: FastMap<(TermId, u32), [TermId; 2]>,
     /// Per-level clause activation literals (index 0 unused).
     level_acts: Vec<TermId>,
     clauses: Vec<FrameClause>,
@@ -233,7 +232,7 @@ impl<'ts> PdrEngine<'ts> {
         // tautology `l ∨ ¬l` (the SAT core drops the clause itself).  From
         // here on the only new CNF variables are one `¬cube` literal per
         // relative-induction query and one activation literal per level.
-        let mut bits = HashMap::new();
+        let mut bits = FastMap::default();
         let mut encoded = vec![bad0];
         for sv in ts.state_vars() {
             for bit in 0..bit_width(tm, sv.current) {

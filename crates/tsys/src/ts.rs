@@ -1,8 +1,7 @@
 //! The transition-system IR.
 
-use std::collections::{HashMap, HashSet};
-
-use sepe_smt::{concrete, TermId, TermManager};
+use sepe_smt::concrete::{self, Assignment};
+use sepe_smt::{FastMap, FastSet, TermId, TermManager};
 
 /// One state variable: its current-state term (a variable), an optional
 /// initial value and its next-state function.
@@ -33,7 +32,7 @@ pub struct StateVar {
 pub struct CoiInfo {
     /// Current-state variable → distance (in transition steps) to the
     /// nearest bad-state/constraint root.
-    dist: HashMap<TermId, usize>,
+    dist: FastMap<TermId, usize>,
     /// Total number of registered state variables.
     num_state_vars: usize,
     /// Largest finite distance in `dist` (0 when the cone is empty): past
@@ -194,8 +193,8 @@ impl TransitionSystem {
     /// reconstructs dropped variables' trace values by forward evaluation
     /// when it extracts a witness.
     pub fn cone_of_influence(&self, tm: &TermManager) -> CoiInfo {
-        let state_set: HashSet<TermId> = self.state_vars.iter().map(|sv| sv.current).collect();
-        let mut dist: HashMap<TermId, usize> = HashMap::new();
+        let state_set: FastSet<TermId> = self.state_vars.iter().map(|sv| sv.current).collect();
+        let mut dist: FastMap<TermId, usize> = FastMap::default();
         let mut roots: Vec<TermId> = Vec::new();
         roots.extend(self.bad.iter().copied());
         roots.extend(self.constraints.iter().copied());
@@ -206,7 +205,7 @@ impl TransitionSystem {
                 frontier.push(v);
             }
         }
-        let next_of: HashMap<TermId, TermId> = self
+        let next_of: FastMap<TermId, TermId> = self
             .state_vars
             .iter()
             .map(|sv| (sv.current, sv.next))
@@ -244,16 +243,12 @@ impl TransitionSystem {
     /// final post-state entry.  Unconstrained initial values and unspecified
     /// inputs default to zero.  This is used to replay BMC witnesses on an
     /// independent path.
-    pub fn simulate(
-        &self,
-        tm: &TermManager,
-        inputs_per_frame: &[HashMap<TermId, u64>],
-    ) -> Vec<HashMap<TermId, u64>> {
-        let mut state: HashMap<TermId, u64> = HashMap::new();
+    pub fn simulate(&self, tm: &TermManager, inputs_per_frame: &[Assignment]) -> Vec<Assignment> {
+        let mut state = Assignment::default();
         for sv in &self.state_vars {
             let v = sv
                 .init
-                .map(|t| concrete::eval(tm, t, &HashMap::new()))
+                .map(|t| concrete::eval(tm, t, &Assignment::default()))
                 .unwrap_or(0);
             state.insert(sv.current, v);
         }
@@ -263,7 +258,7 @@ impl TransitionSystem {
             for (&k, &v) in frame_inputs {
                 env.insert(k, v);
             }
-            let mut next_state = HashMap::new();
+            let mut next_state = Assignment::default();
             for sv in &self.state_vars {
                 next_state.insert(sv.current, concrete::eval(tm, sv.next, &env));
             }
@@ -306,9 +301,9 @@ mod tests {
         ts.add_state_var(&tm, c, Some(five), next);
         ts.add_input(&tm, inc);
         let frames = vec![
-            HashMap::from([(inc, 1u64)]),
-            HashMap::from([(inc, 2u64)]),
-            HashMap::from([(inc, 3u64)]),
+            Assignment::from_iter([(inc, 1u64)]),
+            Assignment::from_iter([(inc, 2u64)]),
+            Assignment::from_iter([(inc, 3u64)]),
         ];
         let trace = ts.simulate(&tm, &frames);
         let values: Vec<u64> = trace.iter().map(|s| s[&c]).collect();

@@ -1,8 +1,6 @@
 //! Frame unrolling of transition systems.
 
-use std::collections::HashMap;
-
-use sepe_smt::{subst, TermId, TermManager};
+use sepe_smt::{subst, FastMap, TermId, TermManager};
 
 use crate::ts::{CoiInfo, TransitionSystem};
 
@@ -30,11 +28,11 @@ pub struct Unroller<'a> {
 #[derive(Debug)]
 struct Frame {
     /// Original state var / input → its frame copy.
-    map: HashMap<TermId, TermId>,
+    map: FastMap<TermId, TermId>,
     /// Original term → its instance at this frame.  The map never changes
     /// once the frame exists, so entries stay valid for the unroller's
     /// lifetime.
-    cache: HashMap<TermId, TermId>,
+    cache: FastMap<TermId, TermId>,
 }
 
 impl<'a> Unroller<'a> {
@@ -53,10 +51,10 @@ impl<'a> Unroller<'a> {
     /// time: [`TransitionSystem::add_state_var`] and
     /// [`TransitionSystem::add_input`] reject non-variable terms, so every
     /// state var and input reaching here has a name.
-    pub fn frame_map(&mut self, tm: &mut TermManager, k: usize) -> &HashMap<TermId, TermId> {
+    pub fn frame_map(&mut self, tm: &mut TermManager, k: usize) -> &FastMap<TermId, TermId> {
         while self.frames.len() <= k {
             let frame = self.frames.len();
-            let mut map = HashMap::new();
+            let mut map = FastMap::default();
             for sv in self.ts.state_vars() {
                 let name = tm
                     .var_name(sv.current)
@@ -75,7 +73,7 @@ impl<'a> Unroller<'a> {
             }
             self.frames.push(Frame {
                 map,
-                cache: HashMap::new(),
+                cache: FastMap::default(),
             });
         }
         &self.frames[k].map

@@ -1,15 +1,16 @@
 //! Counterexample witnesses.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use sepe_smt::FastMap;
 
 /// The values of one frame of a witness.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Frame {
     /// Input values, keyed by the original input variable name.
-    pub inputs: HashMap<String, u64>,
+    pub inputs: FastMap<String, u64>,
     /// State-variable values, keyed by the original state variable name.
-    pub states: HashMap<String, u64>,
+    pub states: FastMap<String, u64>,
 }
 
 impl Frame {
