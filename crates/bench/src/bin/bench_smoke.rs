@@ -69,8 +69,10 @@
 
 use serde::{Serialize, Value};
 
+use sepe_bench::report::Counters;
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
+use sepe_smt::SolverReuseStats;
 use sepe_sqed::detect::{Detection, DetectorConfig, Method};
 use sepe_sqed::parallel::{DetectionJob, Engine};
 
@@ -111,53 +113,35 @@ fn sweep_jobs(bound: usize) -> Vec<DetectionJob> {
         .collect()
 }
 
-#[derive(Debug, Clone, Serialize)]
+/// One sweep mode's entry: its name, its model-checking wall time and its
+/// solver counters, written as one flat object.
+#[derive(Debug, Clone)]
 struct ModeResult {
     mode: String,
     wall_ms: f64,
-    conflicts: u64,
-    learnt_high_water: u64,
-    learnt_deleted: u64,
-    learnt_retained: u64,
-    terms_cached: u64,
-    terms_reused: u64,
-    terms_rewritten: u64,
-    rewrite_rules: u64,
-    rewrite_pins: u64,
-    assertions_dropped: u64,
-    coi_dropped: u64,
-    aig_nodes: u64,
-    aig_strash_hits: u64,
-    aig_consts_folded: u64,
-    aig_rewrites: u64,
-    cnf_vars: u64,
-    cnf_clauses: u64,
+    solver: SolverReuseStats,
 }
 
 impl ModeResult {
     fn new(mode: &str, detection: &Detection) -> ModeResult {
-        let solver = &detection.solver;
         ModeResult {
             mode: mode.to_string(),
             wall_ms: detection.runtime.as_secs_f64() * 1e3,
-            conflicts: solver.conflicts,
-            learnt_high_water: solver.learnt_high_water,
-            learnt_deleted: solver.learnt_deleted,
-            learnt_retained: solver.learnt_retained,
-            terms_cached: solver.encode.terms_cached,
-            terms_reused: solver.encode.terms_reused,
-            terms_rewritten: solver.encode.rewrite.terms_rewritten,
-            rewrite_rules: solver.encode.rewrite.rule_applications,
-            rewrite_pins: solver.encode.rewrite.pins,
-            assertions_dropped: solver.encode.rewrite.assertions_dropped,
-            coi_dropped: solver.encode.rewrite.coi_dropped_updates,
-            aig_nodes: solver.encode.aig.nodes,
-            aig_strash_hits: solver.encode.aig.strash_hits,
-            aig_consts_folded: solver.encode.aig.consts_folded,
-            aig_rewrites: solver.encode.aig.rewrites,
-            cnf_vars: solver.cnf_vars,
-            cnf_clauses: solver.cnf_clauses,
+            solver: detection.solver,
         }
+    }
+}
+
+impl Serialize for ModeResult {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("mode".to_string(), self.mode.to_value()),
+            ("wall_ms".to_string(), self.wall_ms.to_value()),
+        ];
+        if let Value::Object(counters) = Counters(self.solver).to_value() {
+            fields.extend(counters);
+        }
+        Value::Object(fields)
     }
 }
 
@@ -577,24 +561,25 @@ fn main() {
         proofs,
     };
     for m in &report.modes {
+        let (s, e) = (&m.solver, &m.solver.encode);
         println!(
             "  {:<24} {:>9.1} ms  {:>8} conflicts  learnt hw {:>6} (deleted {:>6}, retained {:>6})",
             m.mode,
             m.wall_ms,
-            m.conflicts,
-            m.learnt_high_water,
-            m.learnt_deleted,
-            m.learnt_retained,
+            s.conflicts,
+            s.learnt_high_water,
+            s.learnt_deleted,
+            s.learnt_retained,
         );
         println!(
             "  {:<24} cache {:>6}/{:>6}  rewritten {:>6} (rules {:>6}, pins {:>6}, dropped {:>6}, coi-dropped {:>4})",
-            "", m.terms_cached, m.terms_reused, m.terms_rewritten, m.rewrite_rules, m.rewrite_pins,
-            m.assertions_dropped, m.coi_dropped,
+            "", e.terms_cached, e.terms_reused, e.rewrite.terms_rewritten, e.rewrite.rule_applications,
+            e.rewrite.pins, e.rewrite.assertions_dropped, e.rewrite.coi_dropped_updates,
         );
         println!(
             "  {:<24} aig {:>7} nodes (strash {:>7}, folded {:>7}, rw {:>5})  cnf {:>7} vars / {:>8} clauses",
-            "", m.aig_nodes, m.aig_strash_hits, m.aig_consts_folded, m.aig_rewrites, m.cnf_vars,
-            m.cnf_clauses,
+            "", e.aig.nodes, e.aig.strash_hits, e.aig.consts_folded, e.aig.rewrites, s.cnf_vars,
+            s.cnf_clauses,
         );
     }
     let find = |mode: &str| report.modes.iter().find(|m| m.mode == mode);
@@ -602,15 +587,15 @@ fn main() {
         println!(
             "  rewrite-on vs rewrite-off: {:.2}x wall, {:.2}x conflicts",
             off.wall_ms / on.wall_ms,
-            off.conflicts as f64 / (on.conflicts.max(1)) as f64,
+            off.solver.conflicts as f64 / (on.solver.conflicts.max(1)) as f64,
         );
     }
     if let (Some(on), Some(off)) = (find("incremental"), find("aig_off")) {
         println!(
             "  aig-on vs aig-off: {:.2}x wall, {:.2}x CNF clauses, {:.2}x CNF vars",
             off.wall_ms / on.wall_ms,
-            off.cnf_clauses as f64 / (on.cnf_clauses.max(1)) as f64,
-            off.cnf_vars as f64 / (on.cnf_vars.max(1)) as f64,
+            off.solver.cnf_clauses as f64 / (on.solver.cnf_clauses.max(1)) as f64,
+            off.solver.cnf_vars as f64 / (on.solver.cnf_vars.max(1)) as f64,
         );
     }
     println!(
@@ -717,7 +702,7 @@ fn main() {
             // deterministic on identical code, so exceeding the tight
             // factor means the encoding itself regressed, not the runner.
             if let Some(expected) = gate.expected(entry, &m.mode, "cnf_clauses") {
-                let clauses = m.cnf_clauses as f64;
+                let clauses = m.solver.cnf_clauses as f64;
                 gate.at_most(
                     &m.mode,
                     "clauses",
@@ -729,7 +714,7 @@ fn main() {
             // Storage and propagation changes keep every decision, so the
             // conflict count is exact; only a search change may move it.
             if let Some(expected) = gate.expected(entry, &m.mode, "conflicts") {
-                let verdict = if m.conflicts as f64 == expected {
+                let verdict = if m.solver.conflicts as f64 == expected {
                     "ok"
                 } else {
                     gate.search_changed = true;
@@ -737,7 +722,7 @@ fn main() {
                 };
                 println!(
                     "  {:<24} {:>9} conflicts vs baseline {:>9.0} {verdict}",
-                    m.mode, m.conflicts, expected
+                    m.mode, m.solver.conflicts, expected
                 );
             }
         }
@@ -793,6 +778,27 @@ mod tests {
             &["--bound", "six"],
         ] {
             assert!(parse(args).is_err(), "{args:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn mode_entries_keep_the_baseline_keys_in_order() {
+        let keys = |entry: &Value| -> Vec<String> {
+            let fields = entry.as_object().expect("a mode entry is an object");
+            fields.iter().map(|(k, _)| k.clone()).collect()
+        };
+        let entry = ModeResult {
+            mode: "incremental".to_string(),
+            wall_ms: 0.0,
+            solver: SolverReuseStats::default(),
+        };
+        let measured = keys(&entry.to_value());
+        let baseline: Value =
+            serde_json::from_str(include_str!("../../../../BENCH_baseline.json")).unwrap();
+        let entries = baseline.get("modes").and_then(Value::as_array).unwrap();
+        assert!(!entries.is_empty());
+        for entry in entries {
+            assert_eq!(keys(entry), measured, "{}", mode_of(entry));
         }
     }
 }

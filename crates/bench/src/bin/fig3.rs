@@ -2,12 +2,12 @@
 //!
 //! Usage: `cargo run --release -p sepe-bench --bin fig3 [--full] [--json]`
 
-use sepe_bench::{fig3, Profile};
+use sepe_bench::{fig3, Args};
 
 fn main() {
-    let profile = Profile::from_args();
+    let Args { profile, json, .. } = Args::from_env("fig3", false);
     let rows = fig3::run(profile);
-    if std::env::args().any(|a| a == "--json") {
+    if json {
         println!(
             "{}",
             serde_json::to_string_pretty(&rows).expect("serializable rows")

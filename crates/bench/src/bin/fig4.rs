@@ -7,13 +7,13 @@
 //! parallel engine with `N` workers; the default is the machine's available
 //! parallelism and `--jobs 1` reproduces the sequential run exactly.
 
-use sepe_bench::{fig4, jobs_from_args, Profile};
+use sepe_bench::{fig4, Args};
 
 fn main() {
-    let profile = Profile::from_args();
-    let jobs = jobs_from_args();
-    let (rows, batch) = fig4::run_with_jobs(profile, jobs);
-    if std::env::args().any(|a| a == "--json") {
+    let args = Args::from_env("fig4", true);
+    let profile = args.profile;
+    let (rows, batch) = fig4::run_with_jobs(profile, args.jobs());
+    if args.json {
         println!(
             "{}",
             serde_json::to_string_pretty(&rows).expect("serializable rows")

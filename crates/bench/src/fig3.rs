@@ -12,9 +12,7 @@ use sepe_synth::library::Library;
 use sepe_synth::spec::SynthesisCase;
 use sepe_synth::SynthesisConfig;
 
-use sepe_smt::EncodeStats;
-
-use crate::report::{SolverRow, SolverSummary};
+use crate::report::{Counters, SolverRow, SolverSummary};
 use crate::Profile;
 
 /// One bar pair of Figure 3.
@@ -36,33 +34,8 @@ pub struct Fig3Row {
     pub hpf_programs: usize,
     /// Programs found by iterative CEGIS.
     pub iterative_programs: usize,
-    /// Term encodings reused by HPF-CEGIS's persistent synthesis solvers.
-    pub hpf_terms_reused: u64,
-    /// Terms changed by the word-level rewriter across the HPF run's
-    /// synthesis/verification solvers.
-    pub hpf_terms_rewritten: u64,
-    /// Catalogue-rule applications by the rewriter.
-    pub hpf_rewrite_rules: u64,
-    /// Asserted equalities the rewriter turned into variable pins.
-    pub hpf_rewrite_pins: u64,
-    /// Asserted conjuncts the rewriter eliminated before encoding.
-    pub hpf_assertions_dropped: u64,
-    /// Distinct term encodings cached by the HPF run's solvers.
-    pub hpf_terms_cached: u64,
-    /// AIG nodes created below the word level (strash misses).
-    pub hpf_aig_nodes: u64,
-    /// AIG requests answered by the structural-hashing table.
-    pub hpf_aig_strash_hits: u64,
-    /// AIG requests folded by constant propagation / one-level rules.
-    pub hpf_aig_consts_folded: u64,
-    /// Two-level local rewrites at AIG node creation.
-    pub hpf_aig_rewrites: u64,
-    /// CNF variables emitted by the polarity-aware Tseitin pass.
-    pub hpf_cnf_vars: u64,
-    /// CNF clauses emitted by the polarity-aware Tseitin pass.
-    pub hpf_cnf_clauses: u64,
-    /// Learnt clauses retained across HPF-CEGIS refinement rounds.
-    pub hpf_learnt_retained: u64,
+    /// Solver counters of the HPF run's synthesis/verification solvers.
+    pub hpf_solver: Counters,
 }
 
 impl Fig3Row {
@@ -72,35 +45,6 @@ impl Fig3Row {
             0.0
         } else {
             1.0 - self.hpf_secs / self.iterative_secs
-        }
-    }
-
-    /// This row's contribution to the shared solver summary.
-    fn solver_row(&self) -> SolverRow {
-        let encode = EncodeStats {
-            terms_cached: self.hpf_terms_cached,
-            terms_reused: self.hpf_terms_reused,
-            rewrite: sepe_smt::RewriteStats {
-                terms_rewritten: self.hpf_terms_rewritten,
-                rule_applications: self.hpf_rewrite_rules,
-                pins: self.hpf_rewrite_pins,
-                assertions_dropped: self.hpf_assertions_dropped,
-                ..Default::default()
-            },
-            aig: sepe_smt::AigStats {
-                nodes: self.hpf_aig_nodes,
-                strash_hits: self.hpf_aig_strash_hits,
-                consts_folded: self.hpf_aig_consts_folded,
-                rewrites: self.hpf_aig_rewrites,
-                cnf_vars: self.hpf_cnf_vars,
-                cnf_clauses: self.hpf_cnf_clauses,
-            },
-        };
-        SolverRow {
-            label: self.case.clone(),
-            encode,
-            learnt_retained: self.hpf_learnt_retained,
-            ..SolverRow::default()
         }
     }
 }
@@ -161,19 +105,7 @@ pub fn run(profile: Profile) -> Vec<Fig3Row> {
                 iterative_multisets: iterative_result.multisets_tried,
                 hpf_programs: hpf_result.programs.len(),
                 iterative_programs: iterative_result.programs.len(),
-                hpf_terms_reused: hpf_result.solver.encode.terms_reused,
-                hpf_terms_rewritten: hpf_result.solver.encode.rewrite.terms_rewritten,
-                hpf_rewrite_rules: hpf_result.solver.encode.rewrite.rule_applications,
-                hpf_rewrite_pins: hpf_result.solver.encode.rewrite.pins,
-                hpf_assertions_dropped: hpf_result.solver.encode.rewrite.assertions_dropped,
-                hpf_terms_cached: hpf_result.solver.encode.terms_cached,
-                hpf_aig_nodes: hpf_result.solver.encode.aig.nodes,
-                hpf_aig_strash_hits: hpf_result.solver.encode.aig.strash_hits,
-                hpf_aig_consts_folded: hpf_result.solver.encode.aig.consts_folded,
-                hpf_aig_rewrites: hpf_result.solver.encode.aig.rewrites,
-                hpf_cnf_vars: hpf_result.solver.encode.aig.cnf_vars,
-                hpf_cnf_clauses: hpf_result.solver.encode.aig.cnf_clauses,
-                hpf_learnt_retained: hpf_result.solver.learnt_retained,
+                hpf_solver: Counters(hpf_result.solver),
             }
         })
         .collect()
@@ -225,7 +157,13 @@ pub fn print(rows: &[Fig3Row]) {
     let summary = SolverSummary::new(
         "HPF incremental CEGIS",
         "refinement rounds",
-        rows.iter().map(Fig3Row::solver_row).collect(),
+        rows.iter()
+            .map(|r| SolverRow {
+                label: r.case.clone(),
+                solver: r.hpf_solver.0,
+                ..SolverRow::default()
+            })
+            .collect(),
         8,
     );
     println!("{summary}");
@@ -252,19 +190,7 @@ mod tests {
             iterative_multisets: 9,
             hpf_programs: 1,
             iterative_programs: 1,
-            hpf_terms_reused: 0,
-            hpf_terms_rewritten: 0,
-            hpf_rewrite_rules: 0,
-            hpf_rewrite_pins: 0,
-            hpf_assertions_dropped: 0,
-            hpf_terms_cached: 0,
-            hpf_aig_nodes: 0,
-            hpf_aig_strash_hits: 0,
-            hpf_aig_consts_folded: 0,
-            hpf_aig_rewrites: 0,
-            hpf_cnf_vars: 0,
-            hpf_cnf_clauses: 0,
-            hpf_learnt_retained: 0,
+            hpf_solver: Counters::default(),
         };
         assert!((row.reduction() - 0.5).abs() < 1e-9);
     }

@@ -7,11 +7,10 @@ use serde::Serialize;
 
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
-use sepe_smt::EncodeStats;
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::parallel::{BatchStats, DetectionJob, Engine};
 
-use crate::report::{SolverRow, SolverSummary};
+use crate::report::{Counters, SolverRow, SolverSummary};
 use crate::Profile;
 
 /// One bug of Figure 4 (one x-axis position).
@@ -29,40 +28,8 @@ pub struct Fig4Row {
     pub sqed_len: Option<usize>,
     /// SEPE-SQED counterexample length.
     pub sepe_len: Option<usize>,
-    /// Distinct term encodings cached by the SEPE-SQED incremental solver
-    /// (see `sepe_smt::EncodeStats`).
-    pub sepe_terms_cached: u64,
-    /// Term encodings reused across depths by the SEPE-SQED incremental
-    /// per-depth sweep.
-    pub sepe_terms_reused: u64,
-    /// Terms changed by the word-level rewriter ahead of bit-blasting.
-    pub sepe_terms_rewritten: u64,
-    /// Catalogue-rule applications by the rewriter.
-    pub sepe_rewrite_rules: u64,
-    /// Asserted equalities the rewriter turned into variable pins.
-    pub sepe_rewrite_pins: u64,
-    /// Asserted conjuncts the rewriter eliminated before encoding.
-    pub sepe_assertions_dropped: u64,
-    /// Next-state updates dropped by the BMC cone-of-influence pass.
-    pub sepe_coi_dropped: u64,
-    /// AIG nodes created below the word level (strash misses).
-    pub sepe_aig_nodes: u64,
-    /// AIG requests answered by the structural-hashing table.
-    pub sepe_aig_strash_hits: u64,
-    /// AIG requests folded by constant propagation / one-level rules.
-    pub sepe_aig_consts_folded: u64,
-    /// Two-level local rewrites at AIG node creation.
-    pub sepe_aig_rewrites: u64,
-    /// CNF variables emitted by the polarity-aware Tseitin pass.
-    pub sepe_cnf_vars: u64,
-    /// CNF clauses emitted by the polarity-aware Tseitin pass.
-    pub sepe_cnf_clauses: u64,
-    /// Learnt clauses retained across the sweep's SAT calls.
-    pub sepe_learnt_retained: u64,
-    /// High-water mark of live learnt clauses during the SEPE sweep.
-    pub sepe_learnt_high_water: u64,
-    /// Learnt clauses deleted by database reduction during the SEPE sweep.
-    pub sepe_learnt_deleted: u64,
+    /// Solver counters of the SEPE-SQED sweep.
+    pub sepe_solver: Counters,
     /// Per-depth SAT-conflict deltas of the SEPE-SQED sweep.
     pub sepe_depth_conflicts: Vec<u64>,
 }
@@ -81,38 +48,6 @@ impl Fig4Row {
         match (self.sqed_len, self.sepe_len) {
             (Some(a), Some(b)) if b > 0 => Some(a as f64 / b as f64),
             _ => None,
-        }
-    }
-
-    /// This row's contribution to the shared solver summary.
-    fn solver_row(&self) -> SolverRow {
-        let encode = EncodeStats {
-            terms_cached: self.sepe_terms_cached,
-            terms_reused: self.sepe_terms_reused,
-            rewrite: sepe_smt::RewriteStats {
-                terms_rewritten: self.sepe_terms_rewritten,
-                rule_applications: self.sepe_rewrite_rules,
-                pins: self.sepe_rewrite_pins,
-                assertions_dropped: self.sepe_assertions_dropped,
-                coi_dropped_updates: self.sepe_coi_dropped,
-                ..Default::default()
-            },
-            aig: sepe_smt::AigStats {
-                nodes: self.sepe_aig_nodes,
-                strash_hits: self.sepe_aig_strash_hits,
-                consts_folded: self.sepe_aig_consts_folded,
-                rewrites: self.sepe_aig_rewrites,
-                cnf_vars: self.sepe_cnf_vars,
-                cnf_clauses: self.sepe_cnf_clauses,
-            },
-        };
-        SolverRow {
-            label: self.bug.clone(),
-            encode,
-            learnt_retained: self.sepe_learnt_retained,
-            learnt_high_water: self.sepe_learnt_high_water,
-            learnt_deleted: self.sepe_learnt_deleted,
-            depth_conflicts: self.sepe_depth_conflicts.clone(),
         }
     }
 }
@@ -206,22 +141,7 @@ pub fn run_with_jobs(profile: Profile, jobs: usize) -> (Vec<Fig4Row>, BatchStats
                 sepe_secs: sepe.detected.then_some(sepe.runtime.as_secs_f64()),
                 sqed_len: sqed.trace_len,
                 sepe_len: sepe.trace_len,
-                sepe_terms_cached: sepe.solver.encode.terms_cached,
-                sepe_terms_reused: sepe.solver.encode.terms_reused,
-                sepe_terms_rewritten: sepe.solver.encode.rewrite.terms_rewritten,
-                sepe_rewrite_rules: sepe.solver.encode.rewrite.rule_applications,
-                sepe_rewrite_pins: sepe.solver.encode.rewrite.pins,
-                sepe_assertions_dropped: sepe.solver.encode.rewrite.assertions_dropped,
-                sepe_coi_dropped: sepe.solver.encode.rewrite.coi_dropped_updates,
-                sepe_aig_nodes: sepe.solver.encode.aig.nodes,
-                sepe_aig_strash_hits: sepe.solver.encode.aig.strash_hits,
-                sepe_aig_consts_folded: sepe.solver.encode.aig.consts_folded,
-                sepe_aig_rewrites: sepe.solver.encode.aig.rewrites,
-                sepe_cnf_vars: sepe.solver.encode.aig.cnf_vars,
-                sepe_cnf_clauses: sepe.solver.encode.aig.cnf_clauses,
-                sepe_learnt_retained: sepe.solver.learnt_retained,
-                sepe_learnt_high_water: sepe.solver.learnt_high_water,
-                sepe_learnt_deleted: sepe.solver.learnt_deleted,
+                sepe_solver: Counters(sepe.solver),
                 sepe_depth_conflicts: sepe.depths.iter().map(|d| d.conflicts).collect(),
             }
         })
@@ -266,7 +186,13 @@ pub fn print(rows: &[Fig4Row]) {
     let summary = SolverSummary::new(
         "SEPE-SQED incremental per-depth sweeps",
         "depths",
-        rows.iter().map(Fig4Row::solver_row).collect(),
+        rows.iter()
+            .map(|r| SolverRow {
+                label: r.bug.clone(),
+                solver: r.sepe_solver.0,
+                depth_conflicts: r.sepe_depth_conflicts.clone(),
+            })
+            .collect(),
         28,
     );
     println!("{summary}");
@@ -285,22 +211,7 @@ mod tests {
             sepe_secs: Some(1.0),
             sqed_len: Some(6),
             sepe_len: Some(8),
-            sepe_terms_cached: 0,
-            sepe_terms_reused: 0,
-            sepe_terms_rewritten: 0,
-            sepe_rewrite_rules: 0,
-            sepe_rewrite_pins: 0,
-            sepe_assertions_dropped: 0,
-            sepe_coi_dropped: 0,
-            sepe_aig_nodes: 0,
-            sepe_aig_strash_hits: 0,
-            sepe_aig_consts_folded: 0,
-            sepe_aig_rewrites: 0,
-            sepe_cnf_vars: 0,
-            sepe_cnf_clauses: 0,
-            sepe_learnt_retained: 0,
-            sepe_learnt_high_water: 0,
-            sepe_learnt_deleted: 0,
+            sepe_solver: Counters::default(),
             sepe_depth_conflicts: Vec::new(),
         };
         assert_eq!(row.runtime_ratio(), Some(2.0));

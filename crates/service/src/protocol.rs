@@ -320,6 +320,24 @@ pub struct DoneStats {
     pub proof_mismatches: u64,
 }
 
+impl DoneStats {
+    /// Adds another request part's counters to these.
+    pub fn absorb(&mut self, other: &DoneStats) {
+        self.jobs += other.jobs;
+        self.from_cache += other.from_cache;
+        self.computed += other.computed;
+        self.encodes += other.encodes;
+        self.witness_validations += other.witness_validations;
+        self.witness_mismatches += other.witness_mismatches;
+        self.retries += other.retries;
+        self.degraded_runs += other.degraded_runs;
+        self.panics += other.panics;
+        self.cancelled += other.cancelled;
+        self.proved += other.proved;
+        self.proof_mismatches += other.proof_mismatches;
+    }
+}
+
 /// A server reply.
 #[derive(Debug, Clone)]
 pub enum Reply {
@@ -836,6 +854,43 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn done_stats_absorb_sums_every_counter() {
+        let part = DoneStats {
+            jobs: 1,
+            from_cache: 2,
+            computed: 3,
+            encodes: 4,
+            witness_validations: 5,
+            witness_mismatches: 6,
+            retries: 7,
+            degraded_runs: 8,
+            panics: 9,
+            cancelled: 10,
+            proved: 11,
+            proof_mismatches: 12,
+        };
+        let mut total = part;
+        total.absorb(&part);
+        assert_eq!(
+            total,
+            DoneStats {
+                jobs: 2,
+                from_cache: 4,
+                computed: 6,
+                encodes: 8,
+                witness_validations: 10,
+                witness_mismatches: 12,
+                retries: 14,
+                degraded_runs: 16,
+                panics: 18,
+                cancelled: 20,
+                proved: 22,
+                proof_mismatches: 24,
+            }
+        );
+    }
 
     #[test]
     fn frames_round_trip() {

@@ -703,19 +703,7 @@ fn handle_submit(
                         bump!(shared, cancelled_requests);
                     }
                 }
-                WorkerMsg::Finished(computed) => {
-                    done.jobs += computed.jobs;
-                    done.computed += computed.computed;
-                    done.encodes += computed.encodes;
-                    done.witness_validations += computed.witness_validations;
-                    done.witness_mismatches += computed.witness_mismatches;
-                    done.retries += computed.retries;
-                    done.degraded_runs += computed.degraded_runs;
-                    done.panics += computed.panics;
-                    done.cancelled += computed.cancelled;
-                    done.proved += computed.proved;
-                    done.proof_mismatches += computed.proof_mismatches;
-                }
+                WorkerMsg::Finished(computed) => done.absorb(&computed),
             }
         }
     }
